@@ -1,12 +1,11 @@
-// Batch executor ablation — the same scan+select plan driven through the
-// row-at-a-time interface (Next) and the batch interface (NextBatch), at
-// several batch capacities; then the batch plan against its morsel-driven
-// parallel form at several worker counts.
+// Batch executor ablation — the same scan+select plan driven through
+// NextBatch at several batch capacities; then the batch plan against its
+// morsel-driven parallel form at several worker counts.
 //
-// Expectation: batch throughput >= row throughput (the batch path
-// amortizes virtual dispatch, Result construction, and per-row column
-// lookup in the predicate), converging as capacity grows. Parallel
-// speedup tracks the host's core count (a 1-core machine shows ~1.0x).
+// Expectation: throughput converges as capacity grows (larger batches
+// amortize virtual dispatch, Result construction, and per-batch column
+// lookup in the predicate). Parallel speedup tracks the host's core count
+// (a 1-core machine shows ~1.0x).
 //
 // Emits BENCH_parallel.json with the parallel-vs-serial numbers,
 // BENCH_obs.json with the metrics-overhead arm (the same batch plan with
@@ -59,15 +58,6 @@ OpPtr BuildParallelPlan(Table* table, size_t workers) {
   return std::make_unique<GatherOp>(std::move(partitions), morsels);
 }
 
-size_t DriveRows(PhysicalOperator* op) {
-  INSIGHT_CHECK(op->Open().ok());
-  size_t n = 0;
-  Row row;
-  while (op->Next(&row).ValueOrDie()) ++n;
-  op->Close();
-  return n;
-}
-
 size_t DriveBatches(PhysicalOperator* op, RowBatch* batch) {
   INSIGHT_CHECK(op->Open().ok());
   size_t n = 0;
@@ -84,8 +74,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  PrintHeader("Ablation: batch-at-a-time vs row-at-a-time scan+select",
-              "batch >= 1.0x row throughput at every capacity", config);
+  PrintHeader("Ablation: batch capacity and parallelism for scan+select",
+              "throughput converges as batch capacity grows", config);
 
   const size_t num_rows = static_cast<size_t>(200000 * config.scale);
   StorageManager storage(StorageManager::Backend::kMemory);
@@ -105,12 +95,7 @@ int main(int argc, char** argv) {
 
   OpPtr plan = BuildPlan(table);
   size_t hits = 0;
-  const double row_ms =
-      MedianMillis(config.query_repeats, [&] { hits = DriveRows(plan.get()); });
-  std::printf("%-12s %10zu rows -> %8zu hits %10.2f ms (1.00x)\n", "row",
-              num_rows, hits, row_ms);
-
-  double serial_ms = row_ms;
+  double serial_ms = 0;
   for (size_t capacity : {64u, 256u, 1024u, 4096u}) {
     ExecutionContext ctx(&storage, &pool, capacity);
     plan->AttachContext(&ctx);
@@ -118,8 +103,8 @@ int main(int argc, char** argv) {
     batch.set_capacity(capacity);
     const double batch_ms = MedianMillis(
         config.query_repeats, [&] { hits = DriveBatches(plan.get(), &batch); });
-    std::printf("batch=%-6zu %10zu rows -> %8zu hits %10.2f ms (%.2fx)\n",
-                capacity, num_rows, hits, batch_ms, row_ms / batch_ms);
+    std::printf("batch=%-6zu %10zu rows -> %8zu hits %10.2f ms\n", capacity,
+                num_rows, hits, batch_ms);
     if (capacity == 1024u) serial_ms = batch_ms;  // Parallel baseline.
   }
   const size_t serial_hits = hits;

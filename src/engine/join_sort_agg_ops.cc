@@ -8,6 +8,27 @@
 
 namespace insight {
 
+namespace {
+
+/// Outer (probe) side of the joins: moves the next row of `child` into
+/// `*row`, refilling `input` one batch at a time; false at end of stream.
+/// Rows leave in child order, so every join preserves its outer order
+/// (Rule 5).
+Result<bool> PullOuterRow(PhysicalOperator* child, RowBatch* input,
+                          size_t* pos, Row* row) {
+  if (*pos >= input->size()) {
+    const size_t capacity = child->batch_capacity();
+    if (input->capacity() != capacity) input->set_capacity(capacity);
+    INSIGHT_ASSIGN_OR_RETURN(bool has, child->NextBatch(input));
+    if (!has) return false;
+    *pos = 0;
+  }
+  *row = std::move(input->rows()[(*pos)++]);
+  return true;
+}
+
+}  // namespace
+
 // ---------- NestedLoopJoinOp ----------
 
 NestedLoopJoinOp::NestedLoopJoinOp(OpPtr left, OpPtr right, ExprPtr predicate)
@@ -20,31 +41,26 @@ NestedLoopJoinOp::NestedLoopJoinOp(OpPtr left, OpPtr right, ExprPtr predicate)
 Status NestedLoopJoinOp::OpenImpl() {
   ResetExec();
   INSIGHT_RETURN_NOT_OK(left_->Open());
-  INSIGHT_RETURN_NOT_OK(right_->Open());
-  right_rows_.clear();
-  Row row;
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
-    if (!has) break;
-    right_rows_.push_back(std::move(row));
-    row = Row();
-  }
-  right_->Close();
+  // CollectRows opens, drains and closes the right side.
+  INSIGHT_ASSIGN_OR_RETURN(right_rows_, CollectRows(right_.get()));
+  left_input_.Clear();
+  left_pos_ = 0;
   left_valid_ = false;
   right_pos_ = 0;
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOp::Next(Row* row) {
+Result<bool> NestedLoopJoinOp::NextBatchImpl(RowBatch* batch) {
   const size_t left_arity = left_->schema().num_columns();
-  while (true) {
+  while (!batch->full()) {
     if (!left_valid_) {
-      INSIGHT_ASSIGN_OR_RETURN(bool has, left_->Next(&current_left_));
-      if (!has) return false;
-      left_valid_ = true;
+      INSIGHT_ASSIGN_OR_RETURN(
+          left_valid_,
+          PullOuterRow(left_.get(), &left_input_, &left_pos_, &current_left_));
+      if (!left_valid_) break;
       right_pos_ = 0;
     }
-    while (right_pos_ < right_rows_.size()) {
+    while (right_pos_ < right_rows_.size() && !batch->full()) {
       const Row& right = right_rows_[right_pos_++];
       Row candidate;
       candidate.data = Tuple::Concat(current_left_.data, right.data);
@@ -56,12 +72,11 @@ Result<bool> NestedLoopJoinOp::Next(Row* row) {
           candidate.summaries,
           MergeSummaries(current_left_.summaries, right.summaries,
                          left_arity));
-      *row = std::move(candidate);
-      ++rows_produced_;
-      return true;
+      batch->Push(std::move(candidate));
     }
-    left_valid_ = false;
+    if (right_pos_ >= right_rows_.size()) left_valid_ = false;
   }
+  return !batch->empty();
 }
 
 void NestedLoopJoinOp::Close() {
@@ -93,29 +108,34 @@ Status IndexNLJoinOp::OpenImpl() {
     return Status::InvalidArgument("index join needs an index on " +
                                    inner_->name() + "." + inner_column_);
   }
+  outer_input_.Clear();
+  outer_pos_ = 0;
   outer_valid_ = false;
   match_pos_ = 0;
   matches_.clear();
   return outer_->Open();
 }
 
-Result<bool> IndexNLJoinOp::Next(Row* row) {
+Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
   const size_t outer_arity = outer_->schema().num_columns();
   const BTree* index = inner_->GetColumnIndex(inner_column_);
-  while (true) {
+  INSIGHT_ASSIGN_OR_RETURN(size_t inner_pos,
+                           inner_->schema().IndexOf(inner_column_));
+  while (!batch->full()) {
     if (!outer_valid_) {
-      INSIGHT_ASSIGN_OR_RETURN(bool has, outer_->Next(&current_outer_));
-      if (!has) return false;
-      outer_valid_ = true;
       INSIGHT_ASSIGN_OR_RETURN(
-          Value key, outer_key_->Eval(current_outer_, outer_->schema()));
+          outer_valid_,
+          PullOuterRow(outer_.get(), &outer_input_, &outer_pos_, &outer_row_));
+      if (!outer_valid_) break;
+      INSIGHT_ASSIGN_OR_RETURN(
+          Value key, outer_key_->Eval(outer_row_, outer_->schema()));
       join_key_ = EncodeIndexKey(key);
       INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> hits,
                                index->Lookup(join_key_));
       matches_.assign(hits.begin(), hits.end());
       match_pos_ = 0;
     }
-    if (match_pos_ < matches_.size()) {
+    while (match_pos_ < matches_.size() && !batch->full()) {
       const Oid inner_oid = matches_[match_pos_++];
       // Column indexes keep entries for every stored version; fetch the
       // version visible to this plan's snapshot, skip oids with none, and
@@ -126,25 +146,23 @@ Result<bool> IndexNLJoinOp::Next(Row* row) {
         return fetched.status();
       }
       Tuple inner_tuple = std::move(fetched.ValueOrDie());
-      INSIGHT_ASSIGN_OR_RETURN(
-          size_t inner_pos, inner_->schema().IndexOf(inner_column_));
       if (EncodeIndexKey(inner_tuple.at(inner_pos)) != join_key_) continue;
-      row->oid = kInvalidOid;
-      row->data = Tuple::Concat(current_outer_.data, inner_tuple);
+      Row row;
+      row.data = Tuple::Concat(outer_row_.data, inner_tuple);
       SummarySet inner_summaries;
       if (propagate_inner_) {
         INSIGHT_ASSIGN_OR_RETURN(
             inner_summaries, inner_mgr_->GetSummaries(inner_oid, snapshot()));
       }
       INSIGHT_ASSIGN_OR_RETURN(
-          row->summaries,
-          MergeSummaries(current_outer_.summaries, inner_summaries,
+          row.summaries,
+          MergeSummaries(outer_row_.summaries, inner_summaries,
                          outer_arity));
-      ++rows_produced_;
-      return true;
+      batch->Push(std::move(row));
     }
-    outer_valid_ = false;
+    if (match_pos_ >= matches_.size()) outer_valid_ = false;
   }
+  return !batch->empty();
 }
 
 std::string IndexNLJoinOp::Describe() const {
@@ -189,18 +207,19 @@ Status HashJoinOp::OpenImpl() {
   right_->Close();
   left_valid_ = false;
   bucket_ = nullptr;
-  probe_input_.Clear();
-  probe_pos_ = 0;
+  left_input_.Clear();
+  left_pos_ = 0;
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::Next(Row* row) {
+Result<bool> HashJoinOp::NextBatchImpl(RowBatch* batch) {
   const size_t left_arity = left_->schema().num_columns();
-  while (true) {
+  while (!batch->full()) {
     if (!left_valid_) {
-      INSIGHT_ASSIGN_OR_RETURN(bool has, left_->Next(&current_left_));
-      if (!has) return false;
-      left_valid_ = true;
+      INSIGHT_ASSIGN_OR_RETURN(
+          left_valid_,
+          PullOuterRow(left_.get(), &left_input_, &left_pos_, &current_left_));
+      if (!left_valid_) break;
       bucket_ = nullptr;
       bucket_pos_ = 0;
       const Value& key = current_left_.data.at(left_key_idx_);
@@ -209,7 +228,8 @@ Result<bool> HashJoinOp::Next(Row* row) {
         if (it != table_.end()) bucket_ = &it->second;
       }
     }
-    while (bucket_ != nullptr && bucket_pos_ < bucket_->size()) {
+    while (bucket_ != nullptr && bucket_pos_ < bucket_->size() &&
+           !batch->full()) {
       const Row& right = (*bucket_)[bucket_pos_++];
       // Re-check equality (hash buckets may mix values).
       if (current_left_.data.at(left_key_idx_)
@@ -227,56 +247,7 @@ Result<bool> HashJoinOp::Next(Row* row) {
           candidate.summaries,
           MergeSummaries(current_left_.summaries, right.summaries,
                          left_arity));
-      *row = std::move(candidate);
-      ++rows_produced_;
-      return true;
-    }
-    left_valid_ = false;
-  }
-}
-
-Result<bool> HashJoinOp::NextBatchImpl(RowBatch* batch) {
-  const size_t left_arity = left_->schema().num_columns();
-  if (probe_input_.capacity() != batch_capacity()) {
-    probe_input_.set_capacity(batch_capacity());
-  }
-  while (!batch->full()) {
-    if (!left_valid_) {
-      if (probe_pos_ >= probe_input_.size()) {
-        INSIGHT_ASSIGN_OR_RETURN(bool has, left_->NextBatch(&probe_input_));
-        if (!has) break;
-        probe_pos_ = 0;
-      }
-      current_left_ = std::move(probe_input_.rows()[probe_pos_++]);
-      left_valid_ = true;
-      bucket_ = nullptr;
-      bucket_pos_ = 0;
-      const Value& key = current_left_.data.at(left_key_idx_);
-      if (!key.is_null()) {
-        auto it = table_.find(key.Hash());
-        if (it != table_.end()) bucket_ = &it->second;
-      }
-    }
-    while (bucket_ != nullptr && bucket_pos_ < bucket_->size() &&
-           !batch->full()) {
-      const Row& right = (*bucket_)[bucket_pos_++];
-      if (current_left_.data.at(left_key_idx_)
-              .Compare(right.data.at(right_key_idx_)) != 0) {
-        continue;
-      }
-      Row candidate;
-      candidate.data = Tuple::Concat(current_left_.data, right.data);
-      if (residual_ != nullptr) {
-        INSIGHT_ASSIGN_OR_RETURN(bool pass,
-                                 residual_->EvalBool(candidate, schema_));
-        if (!pass) continue;
-      }
-      INSIGHT_ASSIGN_OR_RETURN(
-          candidate.summaries,
-          MergeSummaries(current_left_.summaries, right.summaries,
-                         left_arity));
       batch->Push(std::move(candidate));
-      ++rows_produced_;
     }
     if (bucket_ == nullptr || bucket_pos_ >= bucket_->size()) {
       left_valid_ = false;
@@ -350,118 +321,107 @@ std::vector<PhysicalOperator*> SummaryJoinOp::children() const {
 
 Status SummaryJoinOp::OpenImpl() {
   ResetExec();
+  left_input_.Clear();
+  left_pos_ = 0;
   left_valid_ = false;
   left_arity_ = left_->schema().num_columns();
   INSIGHT_RETURN_NOT_OK(left_->Open());
   if (right_ != nullptr) {
-    INSIGHT_RETURN_NOT_OK(right_->Open());
-    right_rows_.clear();
-    Row row;
-    while (true) {
-      INSIGHT_ASSIGN_OR_RETURN(bool has, right_->Next(&row));
-      if (!has) break;
-      right_rows_.push_back(std::move(row));
-      row = Row();
-    }
-    right_->Close();
+    // CollectRows opens, drains and closes the right side.
+    INSIGHT_ASSIGN_OR_RETURN(right_rows_, CollectRows(right_.get()));
     right_pos_ = 0;
   }
   return Status::OK();
 }
 
-Result<bool> SummaryJoinOp::Next(Row* row) {
-  return right_ != nullptr ? NextNestedLoop(row) : NextIndex(row);
+Result<bool> SummaryJoinOp::NextBatchImpl(RowBatch* batch) {
+  while (!batch->full()) {
+    if (!left_valid_) {
+      INSIGHT_ASSIGN_OR_RETURN(
+          left_valid_,
+          PullOuterRow(left_.get(), &left_input_, &left_pos_, &current_left_));
+      if (!left_valid_) break;
+      right_pos_ = 0;
+      hits_.clear();
+      hit_pos_ = 0;
+      if (right_ == nullptr) {
+        // Probe: right tuples whose label count equals the left tuple's.
+        const SummaryObject* obj =
+            current_left_.summaries.GetSummaryObject(label_instance_);
+        if (obj != nullptr) {
+          auto count = obj->GetLabelValue(label_);
+          if (count.ok()) {
+            INSIGHT_ASSIGN_OR_RETURN(
+                hits_, right_index_->Search(
+                           ClassifierProbe::Equal(label_, *count), snapshot()));
+          }
+        }
+      }
+    }
+    INSIGHT_RETURN_NOT_OK(right_ != nullptr ? JoinNestedLoop(batch)
+                                            : JoinIndex(batch));
+  }
+  return !batch->empty();
 }
 
-Result<bool> SummaryJoinOp::NextNestedLoop(Row* row) {
-  while (true) {
-    if (!left_valid_) {
-      INSIGHT_ASSIGN_OR_RETURN(bool has, left_->Next(&current_left_));
-      if (!has) return false;
-      left_valid_ = true;
-      right_pos_ = 0;
-    }
-    while (right_pos_ < right_rows_.size()) {
-      const Row& right = right_rows_[right_pos_++];
-      bool pass = false;
-      Row merged;
-      if (predicate_.merged_form()) {
+Status SummaryJoinOp::JoinNestedLoop(RowBatch* batch) {
+  while (right_pos_ < right_rows_.size() && !batch->full()) {
+    const Row& right = right_rows_[right_pos_++];
+    bool pass = false;
+    Row merged;
+    if (predicate_.merged_form()) {
+      merged.data = Tuple::Concat(current_left_.data, right.data);
+      INSIGHT_ASSIGN_OR_RETURN(
+          merged.summaries,
+          MergeSummaries(current_left_.summaries, right.summaries,
+                         left_arity_));
+      INSIGHT_ASSIGN_OR_RETURN(
+          pass, predicate_.merged_expr->EvalBool(merged, schema_));
+    } else {
+      INSIGHT_ASSIGN_OR_RETURN(
+          Value lv,
+          predicate_.left_expr->Eval(current_left_, left_->schema()));
+      INSIGHT_ASSIGN_OR_RETURN(
+          Value rv, predicate_.right_expr->Eval(right, right_->schema()));
+      if (!lv.is_null() && !rv.is_null()) {
+        pass = EvalCompare(predicate_.op, lv.Compare(rv));
+      }
+      if (pass) {
         merged.data = Tuple::Concat(current_left_.data, right.data);
         INSIGHT_ASSIGN_OR_RETURN(
             merged.summaries,
             MergeSummaries(current_left_.summaries, right.summaries,
                            left_arity_));
-        INSIGHT_ASSIGN_OR_RETURN(
-            pass, predicate_.merged_expr->EvalBool(merged, schema_));
-      } else {
-        INSIGHT_ASSIGN_OR_RETURN(
-            Value lv,
-            predicate_.left_expr->Eval(current_left_, left_->schema()));
-        INSIGHT_ASSIGN_OR_RETURN(
-            Value rv, predicate_.right_expr->Eval(right, right_->schema()));
-        if (!lv.is_null() && !rv.is_null()) {
-          pass = EvalCompare(predicate_.op, lv.Compare(rv));
-        }
-        if (pass) {
-          merged.data = Tuple::Concat(current_left_.data, right.data);
-          INSIGHT_ASSIGN_OR_RETURN(
-              merged.summaries,
-              MergeSummaries(current_left_.summaries, right.summaries,
-                             left_arity_));
-        }
-      }
-      if (pass) {
-        *row = std::move(merged);
-        ++rows_produced_;
-        return true;
       }
     }
-    left_valid_ = false;
+    if (pass) batch->Push(std::move(merged));
   }
+  if (right_pos_ >= right_rows_.size()) left_valid_ = false;
+  return Status::OK();
 }
 
-Result<bool> SummaryJoinOp::NextIndex(Row* row) {
-  while (true) {
-    if (!left_valid_) {
-      INSIGHT_ASSIGN_OR_RETURN(bool has, left_->Next(&current_left_));
-      if (!has) return false;
-      left_valid_ = true;
-      hits_.clear();
-      hit_pos_ = 0;
-      // Probe: right tuples whose label count equals the left tuple's.
-      const SummaryObject* obj =
-          current_left_.summaries.GetSummaryObject(label_instance_);
-      if (obj != nullptr) {
-        auto count = obj->GetLabelValue(label_);
-        if (count.ok()) {
-          INSIGHT_ASSIGN_OR_RETURN(
-              hits_, right_index_->Search(ClassifierProbe::Equal(label_, *count),
-                                          snapshot()));
-        }
-      }
-    }
-    if (hit_pos_ < hits_.size()) {
-      const SummaryIndexHit& hit = hits_[hit_pos_++];
-      Oid right_oid = kInvalidOid;
+Status SummaryJoinOp::JoinIndex(RowBatch* batch) {
+  while (hit_pos_ < hits_.size() && !batch->full()) {
+    const SummaryIndexHit& hit = hits_[hit_pos_++];
+    Oid right_oid = kInvalidOid;
+    INSIGHT_ASSIGN_OR_RETURN(
+        Tuple right_tuple,
+        right_index_->FetchDataTuple(hit, &right_oid, snapshot()));
+    Row row;
+    row.data = Tuple::Concat(current_left_.data, right_tuple);
+    SummarySet right_summaries;
+    if (propagate_right_) {
       INSIGHT_ASSIGN_OR_RETURN(
-          Tuple right_tuple,
-          right_index_->FetchDataTuple(hit, &right_oid, snapshot()));
-      row->oid = kInvalidOid;
-      row->data = Tuple::Concat(current_left_.data, right_tuple);
-      SummarySet right_summaries;
-      if (propagate_right_) {
-        INSIGHT_ASSIGN_OR_RETURN(
-            right_summaries, right_mgr_->GetSummaries(right_oid, snapshot()));
-      }
-      INSIGHT_ASSIGN_OR_RETURN(
-          row->summaries,
-          MergeSummaries(current_left_.summaries, right_summaries,
-                         left_arity_));
-      ++rows_produced_;
-      return true;
+          right_summaries, right_mgr_->GetSummaries(right_oid, snapshot()));
     }
-    left_valid_ = false;
+    INSIGHT_ASSIGN_OR_RETURN(
+        row.summaries,
+        MergeSummaries(current_left_.summaries, right_summaries,
+                       left_arity_));
+    batch->Push(std::move(row));
   }
+  if (hit_pos_ >= hits_.size()) left_valid_ = false;
+  return Status::OK();
 }
 
 void SummaryJoinOp::Close() {
@@ -609,58 +569,35 @@ Status SortOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> SortOp::MergeNext(Row* row) {
-  // K-way merge: pick the smallest live head.
-  size_t best = runs_.size();
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    if (!runs_[i].head.has_value()) continue;
-    if (best == runs_.size()) {
-      best = i;
-      continue;
-    }
-    INSIGHT_ASSIGN_OR_RETURN(int c,
-                             CompareRows(*runs_[i].head, *runs_[best].head));
-    if (c < 0) best = i;
-  }
-  if (best == runs_.size()) return false;
-  *row = std::move(*runs_[best].head);
-  runs_[best].head.reset();
-  RowLocation loc;
-  std::string rec;
-  if (runs_[best].it->Next(&loc, &rec)) {
-    INSIGHT_ASSIGN_OR_RETURN(Row head, Row::Deserialize(rec));
-    runs_[best].head = std::move(head);
-  }
-  return true;
-}
-
-Result<bool> SortOp::Next(Row* row) {
-  if (runs_.empty()) {
-    if (pos_ >= sorted_.size()) return false;
-    *row = sorted_[pos_++];
-    ++rows_produced_;
-    return true;
-  }
-  INSIGHT_ASSIGN_OR_RETURN(bool has, MergeNext(row));
-  if (has) ++rows_produced_;
-  return has;
-}
-
 Result<bool> SortOp::NextBatchImpl(RowBatch* batch) {
   if (runs_.empty()) {
     while (!batch->full() && pos_ < sorted_.size()) {
       batch->Push(sorted_[pos_++]);
-      ++rows_produced_;
     }
     return !batch->empty();
   }
-  Row row;
   while (!batch->full()) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, MergeNext(&row));
-    if (!has) break;
-    batch->Push(std::move(row));
-    row = Row();
-    ++rows_produced_;
+    // K-way merge step: emit the smallest live head, then refill it.
+    size_t best = runs_.size();
+    for (size_t i = 0; i < runs_.size(); ++i) {
+      if (!runs_[i].head.has_value()) continue;
+      if (best == runs_.size()) {
+        best = i;
+        continue;
+      }
+      INSIGHT_ASSIGN_OR_RETURN(int c,
+                               CompareRows(*runs_[i].head, *runs_[best].head));
+      if (c < 0) best = i;
+    }
+    if (best == runs_.size()) break;
+    batch->Push(std::move(*runs_[best].head));
+    runs_[best].head.reset();
+    RowLocation loc;
+    std::string rec;
+    if (runs_[best].it->Next(&loc, &rec)) {
+      INSIGHT_ASSIGN_OR_RETURN(Row head, Row::Deserialize(rec));
+      runs_[best].head = std::move(head);
+    }
   }
   return !batch->empty();
 }
@@ -821,17 +758,9 @@ Status HashAggregateOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> HashAggregateOp::Next(Row* row) {
-  if (pos_ >= results_.size()) return false;
-  *row = results_[pos_++];
-  ++rows_produced_;
-  return true;
-}
-
 Result<bool> HashAggregateOp::NextBatchImpl(RowBatch* batch) {
   while (!batch->full() && pos_ < results_.size()) {
     batch->Push(results_[pos_++]);
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -852,34 +781,36 @@ Status DistinctOp::OpenImpl() {
   results_.clear();
   INSIGHT_RETURN_NOT_OK(child_->Open());
   std::unordered_map<std::string, size_t> seen;
-  Row row;
+  RowBatch input;
+  input.set_capacity(batch_capacity());
   while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
+    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&input));
     if (!has) break;
-    std::string key;
-    row.data.Serialize(&key);
-    auto it = seen.find(key);
-    if (it == seen.end()) {
-      seen.emplace(std::move(key), results_.size());
-      results_.push_back(std::move(row));
-    } else {
-      // Duplicate elimination merges the collapsed rows' summaries.
-      Row& kept = results_[it->second];
-      INSIGHT_ASSIGN_OR_RETURN(
-          kept.summaries,
-          MergeSummaries(kept.summaries, row.summaries, 0));
+    for (Row& row : input) {
+      std::string key;
+      row.data.Serialize(&key);
+      auto it = seen.find(key);
+      if (it == seen.end()) {
+        seen.emplace(std::move(key), results_.size());
+        results_.push_back(std::move(row));
+      } else {
+        // Duplicate elimination merges the collapsed rows' summaries.
+        Row& kept = results_[it->second];
+        INSIGHT_ASSIGN_OR_RETURN(
+            kept.summaries,
+            MergeSummaries(kept.summaries, row.summaries, 0));
+      }
     }
-    row = Row();
   }
   child_->Close();
   return Status::OK();
 }
 
-Result<bool> DistinctOp::Next(Row* row) {
-  if (pos_ >= results_.size()) return false;
-  *row = results_[pos_++];
-  ++rows_produced_;
-  return true;
+Result<bool> DistinctOp::NextBatchImpl(RowBatch* batch) {
+  while (!batch->full() && pos_ < results_.size()) {
+    batch->Push(results_[pos_++]);
+  }
+  return !batch->empty();
 }
 
 std::string DistinctOp::Describe() const { return "Distinct"; }

@@ -40,31 +40,6 @@ void ParallelScanOp::OpenMorsel(PageId begin, PageId end) {
   }
 }
 
-Result<bool> ParallelScanOp::Next(Row* row) {
-  while (true) {
-    if (!it_.has_value()) {
-      PageId begin, end;
-      if (!morsels_->Next(&begin, &end)) return false;
-      OpenMorsel(begin, end);
-    }
-    Oid oid;
-    Tuple tuple;
-    if (!it_->Next(&oid, &tuple)) {
-      it_.reset();  // Morsel drained; claim the next one.
-      continue;
-    }
-    row->oid = oid;
-    row->data = std::move(tuple);
-    row->summaries = SummarySet();
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row->summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    ++rows_produced_;
-    return true;
-  }
-}
-
 Result<bool> ParallelScanOp::NextBatchImpl(RowBatch* batch) {
   while (!batch->full()) {
     if (!it_.has_value()) {
@@ -86,7 +61,6 @@ Result<bool> ParallelScanOp::NextBatchImpl(RowBatch* batch) {
                                mgr_->GetSummaries(oid, snapshot()));
     }
     batch->Push(std::move(row));
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -110,7 +84,6 @@ Result<bool> ParallelScanOp::NextColumnBatchImpl(ColumnBatch* batch) {
                                mgr_->GetSummaries(oid, snapshot()));
     }
     batch->AppendTuple(oid, tuple, std::move(summaries));
-    ++rows_produced_;
   }
   return !batch->empty();
 }
@@ -135,16 +108,8 @@ Status ExchangeOp::OpenImpl() {
   return child_->Open();
 }
 
-Result<bool> ExchangeOp::Next(Row* row) {
-  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->Next(row));
-  if (has) ++rows_produced_;
-  return has;
-}
-
 Result<bool> ExchangeOp::NextBatchImpl(RowBatch* batch) {
-  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
-  rows_produced_ += batch->size();
-  return has;
+  return child_->NextBatch(batch);
 }
 
 std::string ExchangeOp::Describe() const {
@@ -235,20 +200,6 @@ Status GatherOp::OpenImpl() {
   return Status::OK();
 }
 
-Result<bool> GatherOp::Next(Row* row) {
-  while (worker_pos_ < results_.size()) {
-    std::vector<Row>& buffer = results_[worker_pos_];
-    if (row_pos_ < buffer.size()) {
-      *row = std::move(buffer[row_pos_++]);
-      ++rows_produced_;
-      return true;
-    }
-    ++worker_pos_;
-    row_pos_ = 0;
-  }
-  return false;
-}
-
 Result<bool> GatherOp::NextBatchImpl(RowBatch* batch) {
   while (!batch->full() && worker_pos_ < results_.size()) {
     std::vector<Row>& buffer = results_[worker_pos_];
@@ -258,7 +209,6 @@ Result<bool> GatherOp::NextBatchImpl(RowBatch* batch) {
       continue;
     }
     batch->Push(std::move(buffer[row_pos_++]));
-    ++rows_produced_;
   }
   return !batch->empty();
 }

@@ -193,30 +193,30 @@ Result<std::vector<Row>> CollectBatched(PhysicalOperator* op) {
   return out;
 }
 
-Result<std::vector<Row>> CollectOneAtATime(PhysicalOperator* op) {
-  INSIGHT_RETURN_NOT_OK(op->Open());
+// Row-at-a-time reference: every scanned row through Expression::EvalBool,
+// outside any filter operator.
+Result<std::vector<Row>> FilterOneAtATime(PhysicalOperator* scan,
+                                          const Expression& pred) {
+  INSIGHT_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(scan));
   std::vector<Row> out;
-  Row row;
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, op->Next(&row));
-    if (!has) break;
-    out.push_back(row);
+  for (Row& row : rows) {
+    INSIGHT_ASSIGN_OR_RETURN(bool pass, pred.EvalBool(row, scan->schema()));
+    if (pass) out.push_back(std::move(row));
   }
-  op->Close();
   return out;
 }
 
-// Drives the same predicate through all three interfaces over a fresh
-// plan each time and expects identical result multisets.
+// Drives the same predicate through the row reference and both filter
+// interfaces over a fresh plan each time and expects identical result
+// multisets.
 void ExpectAllPathsAgree(TestDb* db, const std::function<ExprPtr()>& pred,
                          size_t expected_rows = SIZE_MAX) {
   auto build = [&] {
     return std::make_unique<SelectOp>(db->Scan(false), pred());
   };
-  auto plan = build();
-  auto row_path = CollectOneAtATime(plan.get());
+  auto row_path = FilterOneAtATime(db->Scan(false).get(), *pred());
   ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
-  plan = build();
+  auto plan = build();
   auto batch_path = CollectBatched(plan.get());
   ASSERT_TRUE(batch_path.ok()) << batch_path.status().ToString();
   plan = build();
@@ -257,16 +257,13 @@ TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
     ASSERT_TRUE(table->Insert(Tuple({Value::Double(v)})).ok());
   }
   for (CompareOp op : {CompareOp::kGe, CompareOp::kLt, CompareOp::kEq}) {
-    auto build = [&] {
-      return std::make_unique<SelectOp>(
-          std::make_unique<SeqScanOp>(table, nullptr, false),
-          Cmp(Col("x"), op, Lit(Value::Double(0.0))));
-    };
-    auto plan = build();
-    auto row_path = CollectOneAtATime(plan.get());
+    SeqScanOp scan(table, nullptr, false);
+    auto row_path =
+        FilterOneAtATime(&scan, *Cmp(Col("x"), op, Lit(Value::Double(0.0))));
     ASSERT_TRUE(row_path.ok());
-    plan = build();
-    auto col_path = CollectColumnar(plan.get());
+    SelectOp plan(std::make_unique<SeqScanOp>(table, nullptr, false),
+                  Cmp(Col("x"), op, Lit(Value::Double(0.0))));
+    auto col_path = CollectColumnar(&plan);
     ASSERT_TRUE(col_path.ok());
     EXPECT_EQ(Canon(*row_path), Canon(*col_path))
         << "op " << static_cast<int>(op);

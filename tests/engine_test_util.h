@@ -65,12 +65,43 @@ class TestDb {
     return std::make_unique<SeqScanOp>(birds, mgr.get(), propagate);
   }
 
+  // Secondary indexes over the linked instances, built on first use and
+  // owned here because index scans hold raw pointers to them.
+  const SummaryBTree* ClassIndex() {
+    if (class_index == nullptr) {
+      class_index = *SummaryBTree::Create(&storage, &pool, mgr.get(),
+                                          "ClassBird1",
+                                          SummaryBTree::Options{});
+    }
+    return class_index.get();
+  }
+  const BaselineClassifierIndex* BaselineIndex() {
+    if (baseline_index == nullptr) {
+      baseline_index = *BaselineClassifierIndex::Create(
+          &catalog, mgr.get(), "ClassBird1",
+          BaselineClassifierIndex::Options{});
+    }
+    return baseline_index.get();
+  }
+  const SnippetKeywordIndex* KeywordIndex() {
+    if (keyword_index == nullptr) {
+      keyword_index = *SnippetKeywordIndex::Create(
+          &storage, &pool, mgr.get(), "TextSummary1",
+          SnippetKeywordIndex::Options{});
+    }
+    return keyword_index.get();
+  }
+
   StorageManager storage;
   BufferPool pool;
   Catalog catalog;
   Table* birds;
   std::unique_ptr<AnnotationStore> annotations;
   std::unique_ptr<SummaryManager> mgr;
+  // Declared after mgr: each index deregisters from it on destruction.
+  std::unique_ptr<SummaryBTree> class_index;
+  std::unique_ptr<BaselineClassifierIndex> baseline_index;
+  std::unique_ptr<SnippetKeywordIndex> keyword_index;
 };
 
 }  // namespace insight

@@ -321,6 +321,42 @@ TEST_F(ObsTest, CardinalityFeedbackTriggersReanalyze) {
   EXPECT_EQ(info->stats->num_rows, 500u);
 }
 
+// Feedback must learn only from real misestimates: with fresh statistics,
+// every scan under a nested-loop join and an index join reports the rows
+// it really produced, so neither join flags a table for re-ANALYZE.
+TEST_F(ObsTest, FreshStatisticsJoinsLeaveFeedbackQuiet) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("A", Schema({{"aid", ValueType::kInt64},
+                                          {"name", ValueType::kString}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateTable("B", Schema({{"bid", ValueType::kInt64}})).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db.Insert("A", Tuple({Value::Int(i),
+                                      Value::String("a" + std::to_string(i))}))
+                    .ok());
+  }
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db.Insert("B", Tuple({Value::Int(i * 4)})).ok());
+  }
+  ASSERT_TRUE(db.Execute("CREATE INDEX ON B (bid)").ok());
+  ASSERT_TRUE(db.Analyze("A").ok());
+  ASSERT_TRUE(db.Analyze("B").ok());
+  db.optimizer_options().feedback_qerror_threshold = 5.0;
+  const std::pair<const char*, const char*> joins[] = {
+      {"SELECT name FROM A, B WHERE aid < bid", "NestedLoopJoin"},
+      {"SELECT name FROM A, B WHERE aid = bid", "IndexNLJoin"}};
+  for (const auto& [sql, join] : joins) {
+    auto plan = db.ExplainAnalyze(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find(join), std::string::npos) << *plan;
+    for (const char* table : {"A", "B"}) {
+      const RelationInfo* info = *db.context()->Get(table);
+      EXPECT_FALSE(info->needs_analyze) << sql << " flagged " << table;
+      EXPECT_LT(info->worst_qerror, 5.0) << sql << " on " << table;
+    }
+  }
+}
+
 TEST_F(ObsTest, FeedbackDisabledByDefaultDoesNotReanalyze) {
   Database db;
   // Histogram tier only, so the stale estimate shows up as a q-error.

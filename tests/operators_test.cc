@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
+#include "engine/execution_context.h"
+#include "engine/parallel_ops.h"
 #include "engine_test_util.h"
 
 namespace insight {
@@ -554,23 +557,9 @@ TEST(PaperExample1Test, SelectProjectJoinPropagation) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch executor: rewind and batch-vs-row equivalence, parameterized over
-// the plan shapes that implement NextBatchImpl natively.
+// Batch executor: rewind, batch-capacity invariance and EXPLAIN ANALYZE
+// counters, parameterized over every operator's plan shape.
 // ---------------------------------------------------------------------------
-
-// Drives a plan strictly through the row-at-a-time interface.
-Result<std::vector<Row>> CollectRowsOneAtATime(PhysicalOperator* op) {
-  INSIGHT_RETURN_NOT_OK(op->Open());
-  std::vector<Row> out;
-  Row row;
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, op->Next(&row));
-    if (!has) break;
-    out.push_back(row);
-  }
-  op->Close();
-  return out;
-}
 
 std::vector<std::string> Repr(const std::vector<Row>& rows) {
   std::vector<std::string> out;
@@ -589,6 +578,20 @@ struct PlanCase {
 
 void PrintTo(const PlanCase& c, std::ostream* os) { *os << c.name; }
 
+// A two-worker parallel region over Birds whose partitions split the rows
+// by weight instead of by morsel, so each worker's share — and hence the
+// gathered order — is deterministic.
+OpPtr SplitGather(TestDb& db) {
+  std::vector<OpPtr> partitions;
+  for (CompareOp op : {CompareOp::kLt, CompareOp::kGe}) {
+    OpPtr part = std::make_unique<SelectOp>(
+        db.Scan(true), Cmp(Col("weight"), op, Lit(Value::Double(3.0))));
+    partitions.push_back(
+        std::make_unique<ExchangeOp>(std::move(part), partitions.size()));
+  }
+  return std::make_unique<GatherOp>(std::move(partitions), nullptr);
+}
+
 const PlanCase kPlanCases[] = {
     {"SeqScan", [](TestDb& db) { return db.Scan(true); }},
     {"IndexScan",
@@ -597,6 +600,30 @@ const PlanCase kPlanCases[] = {
        return std::make_unique<IndexScanOp>(
            db.birds, "weight", Value::Double(1.5), true, Value::Double(5.0),
            true, db.mgr.get(), true);
+     }},
+    {"SummaryIndexScan",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<SummaryIndexScanOp>(
+           db.ClassIndex(), ClassifierProbe::GreaterThan("Disease", 0),
+           db.mgr.get(), true);
+     }},
+    {"BaselineIndexScanDenormalized",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<BaselineIndexScanOp>(
+           db.BaselineIndex(), ClassifierProbe::GreaterThan("Disease", 0),
+           db.mgr.get(), true, /*reconstruct_summaries=*/false);
+     }},
+    {"BaselineIndexScanReconstruct",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<BaselineIndexScanOp>(
+           db.BaselineIndex(), ClassifierProbe::GreaterThan("Disease", 0),
+           db.mgr.get(), true, /*reconstruct_summaries=*/true);
+     }},
+    {"KeywordIndexScan",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<KeywordIndexScanOp>(
+           db.KeywordIndex(), std::vector<std::string>{"osprey"},
+           db.mgr.get(), true);
      }},
     {"Select",
      [](TestDb& db) -> OpPtr {
@@ -657,12 +684,43 @@ const PlanCase kPlanCases[] = {
      [](TestDb& db) -> OpPtr {
        return std::make_unique<LimitOp>(db.Scan(true), 7);
      }},
-    // Legacy operators (default batch adapter); NestedLoopJoin's inner
-    // rescan is the strongest rewind dependency in the tree.
+    // NestedLoopJoin's inner rescan is the strongest rewind dependency in
+    // the tree.
     {"NestedLoopJoin",
      [](TestDb& db) -> OpPtr {
        return std::make_unique<NestedLoopJoinOp>(
            db.Scan(true), db.Scan(false),
+           Cmp(Col("weight"), CompareOp::kLt, Lit(Value::Double(2.0))));
+     }},
+    {"IndexNLJoin",
+     [](TestDb& db) -> OpPtr {
+       db.birds->CreateColumnIndex("family").ok();
+       return std::make_unique<IndexNLJoinOp>(db.Scan(true), db.birds,
+                                              "family", Col("family"),
+                                              db.mgr.get(), true);
+     }},
+    {"SummaryJoinNestedLoop",
+     [](TestDb& db) -> OpPtr {
+       SummaryJoinPredicate pred;
+       pred.left_expr = LabelValue("ClassBird1", "Disease");
+       pred.op = CompareOp::kEq;
+       pred.right_expr = LabelValue("ClassBird1", "Disease");
+       return std::make_unique<SummaryJoinOp>(db.Scan(true), db.Scan(true),
+                                              std::move(pred));
+     }},
+    {"SummaryJoinIndex",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<SummaryJoinOp>(
+           db.Scan(true), db.birds, db.mgr.get(), db.ClassIndex(),
+           "ClassBird1", "Disease", true);
+     }},
+    {"Gather", [](TestDb& db) { return SplitGather(db); }},
+    // A join whose outer side is a parallel region: the gathered rows
+    // stream into the join batch-wise.
+    {"NestedLoopJoinOverGather",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<NestedLoopJoinOp>(
+           SplitGather(db), db.Scan(false),
            Cmp(Col("weight"), CompareOp::kLt, Lit(Value::Double(2.0))));
      }},
     {"Distinct",
@@ -681,6 +739,26 @@ class BatchExecutorTest : public ::testing::TestWithParam<PlanCase> {
     db_.Annotate(5, "behavior", 1);
     db_.Annotate(9, "disease", 4, /*col=*/1);
     db_.Annotate(14, "other", 3);
+    // Long enough (> the TestDb snippet threshold) to get snippets the
+    // keyword index can find.
+    for (Oid oid : {3, 11, 17}) {
+      std::string text;
+      while (text.size() <= 85) text += "an osprey dived for a trout. ";
+      db_.mgr->AddAnnotation(text, {{oid, CellMask(0)}}).ValueOrDie();
+    }
+  }
+
+  // Runs the plan at the default capacity, then at `capacity` rows per
+  // batch, and expects the same rows in the same order.
+  void ExpectSameRowsAtCapacity(size_t capacity) {
+    OpPtr op = GetParam().build(db_);
+    auto baseline = CollectRows(op.get());
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    ExecutionContext ctx(&db_.storage, &db_.pool, capacity);
+    op->AttachContext(&ctx);
+    auto small = CollectRows(op.get());
+    ASSERT_TRUE(small.ok()) << small.status().ToString();
+    EXPECT_EQ(Repr(*baseline), Repr(*small));
   }
 
   TestDb db_;
@@ -697,37 +775,86 @@ TEST_P(BatchExecutorTest, DoubleExecutionMatches) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(Repr(*first), Repr(*second));
   EXPECT_GT(first->size(), 0u);
-  EXPECT_EQ(op->rows_produced(), second->size());
+  EXPECT_EQ(op->stats().rows, second->size());
 }
 
-// The batch path (CollectRows drives NextBatch) must emit exactly the rows
-// the row-at-a-time path emits, in the same order.
+// Row-at-a-time execution is one row per batch: every per-row state
+// boundary (outer row, inner match, merge head) falls between two
+// NextBatch calls.
 TEST_P(BatchExecutorTest, BatchMatchesRowAtATime) {
-  OpPtr op = GetParam().build(db_);
-  auto row_path = CollectRowsOneAtATime(op.get());
-  ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
-  auto batch_path = CollectRows(op.get());
-  ASSERT_TRUE(batch_path.ok()) << batch_path.status().ToString();
-  EXPECT_EQ(Repr(*row_path), Repr(*batch_path));
+  ExpectSameRowsAtCapacity(1);
 }
 
 // Tiny batches force every operator through its partial-batch paths.
 TEST_P(BatchExecutorTest, TinyBatchesMatchDefaultCapacity) {
-  ExecutionContext ctx(&db_.storage, &db_.pool, /*batch_size=*/3);
-  OpPtr op = GetParam().build(db_);
-  auto baseline = CollectRows(op.get());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  op->AttachContext(&ctx);
-  auto tiny = CollectRows(op.get());
-  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
-  EXPECT_EQ(Repr(*baseline), Repr(*tiny));
+  ExpectSameRowsAtCapacity(3);
+}
+
+std::string PlanName(const ::testing::TestParamInfo<PlanCase>& info) {
+  return info.param.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Plans, BatchExecutorTest,
-                         ::testing::ValuesIn(kPlanCases),
-                         [](const ::testing::TestParamInfo<PlanCase>& info) {
-                           return std::string(info.param.name);
-                         });
+                         ::testing::ValuesIn(kPlanCases), PlanName);
+
+// EXPLAIN ANALYZE must report what each operator really did. Run in CI
+// under ThreadSanitizer too: the Gather cases' partition counters are
+// written on worker threads and rendered here.
+class ExplainAnalyzeInvariantTest : public BatchExecutorTest {};
+
+void StampEstimates(PhysicalOperator* op) {
+  op->set_estimated_rows(1);  // Any estimate: it makes actual= render.
+  for (PhysicalOperator* child : op->children()) StampEstimates(child);
+}
+
+// actual= of every rendered operator, in plan (pre-)order.
+std::vector<uint64_t> ParseActuals(const std::string& analyzed) {
+  std::vector<uint64_t> out;
+  for (size_t pos = analyzed.find("actual="); pos != std::string::npos;
+       pos = analyzed.find("actual=", pos + 1)) {
+    out.push_back(std::strtoull(analyzed.c_str() + pos + 7, nullptr, 10));
+  }
+  return out;
+}
+
+// Walks the executed plan `ran` alongside an unexecuted copy `fresh`. The
+// rows an operator really emitted are what its copy's subtree emits when
+// run on its own (every plan case is deterministic).
+void CheckCounters(const PhysicalOperator& ran, PhysicalOperator* fresh,
+                   const std::vector<uint64_t>& actuals, size_t* line) {
+  ASSERT_LT(*line, actuals.size());
+  const uint64_t actual = actuals[(*line)++];
+  auto emitted = CollectRows(fresh);
+  ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
+  EXPECT_EQ(actual, emitted->size()) << ran.Describe();
+  if (!emitted->empty()) {
+    EXPECT_GT(ran.stats().rows, 0u) << ran.Describe();
+    EXPECT_GT(ran.stats().batches, 0u) << ran.Describe();
+  }
+  const std::vector<PhysicalOperator*> kids = ran.children();
+  const std::vector<PhysicalOperator*> fresh_kids = fresh->children();
+  ASSERT_EQ(kids.size(), fresh_kids.size());
+  for (size_t i = 0; i < kids.size(); ++i) {
+    EXPECT_GE(ran.stats().total_ns(), kids[i]->stats().total_ns())
+        << ran.Describe() << " over " << kids[i]->Describe();
+    CheckCounters(*kids[i], fresh_kids[i], actuals, line);
+  }
+}
+
+TEST_P(ExplainAnalyzeInvariantTest, CountersMatchEmittedRows) {
+  OpPtr ran = GetParam().build(db_);
+  StampEstimates(ran.get());
+  ASSERT_TRUE(CollectRows(ran.get()).ok());
+  const std::vector<uint64_t> actuals =
+      ParseActuals(ran->ExplainAnalyzeTree());
+  OpPtr fresh = GetParam().build(db_);
+  size_t line = 0;
+  CheckCounters(*ran, fresh.get(), actuals, &line);
+  EXPECT_EQ(line, actuals.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Plans, ExplainAnalyzeInvariantTest,
+                         ::testing::ValuesIn(kPlanCases), PlanName);
 
 // Satellite: an external sort under a tiny budget must spill, and its
 // batch-mode output must equal the in-memory sort's output row-for-row.
@@ -742,13 +869,17 @@ TEST(SortTest, ExternalBatchOutputMatchesMemoryRowForRow) {
     keys.push_back(SortKey{Col("weight"), false});
     return keys;
   };
+  // The memory side runs one row per batch, the external side at the
+  // default capacity.
+  ExecutionContext one_row(&db.storage, &db.pool, /*batch_size=*/1);
   SortOp mem(db.Scan(true), make_keys(), SortOp::Mode::kMemory);
-  auto mem_rows = CollectRowsOneAtATime(&mem);
+  mem.AttachContext(&one_row);
+  auto mem_rows = CollectRows(&mem);
   ASSERT_TRUE(mem_rows.ok()) << mem_rows.status().ToString();
 
   SortOp ext(db.Scan(true), make_keys(), SortOp::Mode::kExternal, &db.storage,
              &db.pool, /*memory_budget_bytes=*/2048);
-  auto ext_rows = CollectRows(&ext);  // Batch-mode drive.
+  auto ext_rows = CollectRows(&ext);
   ASSERT_TRUE(ext_rows.ok()) << ext_rows.status().ToString();
   EXPECT_GT(ext.runs_spilled(), 0u);
   ASSERT_EQ(mem_rows->size(), ext_rows->size());

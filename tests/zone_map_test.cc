@@ -197,11 +197,7 @@ TEST_F(TableZoneTest, AnalyzeAnnotationReportsPagesSkipped) {
   auto scan = std::make_unique<SeqScanOp>(table, nullptr, false);
   scan->SetZonePredicate(
       Pred(ColumnProbe(0, ZoneOp::kGe, Value::Int(kRows - 10))));
-  ASSERT_TRUE(scan->Open().ok());
-  Row row;
-  while (scan->Next(&row).ValueOrDie()) {
-  }
-  scan->Close();
+  ASSERT_TRUE(CollectRows(scan.get()).ok());
   EXPECT_NE(scan->AnalyzeAnnotation().find("pages_skipped="),
             std::string::npos);
   EXPECT_GT(scan->pages_skipped(), 0u);
