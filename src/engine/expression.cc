@@ -1,7 +1,5 @@
 #include "engine/expression.h"
 
-#include <cmath>
-
 #include "common/string_util.h"
 
 namespace insight {
@@ -43,6 +41,11 @@ bool EvalCompare(CompareOp op, int cmp) {
 }
 
 namespace {
+
+/// Three-valued logic verdicts, as the boolean connectives see them.
+constexpr uint8_t kTriFalse = 0;
+constexpr uint8_t kTriTrue = 1;
+constexpr uint8_t kTriNull = 2;
 
 /// A predicate value reduced to three-valued logic. Non-boolean
 /// non-NULL results are type errors, matching EvalBool.
@@ -88,22 +91,6 @@ CompareOp FlipOp(CompareOp op) {
   }
 }
 
-/// Mirrors Value::Compare for doubles: NaN orders above every real
-/// number and equal to itself.
-int CompareDoubles(double a, double b) {
-  const bool a_nan = std::isnan(a);
-  const bool b_nan = std::isnan(b);
-  if (a_nan || b_nan) {
-    if (a_nan && b_nan) return 0;
-    return a_nan ? 1 : -1;
-  }
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-
-bool IsNumericType(ValueType t) {
-  return t == ValueType::kInt64 || t == ValueType::kDouble;
-}
-
 }  // namespace
 
 Result<bool> Expression::EvalBool(const Row& row,
@@ -143,28 +130,6 @@ Status Expression::EvalBoolBatch(const RowBatch& batch, const Schema& schema,
     }
     out->push_back(v.AsBool() ? 1 : 0);
   }
-  return Status::OK();
-}
-
-Status Expression::EvalPredColumnar(const ColumnBatch& batch,
-                                    const Schema& schema,
-                                    TriVector* out) const {
-  // Fallback for expressions without a columnar kernel: pivot each row
-  // out and evaluate it the ordinary way.
-  const size_t n = batch.size();
-  out->reserve(out->size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    INSIGHT_ASSIGN_OR_RETURN(Value v, Eval(batch.GetRow(i), schema));
-    INSIGHT_ASSIGN_OR_RETURN(uint8_t t, TriOf(v));
-    out->push_back(t);
-  }
-  return Status::OK();
-}
-
-Status LiteralExpr::EvalPredColumnar(const ColumnBatch& batch, const Schema&,
-                                     TriVector* out) const {
-  INSIGHT_ASSIGN_OR_RETURN(uint8_t t, TriOf(value_));
-  out->insert(out->end(), batch.size(), t);
   return Status::OK();
 }
 
@@ -223,151 +188,6 @@ Status CompareExpr::EvalBatch(const RowBatch& batch, const Schema& schema,
   return Status::OK();
 }
 
-namespace {
-
-/// Tight per-column loop for `column <op> literal`. Every branch must
-/// agree with Value::Compare exactly — the columnar filter has to keep
-/// the same rows the row filter keeps, NaN and all.
-Status ColumnLiteralKernel(const ColumnBatch& batch, const Schema& schema,
-                           const ColumnExpr& col, CompareOp op,
-                           const Value& lit, TriVector* out) {
-  INSIGHT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col.name()));
-  if (idx >= batch.num_columns()) {
-    return Status::Internal("column index out of batch bounds: " +
-                            col.name());
-  }
-  const ColumnVector& vec = batch.column(idx);
-  const size_t n = batch.size();
-  out->reserve(out->size() + n);
-  if (lit.is_null()) {
-    out->insert(out->end(), n, kTriNull);
-    return Status::OK();
-  }
-  if (!vec.generic() && vec.type() != ValueType::kNull) {
-    const ValueType ct = vec.type();
-    const ValueType lt = lit.type();
-    if (ct == ValueType::kInt64 && lt == ValueType::kInt64) {
-      const int64_t c = lit.AsInt();
-      const std::vector<int64_t>& data = vec.ints();
-      for (size_t i = 0; i < n; ++i) {
-        if (vec.IsNull(i)) {
-          out->push_back(kTriNull);
-          continue;
-        }
-        const int64_t a = data[i];
-        const int cmp = a < c ? -1 : (a > c ? 1 : 0);
-        out->push_back(EvalCompare(op, cmp) ? kTriTrue : kTriFalse);
-      }
-      return Status::OK();
-    }
-    if (IsNumericType(ct) && IsNumericType(lt)) {
-      // Mixed int/double promotes through double, as Value::Compare does.
-      const double c = lit.AsDouble();
-      const std::vector<int64_t>& ints = vec.ints();
-      const std::vector<double>& doubles = vec.doubles();
-      for (size_t i = 0; i < n; ++i) {
-        if (vec.IsNull(i)) {
-          out->push_back(kTriNull);
-          continue;
-        }
-        const double a = ct == ValueType::kInt64
-                             ? static_cast<double>(ints[i])
-                             : doubles[i];
-        out->push_back(EvalCompare(op, CompareDoubles(a, c)) ? kTriTrue
-                                                             : kTriFalse);
-      }
-      return Status::OK();
-    }
-    if (ct == ValueType::kString && lt == ValueType::kString) {
-      const std::string& c = lit.AsString();
-      const std::vector<std::string>& data = vec.strings();
-      for (size_t i = 0; i < n; ++i) {
-        if (vec.IsNull(i)) {
-          out->push_back(kTriNull);
-          continue;
-        }
-        const int raw = data[i].compare(c);
-        const int cmp = raw < 0 ? -1 : (raw > 0 ? 1 : 0);
-        out->push_back(EvalCompare(op, cmp) ? kTriTrue : kTriFalse);
-      }
-      return Status::OK();
-    }
-    if (ct == ValueType::kBool && lt == ValueType::kBool) {
-      const int c = lit.AsBool() ? 1 : 0;
-      const std::vector<uint8_t>& data = vec.bools();
-      for (size_t i = 0; i < n; ++i) {
-        if (vec.IsNull(i)) {
-          out->push_back(kTriNull);
-          continue;
-        }
-        const int a = data[i] != 0 ? 1 : 0;
-        out->push_back(EvalCompare(op, a - c) ? kTriTrue : kTriFalse);
-      }
-      return Status::OK();
-    }
-    // Mismatched non-numeric type pair: Value::Compare orders by type
-    // tag, so every non-NULL row gets the same verdict.
-    const int tag =
-        static_cast<int>(ct) < static_cast<int>(lt) ? -1 : 1;
-    const uint8_t flag = EvalCompare(op, tag) ? kTriTrue : kTriFalse;
-    for (size_t i = 0; i < n; ++i) {
-      out->push_back(vec.IsNull(i) ? kTriNull : flag);
-    }
-    return Status::OK();
-  }
-  // Generic (mixed-type) or all-NULL column: per-value loop.
-  for (size_t i = 0; i < n; ++i) {
-    const Value v = vec.GetValue(i);
-    if (v.is_null()) {
-      out->push_back(kTriNull);
-      continue;
-    }
-    out->push_back(EvalCompare(op, v.Compare(lit)) ? kTriTrue : kTriFalse);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status CompareExpr::EvalPredColumnar(const ColumnBatch& batch,
-                                     const Schema& schema,
-                                     TriVector* out) const {
-  const auto* lcol = dynamic_cast<const ColumnExpr*>(left_.get());
-  const auto* rcol = dynamic_cast<const ColumnExpr*>(right_.get());
-  const auto* llit = dynamic_cast<const LiteralExpr*>(left_.get());
-  const auto* rlit = dynamic_cast<const LiteralExpr*>(right_.get());
-  if (lcol != nullptr && rlit != nullptr) {
-    return ColumnLiteralKernel(batch, schema, *lcol, op_, rlit->value(),
-                               out);
-  }
-  if (llit != nullptr && rcol != nullptr) {
-    return ColumnLiteralKernel(batch, schema, *rcol, FlipOp(op_),
-                               llit->value(), out);
-  }
-  if (lcol != nullptr && rcol != nullptr) {
-    INSIGHT_ASSIGN_OR_RETURN(size_t li, schema.IndexOf(lcol->name()));
-    INSIGHT_ASSIGN_OR_RETURN(size_t ri, schema.IndexOf(rcol->name()));
-    if (li >= batch.num_columns() || ri >= batch.num_columns()) {
-      return Status::Internal("column index out of batch bounds");
-    }
-    const ColumnVector& a = batch.column(li);
-    const ColumnVector& b = batch.column(ri);
-    const size_t n = batch.size();
-    out->reserve(out->size() + n);
-    for (size_t i = 0; i < n; ++i) {
-      const Value l = a.GetValue(i);
-      const Value r = b.GetValue(i);
-      if (l.is_null() || r.is_null()) {
-        out->push_back(kTriNull);
-        continue;
-      }
-      out->push_back(EvalCompare(op_, l.Compare(r)) ? kTriTrue : kTriFalse);
-    }
-    return Status::OK();
-  }
-  return Expression::EvalPredColumnar(batch, schema, out);
-}
-
 std::string CompareExpr::ToString() const {
   return left_->ToString() + " " + CompareOpToString(op_) + " " +
          right_->ToString();
@@ -406,42 +226,6 @@ Status LogicalExpr::EvalBatch(const RowBatch& batch, const Schema& schema,
   return Status::OK();
 }
 
-Status LogicalExpr::EvalPredColumnar(const ColumnBatch& batch,
-                                     const Schema& schema,
-                                     TriVector* out) const {
-  const size_t n = batch.size();
-  TriVector lhs;
-  lhs.reserve(n);
-  INSIGHT_RETURN_NOT_OK(left_->EvalPredColumnar(batch, schema, &lhs));
-  TriVector rhs;
-  rhs.reserve(n);
-  const Status right_status = right_->EvalPredColumnar(batch, schema, &rhs);
-  out->reserve(out->size() + n);
-  if (!right_status.ok()) {
-    // The row path never evaluates the right side of a decided row, so a
-    // batch-wide right-side failure must not surface when every undecided
-    // row would have short-circuited. Re-run only the undecided rows one
-    // at a time; the first that genuinely needs the right side reports
-    // its error exactly as Eval would.
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t l = lhs[i];
-      if (kind_ == Kind::kAnd ? l == kTriFalse : l == kTriTrue) {
-        out->push_back(l);
-        continue;
-      }
-      INSIGHT_ASSIGN_OR_RETURN(Value rv,
-                               right_->Eval(batch.GetRow(i), schema));
-      INSIGHT_ASSIGN_OR_RETURN(uint8_t r, TriOf(rv));
-      out->push_back(KleeneCombine(kind_, l, r));
-    }
-    return Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(KleeneCombine(kind_, lhs[i], rhs[i]));
-  }
-  return Status::OK();
-}
-
 std::string LogicalExpr::ToString() const {
   const char* op = kind_ == Kind::kAnd ? " AND " : " OR ";
   return "(" + left_->ToString() + op + right_->ToString() + ")";
@@ -466,19 +250,6 @@ Status NotExpr::EvalBatch(const RowBatch& batch, const Schema& schema,
     INSIGHT_ASSIGN_OR_RETURN(uint8_t t, TriOf(v));
     out->push_back(t == kTriNull ? Value::Null()
                                  : Value::Bool(t == kTriFalse));
-  }
-  return Status::OK();
-}
-
-Status NotExpr::EvalPredColumnar(const ColumnBatch& batch,
-                                 const Schema& schema, TriVector* out) const {
-  TriVector flags;
-  flags.reserve(batch.size());
-  INSIGHT_RETURN_NOT_OK(operand_->EvalPredColumnar(batch, schema, &flags));
-  out->reserve(out->size() + flags.size());
-  for (uint8_t t : flags) {
-    out->push_back(t == kTriNull ? kTriNull
-                                 : (t == kTriTrue ? kTriFalse : kTriTrue));
   }
   return Status::OK();
 }

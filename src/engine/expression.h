@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "engine/column_batch.h"
 #include "engine/row.h"
 #include "engine/row_batch.h"
 #include "types/schema.h"
@@ -59,19 +58,10 @@ class Expression {
 
   /// Batch predicate evaluation with EvalBool's SQL semantics (NULL is
   /// false, non-boolean is a type error): appends one flag per row.
+  /// Kleene NULLs flow through AND/OR/NOT inside EvalBatch() and
+  /// collapse to false only here, at the filter decision.
   Status EvalBoolBatch(const RowBatch& batch, const Schema& schema,
                        std::vector<uint8_t>* out) const;
-
-  /// Columnar predicate evaluation: appends one three-valued flag
-  /// (kTriTrue / kTriFalse / kTriNull) per batch row. NULL collapses to
-  /// false only at the final filter decision, never here — Kleene
-  /// semantics flow through AND/OR/NOT so the columnar path agrees with
-  /// Eval() row by row. Non-boolean results are type errors. The default
-  /// pivots rows out one at a time; comparisons and boolean connectives
-  /// override it with tight per-column loops.
-  virtual Status EvalPredColumnar(const ColumnBatch& batch,
-                                  const Schema& schema,
-                                  TriVector* out) const;
 };
 
 using ExprPtr = std::unique_ptr<Expression>;
@@ -88,8 +78,6 @@ class LiteralExpr : public Expression {
     out->insert(out->end(), batch.size(), value_);
     return Status::OK();
   }
-  Status EvalPredColumnar(const ColumnBatch& batch, const Schema& schema,
-                          TriVector* out) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<LiteralExpr>(value_);
@@ -129,10 +117,6 @@ class CompareExpr : public Expression {
   Result<Value> Eval(const Row& row, const Schema& schema) const override;
   Status EvalBatch(const RowBatch& batch, const Schema& schema,
                    std::vector<Value>* out) const override;
-  /// Typed tight loop over the probed ColumnVector for the
-  /// column-vs-literal shapes; per-row fallback otherwise.
-  Status EvalPredColumnar(const ColumnBatch& batch, const Schema& schema,
-                          TriVector* out) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<CompareExpr>(left_->Clone(), op_,
@@ -168,11 +152,6 @@ class LogicalExpr : public Expression {
   /// short-circuit semantics exactly.
   Status EvalBatch(const RowBatch& batch, const Schema& schema,
                    std::vector<Value>* out) const override;
-  /// Kleene combine of the two sides' tri-vectors. When the right side
-  /// fails batch-wide, falls back to per-row evaluation of undecided
-  /// rows only, so error behavior matches Eval()'s short-circuit.
-  Status EvalPredColumnar(const ColumnBatch& batch, const Schema& schema,
-                          TriVector* out) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<LogicalExpr>(kind_, left_->Clone(),
@@ -203,8 +182,6 @@ class NotExpr : public Expression {
   Result<Value> Eval(const Row& row, const Schema& schema) const override;
   Status EvalBatch(const RowBatch& batch, const Schema& schema,
                    std::vector<Value>* out) const override;
-  Status EvalPredColumnar(const ColumnBatch& batch, const Schema& schema,
-                          TriVector* out) const override;
   std::string ToString() const override {
     return "NOT (" + operand_->ToString() + ")";
   }

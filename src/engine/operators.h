@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/column_batch.h"
 #include "engine/execution_context.h"
 #include "engine/expression.h"
 #include "engine/row.h"
@@ -74,21 +73,8 @@ class PhysicalOperator {
 
   /// Clears `batch` and refills it with up to batch->capacity() rows;
   /// false once the stream is exhausted (the batch comes back empty).
-  /// Tags the batch with this operator's output schema. Do not interleave
-  /// NextBatch() and NextColumnBatch() calls on one operator within one
-  /// execution.
+  /// Tags the batch with this operator's output schema.
   Result<bool> NextBatch(RowBatch* batch);
-
-  /// Column-major sibling of NextBatch(): rebinds `batch` to this
-  /// operator's schema and refills it. Works on every operator (the
-  /// default pivots the row batch), but only pays off where
-  /// ColumnarCapable() holds.
-  Result<bool> NextColumnBatch(ColumnBatch* batch);
-
-  /// True when this operator produces column batches natively (without
-  /// pivoting through rows) — the scan→filter→project spine. Consumers
-  /// use it to pick the execution mode per pipeline.
-  virtual bool ColumnarCapable() const { return false; }
 
   virtual const Schema& schema() const = 0;
   /// One-line description for EXPLAIN-style plan dumps.
@@ -151,9 +137,6 @@ class PhysicalOperator {
   /// Batch production; `batch` arrives cleared. Implementations append
   /// rows until full() or end-of-stream and return !batch->empty().
   virtual Result<bool> NextBatchImpl(RowBatch* batch) = 0;
-  /// Columnar production; `batch` arrives reset to this operator's
-  /// schema. The default adapter pivots one row batch in.
-  virtual Result<bool> NextColumnBatchImpl(ColumnBatch* batch);
 
   /// Resets the per-execution counters; every Open() calls this first.
   void ResetExec() { stats_ = OperatorStats{}; }
@@ -172,6 +155,12 @@ Result<std::vector<Row>> CollectRows(PhysicalOperator* root);
 
 // ---------- Scans ----------
 
+/// Heap-scan loop shared by SeqScanOp and ParallelScanOp: moves the live
+/// tuples of `it` into `batch` as rows until the batch fills, attaching
+/// each row's summary set when `mgr` is non-null. True once `it` runs dry.
+Result<bool> ScanHeapInto(Table::Iterator* it, SummaryManager* mgr,
+                          Snapshot snapshot, RowBatch* batch);
+
 /// Full heap scan of a user relation; propagates summary objects when a
 /// SummaryManager is supplied.
 class SeqScanOp : public PhysicalOperator {
@@ -183,7 +172,6 @@ class SeqScanOp : public PhysicalOperator {
   Status OpenImpl() override;
   const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
-  bool ColumnarCapable() const override { return true; }
   /// Pages whose zone maps refute this predicate are skipped before the
   /// buffer-pool fetch (optimizer-attached; empty disables pruning).
   void SetZonePredicate(ZonePredicate pred) { zone_pred_ = std::move(pred); }
@@ -193,7 +181,6 @@ class SeqScanOp : public PhysicalOperator {
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
-  Result<bool> NextColumnBatchImpl(ColumnBatch* batch) override;
 
  private:
   Table* table_;
@@ -372,23 +359,18 @@ class SelectOp : public PhysicalOperator {
   std::vector<PhysicalOperator*> children() const override {
     return {child_.get()};
   }
-  bool ColumnarCapable() const override { return child_->ColumnarCapable(); }
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
-  Result<bool> NextColumnBatchImpl(ColumnBatch* batch) override;
 
  private:
   OpPtr child_;
   ExprPtr predicate_;
-  // Batch-path state: buffered child batch, its predicate flags, and the
-  // next input row to consume.
+  // Buffered child batch, its predicate flags, and the next input row to
+  // consume.
   RowBatch input_;
   std::vector<uint8_t> flags_;
   size_t input_pos_ = 0;
-  // Columnar-path state.
-  ColumnBatch col_scratch_;
-  TriVector tri_;
 };
 
 /// Summary-based selection S (Section 3.2): passes rows whose
@@ -471,11 +453,9 @@ class ProjectOp : public PhysicalOperator {
   std::vector<PhysicalOperator*> children() const override {
     return {child_.get()};
   }
-  bool ColumnarCapable() const override { return child_->ColumnarCapable(); }
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
-  Result<bool> NextColumnBatchImpl(ColumnBatch* batch) override;
 
  private:
   OpPtr child_;
@@ -483,7 +463,6 @@ class ProjectOp : public PhysicalOperator {
   AnnotationResolver resolver_;
   std::vector<size_t> indices_;
   Schema schema_;
-  ColumnBatch col_input_;
 };
 
 // ---------- Joins ----------
@@ -838,11 +817,9 @@ class LimitOp : public PhysicalOperator {
   std::vector<PhysicalOperator*> children() const override {
     return {child_.get()};
   }
-  bool ColumnarCapable() const override { return child_->ColumnarCapable(); }
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
-  Result<bool> NextColumnBatchImpl(ColumnBatch* batch) override;
 
  private:
   OpPtr child_;

@@ -47,43 +47,10 @@ Result<bool> ParallelScanOp::NextBatchImpl(RowBatch* batch) {
       if (!morsels_->Next(&begin, &end)) break;
       OpenMorsel(begin, end);
     }
-    Oid oid;
-    Tuple tuple;
-    if (!it_->Next(&oid, &tuple)) {
-      it_.reset();
-      continue;
-    }
-    Row row;
-    row.oid = oid;
-    row.data = std::move(tuple);
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    batch->Push(std::move(row));
-  }
-  return !batch->empty();
-}
-
-Result<bool> ParallelScanOp::NextColumnBatchImpl(ColumnBatch* batch) {
-  while (!batch->full()) {
-    if (!it_.has_value()) {
-      PageId begin, end;
-      if (!morsels_->Next(&begin, &end)) break;
-      OpenMorsel(begin, end);
-    }
-    Oid oid;
-    Tuple tuple;
-    if (!it_->Next(&oid, &tuple)) {
-      it_.reset();
-      continue;
-    }
-    SummarySet summaries;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    batch->AppendTuple(oid, tuple, std::move(summaries));
+    INSIGHT_ASSIGN_OR_RETURN(
+        bool morsel_done,
+        ScanHeapInto(&*it_, propagate_ ? mgr_ : nullptr, snapshot(), batch));
+    if (morsel_done) it_.reset();
   }
   return !batch->empty();
 }

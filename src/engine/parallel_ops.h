@@ -72,7 +72,6 @@ class ParallelScanOp : public PhysicalOperator {
   Status OpenImpl() override;
   const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
-  bool ColumnarCapable() const override { return true; }
   /// Same zone-map pruning as SeqScanOp, applied per claimed morsel.
   void SetZonePredicate(ZonePredicate pred) { zone_pred_ = std::move(pred); }
   std::string AnalyzeAnnotation() const override;
@@ -80,7 +79,6 @@ class ParallelScanOp : public PhysicalOperator {
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
-  Result<bool> NextColumnBatchImpl(ColumnBatch* batch) override;
 
  private:
   /// Positions it_ on a claimed morsel, zone pruning armed.

@@ -34,32 +34,6 @@ Result<bool> PhysicalOperator::NextBatch(RowBatch* batch) {
   return result;
 }
 
-Result<bool> PhysicalOperator::NextColumnBatch(ColumnBatch* batch) {
-  const auto start = std::chrono::steady_clock::now();
-  batch->Reset(&schema(), batch_capacity());
-  Result<bool> result = NextColumnBatchImpl(batch);
-  stats_.next_ns += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  if (result.ok() && *result) {
-    ++stats_.batches;
-    stats_.rows += batch->size();
-  }
-  return result;
-}
-
-Result<bool> PhysicalOperator::NextColumnBatchImpl(ColumnBatch* batch) {
-  // Default adapter: pull one row batch and pivot it in. Row-only
-  // operators stay usable from columnar consumers this way.
-  RowBatch rows;
-  rows.set_capacity(batch->capacity());
-  INSIGHT_ASSIGN_OR_RETURN(bool has, NextBatchImpl(&rows));
-  if (!has) return false;
-  for (const Row& row : rows) batch->AppendRow(row);
-  return true;
-}
-
 void PhysicalOperator::AttachContext(ExecutionContext* ctx) {
   exec_ctx_ = ctx;
   for (PhysicalOperator* child : children()) child->AttachContext(ctx);
@@ -139,6 +113,20 @@ Result<std::vector<Row>> CollectRows(PhysicalOperator* root) {
 
 // ---------- SeqScanOp ----------
 
+Result<bool> ScanHeapInto(Table::Iterator* it, SummaryManager* mgr,
+                          Snapshot snapshot, RowBatch* batch) {
+  while (!batch->full()) {
+    Row row;
+    if (!it->Next(&row.oid, &row.data)) return true;
+    if (mgr != nullptr) {
+      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
+                               mgr->GetSummaries(row.oid, snapshot));
+    }
+    batch->Push(std::move(row));
+  }
+  return false;
+}
+
 SeqScanOp::SeqScanOp(Table* table, SummaryManager* mgr, bool propagate)
     : table_(table), mgr_(mgr), propagate_(propagate && mgr != nullptr) {}
 
@@ -158,36 +146,9 @@ Status SeqScanOp::OpenImpl() {
 }
 
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full()) {
-    Oid oid;
-    Tuple tuple;
-    if (!it_->Next(&oid, &tuple)) break;
-    Row row;
-    row.oid = oid;
-    row.data = std::move(tuple);
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    batch->Push(std::move(row));
-  }
-  return !batch->empty();
-}
-
-Result<bool> SeqScanOp::NextColumnBatchImpl(ColumnBatch* batch) {
-  // Native columnar fill: tuples pivot into the column vectors here, at
-  // the storage boundary, and stay columnar through filter/project.
-  while (!batch->full()) {
-    Oid oid;
-    Tuple tuple;
-    if (!it_->Next(&oid, &tuple)) break;
-    SummarySet summaries;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    batch->AppendTuple(oid, tuple, std::move(summaries));
-  }
+  auto scanned =
+      ScanHeapInto(&*it_, propagate_ ? mgr_ : nullptr, snapshot(), batch);
+  if (!scanned.ok()) return scanned.status();
   return !batch->empty();
 }
 
@@ -525,34 +486,7 @@ Status SelectOp::OpenImpl() {
   return child_->Open();
 }
 
-Result<bool> SelectOp::NextColumnBatchImpl(ColumnBatch* batch) {
-  // One (possibly short) filtered batch per child batch; loop past
-  // batches the predicate empties entirely, since returning false means
-  // end-of-stream to the caller.
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextColumnBatch(batch));
-    if (!has) return false;
-    tri_.clear();
-    INSIGHT_RETURN_NOT_OK(
-        predicate_->EvalPredColumnar(*batch, child_->schema(), &tri_));
-    // The filter decision is where NULL finally collapses to false (SQL
-    // WHERE semantics); Kleene NULLs survive up to this point.
-    for (uint8_t& t : tri_) t = t == kTriTrue ? 1 : 0;
-    batch->Filter(tri_);
-    if (!batch->empty()) return true;
-  }
-}
-
 Result<bool> SelectOp::NextBatchImpl(RowBatch* batch) {
-  if (child_->ColumnarCapable()) {
-    // Columnar filter, then pivot only the survivors out to rows — this
-    // is the row/column boundary for plans with a row-based consumer
-    // above the filter.
-    INSIGHT_ASSIGN_OR_RETURN(bool has, NextColumnBatchImpl(&col_scratch_));
-    if (!has) return false;
-    col_scratch_.ToRowBatch(batch);
-    return true;
-  }
   return FilterNextBatch(child_.get(), predicate_.get(), batch_capacity(),
                          &input_, &flags_, &input_pos_, batch);
 }
@@ -663,23 +597,6 @@ Result<bool> ProjectOp::NextBatchImpl(RowBatch* batch) {
   return true;
 }
 
-Result<bool> ProjectOp::NextColumnBatchImpl(ColumnBatch* batch) {
-  if (!child_->ColumnarCapable()) {
-    return PhysicalOperator::NextColumnBatchImpl(batch);
-  }
-  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextColumnBatch(&col_input_));
-  if (!has) return false;
-  // Column-subset projection: the kept columns move, nothing pivots.
-  batch->AssumeProjected(std::move(col_input_), indices_);
-  for (SummarySet& s : batch->summaries()) {
-    if (s.empty()) continue;
-    auto projected = ProjectSummaries(s, indices_, resolver_);
-    if (!projected.ok()) return projected.status();
-    s = std::move(projected.ValueOrDie());
-  }
-  return true;
-}
-
 std::string ProjectOp::Describe() const {
   return "Project[\xcf\x80](" + Join(columns_, ", ") + ")";
 }
@@ -698,15 +615,6 @@ RenameOp::RenameOp(OpPtr child, const std::string& alias)
 Result<bool> LimitOp::NextBatchImpl(RowBatch* batch) {
   if (emitted_ >= limit_) return false;
   INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
-  if (!has) return false;
-  batch->Truncate(static_cast<size_t>(limit_ - emitted_));
-  emitted_ += batch->size();
-  return !batch->empty();
-}
-
-Result<bool> LimitOp::NextColumnBatchImpl(ColumnBatch* batch) {
-  if (emitted_ >= limit_) return false;
-  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextColumnBatch(batch));
   if (!has) return false;
   batch->Truncate(static_cast<size_t>(limit_ - emitted_));
   emitted_ += batch->size();

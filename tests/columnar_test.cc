@@ -1,6 +1,7 @@
-// Columnar execution path: ColumnVector/ColumnBatch invariants, the
-// row-vs-batch-vs-columnar equivalence sweep (including NaN / -0.0 and
-// NULL three-valued-logic edge cases, where the row and vector paths
+// Batch filter path: SelectOp and SummarySelectOp, pulled at an odd
+// batch capacity, against the row-at-a-time Expression::EvalBool
+// reference (including NaN / -0.0, NULL and summary-function
+// three-valued-logic edge cases, where the row and batch evaluators
 // historically diverged), and LIMIT pushdown into parallel gathers.
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "engine_test_util.h"
-#include "engine/column_batch.h"
 #include "engine/execution_context.h"
 #include "engine/parallel_ops.h"
 #include "obs/metrics.h"
@@ -20,162 +20,15 @@
 namespace insight {
 namespace {
 
-// ---------- ColumnVector ----------
+// ---------- Row-at-a-time vs batch filter equivalence ----------
 
-TEST(ColumnVectorTest, TypedRoundtripWithNulls) {
-  ColumnVector col;
-  col.Append(Value::Int(7));
-  col.Append(Value::Null());
-  col.Append(Value::Int(-3));
-  ASSERT_EQ(col.size(), 3u);
-  EXPECT_EQ(col.GetValue(0).AsInt(), 7);
-  EXPECT_TRUE(col.IsNull(1));
-  EXPECT_TRUE(col.GetValue(1).is_null());
-  EXPECT_EQ(col.GetValue(2).AsInt(), -3);
-  EXPECT_EQ(col.type(), ValueType::kInt64);
-  EXPECT_FALSE(col.generic());
-}
-
-TEST(ColumnVectorTest, TypeLatchesAfterLeadingNulls) {
-  ColumnVector col;
-  col.Append(Value::Null());
-  col.Append(Value::Null());
-  col.Append(Value::String("x"));
-  ASSERT_EQ(col.size(), 3u);
-  EXPECT_TRUE(col.IsNull(0));
-  EXPECT_TRUE(col.IsNull(1));
-  EXPECT_EQ(col.GetValue(2).AsString(), "x");
-  EXPECT_EQ(col.type(), ValueType::kString);
-}
-
-TEST(ColumnVectorTest, MixedTypesDegradeToGeneric) {
-  ColumnVector col;
-  col.Append(Value::Int(1));
-  col.Append(Value::String("two"));
-  col.Append(Value::Null());
-  col.Append(Value::Double(3.5));
-  ASSERT_EQ(col.size(), 4u);
-  EXPECT_TRUE(col.generic());
-  EXPECT_EQ(col.GetValue(0).AsInt(), 1);
-  EXPECT_EQ(col.GetValue(1).AsString(), "two");
-  EXPECT_TRUE(col.GetValue(2).is_null());
-  EXPECT_DOUBLE_EQ(col.GetValue(3).AsDouble(), 3.5);
-}
-
-TEST(ColumnVectorTest, DoubleEdgeCasesSurviveRoundtrip) {
-  ColumnVector col;
-  col.Append(Value::Double(std::nan("")));
-  col.Append(Value::Double(-0.0));
-  col.Append(Value::Double(0.0));
-  EXPECT_TRUE(std::isnan(col.GetValue(0).AsDouble()));
-  EXPECT_TRUE(std::signbit(col.GetValue(1).AsDouble()));
-  EXPECT_FALSE(std::signbit(col.GetValue(2).AsDouble()));
-}
-
-TEST(ColumnVectorTest, ClearRelatchesType) {
-  ColumnVector col;
-  col.Append(Value::Int(1));
-  col.Clear();
-  EXPECT_EQ(col.size(), 0u);
-  col.Append(Value::String("fresh"));
-  EXPECT_EQ(col.type(), ValueType::kString);
-  EXPECT_EQ(col.GetValue(0).AsString(), "fresh");
-}
-
-// ---------- ColumnBatch ----------
-
-TEST(ColumnBatchTest, AppendTupleGetRowRoundtrip) {
-  Schema schema({{"a", ValueType::kInt64}, {"b", ValueType::kString}});
-  ColumnBatch batch;
-  batch.Reset(&schema, 16);
-  batch.AppendTuple(1, Tuple({Value::Int(10), Value::String("x")}), {});
-  batch.AppendTuple(2, Tuple({Value::Null(), Value::String("y")}), {});
-  // A short tuple pads with NULLs.
-  batch.AppendTuple(3, Tuple({Value::Int(30)}), {});
-  ASSERT_EQ(batch.size(), 3u);
-  Row row = batch.GetRow(1);
-  EXPECT_EQ(row.oid, 2u);
-  EXPECT_TRUE(row.data.at(0).is_null());
-  EXPECT_EQ(row.data.at(1).AsString(), "y");
-  EXPECT_TRUE(batch.GetRow(2).data.at(1).is_null());
-}
-
-TEST(ColumnBatchTest, FilterKeepsSelectedRowsAndOids) {
-  Schema schema({{"a", ValueType::kInt64}});
-  ColumnBatch batch;
-  batch.Reset(&schema, 16);
-  for (int i = 0; i < 5; ++i) {
-    batch.AppendTuple(static_cast<Oid>(i + 1), Tuple({Value::Int(i)}), {});
-  }
-  batch.Filter({0, 1, 0, 1, 1});
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch.GetRow(0).oid, 2u);
-  EXPECT_EQ(batch.GetRow(0).data.at(0).AsInt(), 1);
-  EXPECT_EQ(batch.GetRow(2).oid, 5u);
-  EXPECT_EQ(batch.GetRow(2).data.at(0).AsInt(), 4);
-}
-
-TEST(ColumnBatchTest, AssumeProjectedHandlesDuplicateIndices) {
-  Schema in_schema({{"a", ValueType::kInt64}, {"b", ValueType::kString}});
-  ColumnBatch in;
-  in.Reset(&in_schema, 8);
-  in.AppendTuple(1, Tuple({Value::Int(5), Value::String("s")}), {});
-
-  Schema out_schema({{"b", ValueType::kString},
-                     {"a", ValueType::kInt64},
-                     {"a2", ValueType::kInt64}});
-  ColumnBatch out;
-  out.Reset(&out_schema, 8);
-  out.AssumeProjected(std::move(in), {1, 0, 0});  // SELECT b, a, a.
-  ASSERT_EQ(out.size(), 1u);
-  Row row = out.GetRow(0);
-  EXPECT_EQ(row.oid, 1u);
-  EXPECT_EQ(row.data.at(0).AsString(), "s");
-  EXPECT_EQ(row.data.at(1).AsInt(), 5);
-  EXPECT_EQ(row.data.at(2).AsInt(), 5);
-}
-
-TEST(ColumnBatchTest, RowBatchPivotRoundtrip) {
-  Schema schema({{"a", ValueType::kInt64}, {"b", ValueType::kDouble}});
-  RowBatch rows;
-  rows.set_capacity(8);
-  for (int i = 0; i < 4; ++i) {
-    Row row;
-    row.oid = static_cast<Oid>(i + 1);
-    row.data = Tuple({Value::Int(i), i % 2 == 0 ? Value::Null()
-                                                : Value::Double(i * 1.5)});
-    rows.Push(std::move(row));
-  }
-  ColumnBatch batch;
-  batch.FromRowBatch(rows, &schema);
-  RowBatch back;
-  back.set_capacity(8);
-  batch.ToRowBatch(&back);
-  ASSERT_EQ(back.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(back.rows()[i].oid, rows.rows()[i].oid);
-    EXPECT_EQ(back.rows()[i].data.ToString(), rows.rows()[i].data.ToString());
-  }
-}
-
-// ---------- Row vs batch vs columnar equivalence ----------
-
+// Rows as comparable strings: OID, data and the propagated summary set.
 std::multiset<std::string> Canon(const std::vector<Row>& rows) {
   std::multiset<std::string> out;
-  for (const Row& row : rows) out.insert(row.data.ToString());
-  return out;
-}
-
-Result<std::vector<Row>> CollectColumnar(PhysicalOperator* op) {
-  INSIGHT_RETURN_NOT_OK(op->Open());
-  std::vector<Row> out;
-  ColumnBatch batch;
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(bool has, op->NextColumnBatch(&batch));
-    if (!has) break;
-    for (size_t i = 0; i < batch.size(); ++i) out.push_back(batch.GetRow(i));
+  for (const Row& row : rows) {
+    out.insert(std::to_string(row.oid) + " " + row.data.ToString() + " " +
+               row.summaries.ToString());
   }
-  op->Close();
   return out;
 }
 
@@ -206,31 +59,45 @@ Result<std::vector<Row>> FilterOneAtATime(PhysicalOperator* scan,
   return out;
 }
 
-// Drives the same predicate through the row reference and both filter
-// interfaces over a fresh plan each time and expects identical result
-// multisets.
+// Drives the same predicate through the row reference and through both
+// filter operators (SelectOp, SummarySelectOp) over a fresh scan each
+// time and expects identical result multisets, summary sets included.
 void ExpectAllPathsAgree(TestDb* db, const std::function<ExprPtr()>& pred,
-                         size_t expected_rows = SIZE_MAX) {
-  auto build = [&] {
-    return std::make_unique<SelectOp>(db->Scan(false), pred());
-  };
-  auto row_path = FilterOneAtATime(db->Scan(false).get(), *pred());
+                         size_t expected_rows = SIZE_MAX,
+                         bool propagate = false) {
+  auto row_path = FilterOneAtATime(db->Scan(propagate).get(), *pred());
   ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
-  auto plan = build();
-  auto batch_path = CollectBatched(plan.get());
-  ASSERT_TRUE(batch_path.ok()) << batch_path.status().ToString();
-  plan = build();
-  auto col_path = CollectColumnar(plan.get());
-  ASSERT_TRUE(col_path.ok()) << col_path.status().ToString();
-  EXPECT_EQ(Canon(*row_path), Canon(*batch_path));
-  EXPECT_EQ(Canon(*row_path), Canon(*col_path));
   if (expected_rows != SIZE_MAX) {
     EXPECT_EQ(row_path->size(), expected_rows);
+  }
+  SelectOp select(db->Scan(propagate), pred());
+  auto select_path = CollectBatched(&select);
+  ASSERT_TRUE(select_path.ok()) << select_path.status().ToString();
+  EXPECT_EQ(Canon(*row_path), Canon(*select_path));
+  SummarySelectOp summary_select(db->Scan(propagate), pred());
+  auto summary_path = CollectBatched(&summary_select);
+  ASSERT_TRUE(summary_path.ok()) << summary_path.status().ToString();
+  EXPECT_EQ(Canon(*row_path), Canon(*summary_path));
+}
+
+// Annotated rows for summary predicates: two disease notes on oid 1, one
+// behavior note on oid 5, and a long "wikipedia hormone" note on oids 3
+// and 9 that TextSummary1 keeps as a snippet. Every annotated row gets a
+// ClassBird1 object; the other rows carry none.
+void AnnotateForSummaryPredicates(TestDb* db) {
+  db->Annotate(1, "disease", 2);
+  db->Annotate(5, "behavior", 1);
+  const std::string longtext =
+      "Wikipedia hormone study one. Wikipedia hormone study two. "
+      "Wikipedia hormone study three. Wikipedia hormone study four.";
+  for (Oid oid : {Oid{3}, Oid{9}}) {
+    ASSERT_TRUE(db->mgr->AddAnnotation(longtext, {{oid, CellMask(0)}}).ok());
   }
 }
 
 TEST(ColumnarEquivalenceTest, FilteredScanAgreesAcrossPaths) {
   TestDb db(50);
+  AnnotateForSummaryPredicates(&db);
   ExpectAllPathsAgree(&db, [] {
     return Cmp(Col("weight"), CompareOp::kLt, Lit(Value::Double(6.0)));
   });
@@ -243,6 +110,17 @@ TEST(ColumnarEquivalenceTest, FilteredScanAgreesAcrossPaths) {
                Cmp(Col("family"), CompareOp::kNe,
                    Lit(Value::String("family0"))));
   });
+  // Two rows carry the keywords; only oid 3 (weight 1.5) also passes the
+  // data predicate. Rows without a snippet object evaluate to false, not
+  // NULL.
+  ExpectAllPathsAgree(
+      &db,
+      [] {
+        return And(ContainsUnion("TextSummary1", {"wikipedia", "hormone"}),
+                   Cmp(Col("weight"), CompareOp::kLt,
+                       Lit(Value::Double(2.0))));
+      },
+      1, /*propagate=*/true);
 }
 
 TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
@@ -263,9 +141,9 @@ TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
     ASSERT_TRUE(row_path.ok());
     SelectOp plan(std::make_unique<SeqScanOp>(table, nullptr, false),
                   Cmp(Col("x"), op, Lit(Value::Double(0.0))));
-    auto col_path = CollectColumnar(&plan);
-    ASSERT_TRUE(col_path.ok());
-    EXPECT_EQ(Canon(*row_path), Canon(*col_path))
+    auto batch_path = CollectBatched(&plan);
+    ASSERT_TRUE(batch_path.ok());
+    EXPECT_EQ(Canon(*row_path), Canon(*batch_path))
         << "op " << static_cast<int>(op);
   }
   // Value::Compare places NaN above every real and equal to itself, and
@@ -273,7 +151,7 @@ TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
   auto plan = std::make_unique<SelectOp>(
       std::make_unique<SeqScanOp>(table, nullptr, false),
       Cmp(Col("x"), CompareOp::kGe, Lit(Value::Double(0.0))));
-  auto rows = CollectColumnar(plan.get());
+  auto rows = CollectBatched(plan.get());
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 5u);
 }
@@ -285,18 +163,38 @@ TEST(ThreeValuedLogicTest, NotOfNullComparisonFiltersEverything) {
   // The historical bug collapsed the inner NULL to false at the leaf,
   // turning the NOT into TRUE and letting every row through.
   TestDb db(10);
+  AnnotateForSummaryPredicates(&db);
   ExpectAllPathsAgree(
       &db,
       [] {
         return Not(Cmp(Col("name"), CompareOp::kEq, Lit(Value::Null())));
       },
       0);
+  // Summary functions follow the same rule: no row has the instance, so
+  // LabelValue is NULL everywhere and its negation still rejects all.
+  ExpectAllPathsAgree(
+      &db,
+      [] {
+        return Not(Cmp(LabelValue("NoSuchInstance", "Disease"),
+                       CompareOp::kEq, Lit(Value::Int(1))));
+      },
+      0, /*propagate=*/true);
+  // A real instance mixes NULL (unannotated rows) with decided verdicts:
+  // the annotated rows under two Disease notes (oids 3, 5, 9) survive.
+  ExpectAllPathsAgree(
+      &db,
+      [] {
+        return Not(Cmp(LabelValue("ClassBird1", "Disease"), CompareOp::kGe,
+                       Lit(Value::Int(2))));
+      },
+      3, /*propagate=*/true);
 }
 
 TEST(ThreeValuedLogicTest, NullUnderOrTruePasses) {
   // "(name = NULL) OR true" is true under Kleene logic: the NULL must
   // not poison the disjunction.
   TestDb db(10);
+  AnnotateForSummaryPredicates(&db);
   ExpectAllPathsAgree(
       &db,
       [] {
@@ -304,6 +202,14 @@ TEST(ThreeValuedLogicTest, NullUnderOrTruePasses) {
                   Lit(Value::Bool(true)));
       },
       10);
+  ExpectAllPathsAgree(
+      &db,
+      [] {
+        return Or(Cmp(LabelValue("NoSuchInstance", "Disease"),
+                      CompareOp::kEq, Lit(Value::Int(1))),
+                  Lit(Value::Bool(true)));
+      },
+      10, /*propagate=*/true);
 }
 
 TEST(ThreeValuedLogicTest, KleeneTruthTable) {
