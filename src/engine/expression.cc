@@ -76,6 +76,8 @@ uint8_t KleeneCombine(LogicalExpr::Kind kind, uint8_t l, uint8_t r) {
   return kTriFalse;
 }
 
+}  // namespace
+
 CompareOp FlipOp(CompareOp op) {
   switch (op) {
     case CompareOp::kLt:
@@ -90,8 +92,6 @@ CompareOp FlipOp(CompareOp op) {
       return op;
   }
 }
-
-}  // namespace
 
 Result<bool> Expression::EvalBool(const Row& row,
                                   const Schema& schema) const {

@@ -17,6 +17,18 @@ namespace insight {
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
 const char* CompareOpToString(CompareOp op);
 bool EvalCompare(CompareOp op, int cmp);
+/// The operator with its operands swapped: `a < b` is `b > a`.
+CompareOp FlipOp(CompareOp op);
+
+/// The SQL binder's scope: resolves every name an expression carries
+/// (see Expression::Bind).
+class NameBinder {
+ public:
+  /// Column reference -> the canonical `rel.col` it denotes.
+  virtual Result<std::string> Column(const std::string& name) const = 0;
+  /// `$` qualifier -> the relation it names.
+  virtual Result<std::string> Relation(const std::string& name) const = 0;
+};
 
 /// Scalar expression over a Row: data columns, literals, comparisons,
 /// boolean connectives, LIKE, and the paper's summary manipulation
@@ -37,6 +49,10 @@ class Expression {
   virtual void CollectInstances(std::vector<std::string>* out) const {
     (void)out;
   }
+
+  /// Rewrites every column reference and `$` qualifier in place through
+  /// the binder; the first name it rejects fails the whole expression.
+  virtual Status Bind(const NameBinder&) { return Status::OK(); }
 
   /// True when the expression touches any summary object.
   bool IsSummaryBased() const {
@@ -103,6 +119,10 @@ class ColumnExpr : public Expression {
   void CollectColumns(std::vector<std::string>* out) const override {
     out->push_back(name_);
   }
+  Status Bind(const NameBinder& binder) override {
+    INSIGHT_ASSIGN_OR_RETURN(name_, binder.Column(name_));
+    return Status::OK();
+  }
   const std::string& name() const { return name_; }
 
  private:
@@ -129,6 +149,10 @@ class CompareExpr : public Expression {
   void CollectInstances(std::vector<std::string>* out) const override {
     left_->CollectInstances(out);
     right_->CollectInstances(out);
+  }
+  Status Bind(const NameBinder& binder) override {
+    INSIGHT_RETURN_NOT_OK(left_->Bind(binder));
+    return right_->Bind(binder);
   }
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
@@ -165,6 +189,10 @@ class LogicalExpr : public Expression {
     left_->CollectInstances(out);
     right_->CollectInstances(out);
   }
+  Status Bind(const NameBinder& binder) override {
+    INSIGHT_RETURN_NOT_OK(left_->Bind(binder));
+    return right_->Bind(binder);
+  }
   Kind kind() const { return kind_; }
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
@@ -194,6 +222,9 @@ class NotExpr : public Expression {
   void CollectInstances(std::vector<std::string>* out) const override {
     operand_->CollectInstances(out);
   }
+  Status Bind(const NameBinder& binder) override {
+    return operand_->Bind(binder);
+  }
   const Expression* operand() const { return operand_.get(); }
 
  private:
@@ -214,6 +245,9 @@ class LikeExpr : public Expression {
   }
   void CollectColumns(std::vector<std::string>* out) const override {
     operand_->CollectColumns(out);
+  }
+  Status Bind(const NameBinder& binder) override {
+    return operand_->Bind(binder);
   }
 
  private:
@@ -273,6 +307,11 @@ class SummaryFuncExpr : public Expression {
   void CollectInstances(std::vector<std::string>* out) const override {
     if (!instance_.empty()) out->push_back(instance_);
   }
+  Status Bind(const NameBinder& binder) override {
+    if (qualifier_.empty()) return Status::OK();
+    INSIGHT_ASSIGN_OR_RETURN(qualifier_, binder.Relation(qualifier_));
+    return Status::OK();
+  }
 
   SummaryFuncKind kind() const { return kind_; }
   const std::string& instance() const { return instance_; }
@@ -281,8 +320,9 @@ class SummaryFuncExpr : public Expression {
   size_t index() const { return index_; }
 
   /// Table-alias qualifier ("v1" in `v1.$.getSummaryObject(...)`). Only
-  /// meaningful during binding: the SQL binder routes predicates whose two
-  /// sides carry different qualifiers into summary-join predicates.
+  /// meaningful during binding: the SQL binder checks it names a FROM
+  /// entry and routes predicates whose two sides carry different
+  /// qualifiers into summary-join predicates.
   /// Evaluation always works on the incoming row's own summary set.
   const std::string& qualifier() const { return qualifier_; }
   void set_qualifier(std::string q) { qualifier_ = std::move(q); }

@@ -166,8 +166,8 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
 }
 
 std::string IndexNLJoinOp::Describe() const {
-  return "IndexNLJoin(" + inner_->name() + "." + inner_column_ + " = " +
-         outer_key_->ToString() + ")";
+  return "IndexNLJoin(" + (inner_rel_.empty() ? inner_->name() : inner_rel_) +
+         "." + inner_column_ + " = " + outer_key_->ToString() + ")";
 }
 
 // ---------- HashJoinOp ----------
@@ -623,17 +623,21 @@ HashAggregateOp::HashAggregateOp(OpPtr child,
       group_columns_(std::move(group_columns)),
       aggregates_(std::move(aggregates)),
       resolver_(std::move(resolver)) {
+  // One column per output value, repeats included (GROUP BY a, a), so
+  // every name keeps its row position.
+  std::vector<Column> columns;
   for (const std::string& name : group_columns_) {
     auto idx = child_->schema().IndexOf(name);
     INSIGHT_CHECK(idx.ok()) << "group by unknown column " << name;
-    schema_.AddColumn(child_->schema().column(*idx)).ok();
+    columns.push_back(child_->schema().column(*idx));
   }
   for (const AggregateSpec& agg : aggregates_) {
     const ValueType type = agg.kind == AggregateSpec::Kind::kAvg
                                ? ValueType::kDouble
                                : ValueType::kInt64;
-    schema_.AddColumn({agg.output_name, type}).ok();
+    columns.push_back({agg.output_name, type});
   }
+  schema_ = Schema(std::move(columns));
 }
 
 Status HashAggregateOp::OpenImpl() {

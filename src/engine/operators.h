@@ -161,16 +161,36 @@ Result<std::vector<Row>> CollectRows(PhysicalOperator* root);
 Result<bool> ScanHeapInto(Table::Iterator* it, SummaryManager* mgr,
                           Snapshot snapshot, RowBatch* batch);
 
+/// Base of the access paths over one stored relation. A scan emits the
+/// relation's columns under their base names, or as `rel.col` once the
+/// optimizer names it after its FROM entry.
+class ScanOp : public PhysicalOperator {
+ public:
+  const Schema& schema() const override {
+    return qualified_.has_value() ? *qualified_ : BaseSchema();
+  }
+  /// Emits every column as `rel.col`.
+  void Qualify(const std::string& rel) {
+    qualified_ = BaseSchema().Qualified(rel);
+  }
+
+ protected:
+  /// The stored relation's own schema.
+  virtual const Schema& BaseSchema() const = 0;
+
+ private:
+  std::optional<Schema> qualified_;
+};
+
 /// Full heap scan of a user relation; propagates summary objects when a
 /// SummaryManager is supplied.
-class SeqScanOp : public PhysicalOperator {
+class SeqScanOp : public ScanOp {
  public:
   SeqScanOp(Table* table, SummaryManager* mgr, bool propagate);
   /// Context form: resolves the table's SummaryManager from `ctx`.
   SeqScanOp(ExecutionContext* ctx, Table* table, bool propagate);
 
   Status OpenImpl() override;
-  const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
   /// Pages whose zone maps refute this predicate are skipped before the
   /// buffer-pool fetch (optimizer-attached; empty disables pruning).
@@ -180,6 +200,7 @@ class SeqScanOp : public PhysicalOperator {
   uint64_t pages_skipped() const { return pages_skipped_; }
 
  protected:
+  const Schema& BaseSchema() const override { return table_->schema(); }
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
@@ -193,7 +214,7 @@ class SeqScanOp : public PhysicalOperator {
 
 /// Data-column B-Tree index scan with an optional [lower, upper] value
 /// range (either bound may be absent).
-class IndexScanOp : public PhysicalOperator {
+class IndexScanOp : public ScanOp {
  public:
   IndexScanOp(Table* table, std::string column, std::optional<Value> lower,
               bool lower_inclusive, std::optional<Value> upper,
@@ -205,10 +226,10 @@ class IndexScanOp : public PhysicalOperator {
               bool propagate);
 
   Status OpenImpl() override;
-  const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
 
  protected:
+  const Schema& BaseSchema() const override { return table_->schema(); }
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
@@ -236,7 +257,7 @@ class IndexScanOp : public PhysicalOperator {
 /// Summary-BTree index scan: evaluates a classifier probe and emits the
 /// matching data tuples in ascending label-count order — the interesting
 /// order Rules 3-6 exploit.
-class SummaryIndexScanOp : public PhysicalOperator {
+class SummaryIndexScanOp : public ScanOp {
  public:
   SummaryIndexScanOp(const SummaryBTree* index, ClassifierProbe probe,
                      SummaryManager* mgr, bool propagate);
@@ -246,10 +267,10 @@ class SummaryIndexScanOp : public PhysicalOperator {
                      bool propagate);
 
   Status OpenImpl() override;
-  const Schema& schema() const override;
   std::string Describe() const override;
 
  protected:
+  const Schema& BaseSchema() const override;
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
@@ -265,17 +286,17 @@ class SummaryIndexScanOp : public PhysicalOperator {
 /// `reconstruct_summaries` is set, the propagated Classifier object is
 /// re-formed from the normalized rows instead of read from the
 /// de-normalized storage — the slow path measured in Fig. 12.
-class BaselineIndexScanOp : public PhysicalOperator {
+class BaselineIndexScanOp : public ScanOp {
  public:
   BaselineIndexScanOp(const BaselineClassifierIndex* index,
                       ClassifierProbe probe, SummaryManager* mgr,
                       bool propagate, bool reconstruct_summaries);
 
   Status OpenImpl() override;
-  const Schema& schema() const override;
   std::string Describe() const override;
 
  protected:
+  const Schema& BaseSchema() const override;
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
@@ -292,7 +313,7 @@ class BaselineIndexScanOp : public PhysicalOperator {
 /// a Snippet instance's inverted index and emits the matching tuples.
 /// Exact for containsUnion predicates; a candidate superset for
 /// containsSingle (the optimizer re-applies the predicate as a residual).
-class KeywordIndexScanOp : public PhysicalOperator {
+class KeywordIndexScanOp : public ScanOp {
  public:
   KeywordIndexScanOp(const SnippetKeywordIndex* index,
                      std::vector<std::string> keywords, SummaryManager* mgr,
@@ -303,10 +324,10 @@ class KeywordIndexScanOp : public PhysicalOperator {
                      const std::string& table, bool propagate);
 
   Status OpenImpl() override;
-  const Schema& schema() const override;
   std::string Describe() const override;
 
  protected:
+  const Schema& BaseSchema() const override;
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
@@ -516,6 +537,11 @@ class IndexNLJoinOp : public PhysicalOperator {
   std::vector<PhysicalOperator*> children() const override {
     return {outer_.get()};
   }
+  /// Emits the inner table's columns as `rel.col`.
+  void QualifyInner(const std::string& rel) {
+    schema_ = Schema::Concat(outer_->schema(), inner_->schema().Qualified(rel));
+    inner_rel_ = rel;
+  }
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
@@ -523,6 +549,7 @@ class IndexNLJoinOp : public PhysicalOperator {
  private:
   OpPtr outer_;
   Table* inner_;
+  std::string inner_rel_;  // Exposed name; empty: the table's own.
   std::string inner_column_;
   ExprPtr outer_key_;
   SummaryManager* inner_mgr_;
@@ -616,6 +643,11 @@ class SummaryJoinOp : public PhysicalOperator {
   const Schema& schema() const override { return schema_; }
   std::string Describe() const override;
   std::vector<PhysicalOperator*> children() const override;
+  /// Index strategy: emits the right table's columns as `rel.col`.
+  void QualifyInner(const std::string& rel) {
+    schema_ = Schema::Concat(left_->schema(),
+                             right_table_->schema().Qualified(rel));
+  }
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
@@ -769,35 +801,6 @@ class DistinctOp : public PhysicalOperator {
   OpPtr child_;
   std::vector<Row> results_;
   size_t pos_ = 0;
-};
-
-/// Pass-through that renames the child's columns (table aliases:
-/// `FROM Birds v1` exposes `v1.name`, ...). Rows are untouched.
-class RenameOp : public PhysicalOperator {
- public:
-  /// Prefixes every child column with `alias.`.
-  RenameOp(OpPtr child, const std::string& alias);
-
-  Status OpenImpl() override {
-    ResetExec();
-    return child_->Open();
-  }
-  void Close() override { child_->Close(); }
-  const Schema& schema() const override { return schema_; }
-  std::string Describe() const override { return "Rename(" + alias_ + ")"; }
-  std::vector<PhysicalOperator*> children() const override {
-    return {child_.get()};
-  }
-
- protected:
-  Result<bool> NextBatchImpl(RowBatch* batch) override {
-    return child_->NextBatch(batch);
-  }
-
- private:
-  OpPtr child_;
-  std::string alias_;
-  Schema schema_;
 };
 
 /// LIMIT n.

@@ -61,7 +61,7 @@ class MorselSource {
 /// One worker partition of a parallel heap scan: repeatedly claims a
 /// page-range morsel from the shared source and emits the live tuples of
 /// that range. Summary objects propagate exactly like SeqScanOp.
-class ParallelScanOp : public PhysicalOperator {
+class ParallelScanOp : public ScanOp {
  public:
   ParallelScanOp(Table* table, SummaryManager* mgr, bool propagate,
                  std::shared_ptr<MorselSource> morsels);
@@ -70,7 +70,6 @@ class ParallelScanOp : public PhysicalOperator {
                  std::shared_ptr<MorselSource> morsels);
 
   Status OpenImpl() override;
-  const Schema& schema() const override { return table_->schema(); }
   std::string Describe() const override;
   /// Same zone-map pruning as SeqScanOp, applied per claimed morsel.
   void SetZonePredicate(ZonePredicate pred) { zone_pred_ = std::move(pred); }
@@ -78,6 +77,7 @@ class ParallelScanOp : public PhysicalOperator {
   uint64_t pages_skipped() const { return pages_skipped_; }
 
  protected:
+  const Schema& BaseSchema() const override { return table_->schema(); }
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:

@@ -283,7 +283,7 @@ SummaryIndexScanOp::SummaryIndexScanOp(ExecutionContext* ctx,
   exec_ctx_ = ctx;
 }
 
-const Schema& SummaryIndexScanOp::schema() const {
+const Schema& SummaryIndexScanOp::BaseSchema() const {
   return mgr_->base()->schema();
 }
 
@@ -341,7 +341,7 @@ BaselineIndexScanOp::BaselineIndexScanOp(
       propagate_(propagate),
       reconstruct_summaries_(reconstruct_summaries) {}
 
-const Schema& BaselineIndexScanOp::schema() const {
+const Schema& BaselineIndexScanOp::BaseSchema() const {
   return mgr_->base()->schema();
 }
 
@@ -404,7 +404,7 @@ KeywordIndexScanOp::KeywordIndexScanOp(ExecutionContext* ctx,
   exec_ctx_ = ctx;
 }
 
-const Schema& KeywordIndexScanOp::schema() const {
+const Schema& KeywordIndexScanOp::BaseSchema() const {
   return mgr_->base()->schema();
 }
 
@@ -599,17 +599,6 @@ Result<bool> ProjectOp::NextBatchImpl(RowBatch* batch) {
 
 std::string ProjectOp::Describe() const {
   return "Project[\xcf\x80](" + Join(columns_, ", ") + ")";
-}
-
-RenameOp::RenameOp(OpPtr child, const std::string& alias)
-    : child_(std::move(child)), alias_(alias) {
-  for (const Column& col : child_->schema().columns()) {
-    // Re-qualify: strip any existing prefix, then apply the alias.
-    const size_t dot = col.name.rfind('.');
-    const std::string base =
-        dot == std::string::npos ? col.name : col.name.substr(dot + 1);
-    schema_.AddColumn({alias_ + "." + base, col.type}).ok();
-  }
 }
 
 Result<bool> LimitOp::NextBatchImpl(RowBatch* batch) {

@@ -63,7 +63,8 @@ std::string LogicalNode::Explain(int indent) const {
   out += LogicalKindToString(kind);
   switch (kind) {
     case LogicalKind::kScan:
-      out += "(" + table + (alias.empty() ? "" : " AS " + alias) + ")";
+      out += "(" + table +
+             (alias.empty() || alias == table ? "" : " AS " + alias) + ")";
       break;
     case LogicalKind::kSelect:
     case LogicalKind::kSummarySelect:

@@ -77,82 +77,6 @@ ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts) {
   return out;
 }
 
-std::optional<EquiJoinKeys> MatchEquiJoin(const Expression* expr,
-                                          const Schema& left,
-                                          const Schema& right) {
-  const auto* cmp = dynamic_cast<const CompareExpr*>(expr);
-  if (cmp == nullptr || cmp->op() != CompareOp::kEq) return std::nullopt;
-  const auto* a = dynamic_cast<const ColumnExpr*>(cmp->left());
-  const auto* b = dynamic_cast<const ColumnExpr*>(cmp->right());
-  if (a == nullptr || b == nullptr) return std::nullopt;
-  if (left.IndexOf(a->name()).ok() && right.IndexOf(b->name()).ok()) {
-    return EquiJoinKeys{a->name(), b->name()};
-  }
-  if (left.IndexOf(b->name()).ok() && right.IndexOf(a->name()).ok()) {
-    return EquiJoinKeys{b->name(), a->name()};
-  }
-  return std::nullopt;
-}
-
-// ---------- Schema resolution ----------
-
-Result<Schema> Optimizer::OutputSchema(const LogicalNode& node) {
-  switch (node.kind) {
-    case LogicalKind::kScan: {
-      INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info,
-                               ctx_->Get(node.table));
-      if (node.alias.empty()) return info->table->schema();
-      Schema renamed;
-      for (const Column& col : info->table->schema().columns()) {
-        renamed.AddColumn({node.alias + "." + col.name, col.type}).ok();
-      }
-      return renamed;
-    }
-    case LogicalKind::kSelect:
-    case LogicalKind::kSummarySelect:
-    case LogicalKind::kSummaryFilter:
-    case LogicalKind::kSort:
-    case LogicalKind::kDistinct:
-    case LogicalKind::kLimit:
-      return OutputSchema(*node.children[0]);
-    case LogicalKind::kProject: {
-      INSIGHT_ASSIGN_OR_RETURN(Schema child,
-                               OutputSchema(*node.children[0]));
-      std::vector<size_t> indices;
-      for (const std::string& name : node.columns) {
-        INSIGHT_ASSIGN_OR_RETURN(size_t idx, child.IndexOf(name));
-        indices.push_back(idx);
-      }
-      return child.Project(indices);
-    }
-    case LogicalKind::kJoin:
-    case LogicalKind::kSummaryJoin: {
-      INSIGHT_ASSIGN_OR_RETURN(Schema left, OutputSchema(*node.children[0]));
-      INSIGHT_ASSIGN_OR_RETURN(Schema right,
-                               OutputSchema(*node.children[1]));
-      return Schema::Concat(left, right);
-    }
-    case LogicalKind::kAggregate: {
-      INSIGHT_ASSIGN_OR_RETURN(Schema child,
-                               OutputSchema(*node.children[0]));
-      Schema out;
-      for (const std::string& name : node.group_columns) {
-        INSIGHT_ASSIGN_OR_RETURN(size_t idx, child.IndexOf(name));
-        out.AddColumn(child.column(idx)).ok();
-      }
-      for (const AggregateSpec& agg : node.aggregates) {
-        out.AddColumn({agg.output_name,
-                       agg.kind == AggregateSpec::Kind::kAvg
-                           ? ValueType::kDouble
-                           : ValueType::kInt64})
-            .ok();
-      }
-      return out;
-    }
-  }
-  return Status::Internal("unreachable");
-}
-
 // ---------- Rewrite rules ----------
 
 // True when every instance is linked to some table in `subtree`;
@@ -180,13 +104,54 @@ Result<bool> Optimizer::InstancesOnlyOn(
   return all && !instances.empty();
 }
 
-Result<bool> Optimizer::ColumnsResolve(
-    const std::vector<std::string>& columns, const LogicalNode& subtree) {
-  INSIGHT_ASSIGN_OR_RETURN(Schema schema, OutputSchema(subtree));
+bool Optimizer::ColumnsResolve(const std::vector<std::string>& columns,
+                               const LogicalNode& subtree) const {
   for (const std::string& column : columns) {
-    if (!schema.IndexOf(column).ok()) return false;
+    if (!FindBaseColumn(subtree, column).has_value()) return false;
   }
   return true;
+}
+
+std::optional<EquiJoinKeys> Optimizer::MatchEquiJoin(
+    const Expression* expr, const LogicalNode& left,
+    const LogicalNode& right) const {
+  const auto* cmp = dynamic_cast<const CompareExpr*>(expr);
+  if (cmp == nullptr || cmp->op() != CompareOp::kEq) return std::nullopt;
+  const auto* a = dynamic_cast<const ColumnExpr*>(cmp->left());
+  const auto* b = dynamic_cast<const ColumnExpr*>(cmp->right());
+  if (a == nullptr || b == nullptr) return std::nullopt;
+  if (FindBaseColumn(left, a->name()) && FindBaseColumn(right, b->name())) {
+    return EquiJoinKeys{a->name(), b->name()};
+  }
+  if (FindBaseColumn(left, b->name()) && FindBaseColumn(right, a->name())) {
+    return EquiJoinKeys{b->name(), a->name()};
+  }
+  return std::nullopt;
+}
+
+std::optional<Optimizer::BaseColumn> Optimizer::FindBaseColumn(
+    const LogicalNode& subtree, const std::string& name) const {
+  if (subtree.kind != LogicalKind::kScan) {
+    for (const LogicalPtr& child : subtree.children) {
+      if (auto found = FindBaseColumn(*child, name)) return found;
+    }
+    return std::nullopt;
+  }
+  Result<const RelationInfo*> info = ctx_->Get(subtree.table);
+  if (!info.ok()) return std::nullopt;
+  std::string_view column = name;
+  if (!subtree.alias.empty()) {
+    const size_t n = subtree.alias.size();
+    if (column.size() <= n || column[n] != '.' ||
+        !EqualsIgnoreCase(column.substr(0, n), subtree.alias)) {
+      return std::nullopt;
+    }
+    column.remove_prefix(n + 1);
+  }
+  const Schema& schema = (*info)->table->schema();
+  Result<size_t> idx = schema.IndexOf(std::string(column));
+  if (!idx.ok()) return std::nullopt;
+  return BaseColumn{*info, schema.column(*idx).name};
 }
 
 Result<bool> Optimizer::PushDownOnce(LogicalNode* node) {
@@ -230,12 +195,8 @@ Result<bool> Optimizer::PushDownOnce(LogicalNode* node) {
         conjunct->CollectColumns(&columns);
         // Predicates that also touch summaries are S-shaped; treat below.
         if (!conjunct->IsSummaryBased() && !columns.empty()) {
-          INSIGHT_ASSIGN_OR_RETURN(bool on_left,
-                                   ColumnsResolve(columns,
-                                                  *join->children[0]));
-          INSIGHT_ASSIGN_OR_RETURN(bool on_right,
-                                   ColumnsResolve(columns,
-                                                  *join->children[1]));
+          const bool on_left = ColumnsResolve(columns, *join->children[0]);
+          const bool on_right = ColumnsResolve(columns, *join->children[1]);
           if (on_left && !on_right) side = 0;
           if (on_right && !on_left) side = 1;
         }
@@ -255,16 +216,8 @@ Result<bool> Optimizer::PushDownOnce(LogicalNode* node) {
           INSIGHT_ASSIGN_OR_RETURN(
               bool right_all,
               InstancesOnlyOn(instances, *join->children[1], &right_any));
-          bool cols_left = true;
-          bool cols_right = true;
-          if (!columns.empty()) {
-            INSIGHT_ASSIGN_OR_RETURN(cols_left,
-                                     ColumnsResolve(columns,
-                                                    *join->children[0]));
-            INSIGHT_ASSIGN_OR_RETURN(cols_right,
-                                     ColumnsResolve(columns,
-                                                    *join->children[1]));
-          }
+          const bool cols_left = ColumnsResolve(columns, *join->children[0]);
+          const bool cols_right = ColumnsResolve(columns, *join->children[1]);
           if (left_all && !right_any && cols_left) side = 0;
           if (right_all && !left_any && cols_right) side = 1;
         }
@@ -351,21 +304,13 @@ Result<bool> Optimizer::PushDownOnce(LogicalNode* node) {
       if (sjoin->kind != LogicalKind::kSummaryJoin) continue;
       LogicalNode* t_node =
           node->children[static_cast<size_t>(1 - sj_side)].get();
-      // Legality: c's columns resolve without S.
+      // Legality: every column of c belongs to R or T, none only to S.
       std::vector<std::string> c_columns;
       node->predicate->CollectColumns(&c_columns);
-      // Build a temporary R+T "schema view" by checking resolution against
-      // R and T subtrees.
       bool c_ok = true;
       for (const std::string& column : c_columns) {
-        INSIGHT_ASSIGN_OR_RETURN(bool in_r,
-                                 ColumnsResolve({column},
-                                                *sjoin->children[0]));
-        INSIGHT_ASSIGN_OR_RETURN(bool in_t, ColumnsResolve({column}, *t_node));
-        if (!in_r && !in_t) {
-          c_ok = false;
-          break;
-        }
+        c_ok = c_ok && (FindBaseColumn(*sjoin->children[0], column) ||
+                        FindBaseColumn(*t_node, column));
       }
       if (!c_ok) continue;
       // Legality: p's instances not linked on T.
@@ -465,24 +410,20 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
                        dynamic_cast<const CompareExpr*>(conjunct.get())) {
           const auto* col = dynamic_cast<const ColumnExpr*>(cmp->left());
           const auto* lit = dynamic_cast<const LiteralExpr*>(cmp->right());
+          std::optional<BaseColumn> ref;
           if (col != nullptr && lit != nullptr) {
-            for (const std::string& table : tables) {
-              INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info,
-                                       ctx_->Get(table));
-              if ((info->stats.has_value() ||
-                   info->SketchTierActive(policy)) &&
-                  info->table->schema().IndexOf(col->name()).ok()) {
-                s = info->ColumnSelectivity(policy, col->name(), cmp->op(),
-                                            lit->value(), s);
-                break;
-              }
-            }
+            ref = FindBaseColumn(*node.children[0], col->name());
+          }
+          if (ref.has_value() && (ref->info->stats.has_value() ||
+                                  ref->info->SketchTierActive(policy))) {
+            s = ref->info->ColumnSelectivity(policy, ref->column, cmp->op(),
+                                             lit->value(), s);
           }
         }
         selectivity *= s;
       }
       PlanEstimate est;
-      est.rows = child.rows * selectivity;
+      est.rows = std::max(1.0, child.rows * selectivity);
       est.cost = child.cost + child.rows * kTupleCpu;
       return est;
     }
@@ -508,26 +449,22 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
       PlanEstimate est;
       double denominator = 3.0;
       if (node.kind == LogicalKind::kJoin) {
-        INSIGHT_ASSIGN_OR_RETURN(Schema ls, OutputSchema(*node.children[0]));
-        INSIGHT_ASSIGN_OR_RETURN(Schema rs, OutputSchema(*node.children[1]));
         for (const ExprPtr& conjunct :
              SplitConjuncts(node.predicate.get())) {
-          auto keys = MatchEquiJoin(conjunct.get(), ls, rs);
+          auto keys = MatchEquiJoin(conjunct.get(), *node.children[0],
+                                    *node.children[1]);
           if (!keys.has_value()) continue;
-          // NDV from whichever side's base tables know the column.
+          // NDV of each key from the base column it resolves to (HLL
+          // sketches once the histograms go stale).
           const SketchPolicy policy = sketch_policy();
           uint64_t ndv = 1;
           for (size_t side = 0; side < 2; ++side) {
-            std::vector<std::string> tables;
-            node.children[side]->CollectTables(&tables);
             const std::string& column =
                 side == 0 ? keys->left_column : keys->right_column;
-            for (const std::string& table : tables) {
-              INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info,
-                                       ctx_->Get(table));
-              if (info->table->schema().IndexOf(column).ok()) {
-                ndv = std::max(ndv, info->ColumnDistinctEst(policy, column));
-              }
+            const auto ref = FindBaseColumn(*node.children[side], column);
+            if (ref.has_value()) {
+              ndv = std::max(ndv,
+                             ref->info->ColumnDistinctEst(policy, ref->column));
             }
           }
           denominator = std::max(denominator, static_cast<double>(ndv));
@@ -557,7 +494,7 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
           }
         }
       }
-      est.rows = left.rows * right.rows / denominator;
+      est.rows = std::max(1.0, left.rows * right.rows / denominator);
       est.cost = left.cost + right.cost +
                  left.rows * right.rows * kTupleCpu;
       return est;
@@ -610,22 +547,7 @@ std::optional<ColumnPredicate> MatchColumnPredicate(const Expression* expr) {
   if (col == nullptr || lit == nullptr) {
     col = dynamic_cast<const ColumnExpr*>(cmp->right());
     lit = dynamic_cast<const LiteralExpr*>(cmp->left());
-    switch (op) {
-      case CompareOp::kLt:
-        op = CompareOp::kGt;
-        break;
-      case CompareOp::kLe:
-        op = CompareOp::kGe;
-        break;
-      case CompareOp::kGt:
-        op = CompareOp::kLt;
-        break;
-      case CompareOp::kGe:
-        op = CompareOp::kLe;
-        break;
-      default:
-        break;
-    }
+    op = FlipOp(op);
   }
   if (col == nullptr || lit == nullptr) return std::nullopt;
   return ColumnPredicate{col->name(), op, lit->value()};
@@ -678,11 +600,11 @@ ZoneOp ZoneOpFor(CompareOp op) {
 // data conjuncts (kNe never prunes; NULL literals stay with the row
 // filter), plus labelValue conjuncts gated on classifier instances so a
 // skipped page cannot mask the type error a non-classifier probe raises.
-ZonePredicate BuildZonePredicate(const RelationInfo& info,
+// `schema` is what the scan emits; its ordinals are the heap's.
+ZonePredicate BuildZonePredicate(const RelationInfo& info, const Schema& schema,
                                  const std::vector<ExprPtr>& data_conjuncts,
                                  const std::vector<ExprPtr>& summary_conjuncts) {
   ZonePredicate pred;
-  const Schema& schema = info.table->schema();
   for (const ExprPtr& conjunct : data_conjuncts) {
     auto cp = MatchColumnPredicate(conjunct.get());
     if (!cp.has_value() || cp->constant.is_null()) continue;
@@ -754,8 +676,9 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   };
   // Zone-map pruning cheapens the sequential path: scale its cost by the
   // fraction of pages the current bounds would actually let us read.
-  ZonePredicate zone_pred =
-      BuildZonePredicate(*info, data_conjuncts, summary_conjuncts);
+  ZonePredicate zone_pred = BuildZonePredicate(
+      *info, info->table->schema().Qualified(cur->alias), data_conjuncts,
+      summary_conjuncts);
   double seq_keep_fraction = 1.0;
   if (!zone_pred.empty() && info->table->zone_maps() != nullptr) {
     seq_keep_fraction -= info->table->zone_maps()->EstimateSkipFraction(
@@ -774,9 +697,10 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     for (size_t i = 0; i < data_conjuncts.size(); ++i) {
       auto pred = MatchColumnPredicate(data_conjuncts[i].get());
       if (!pred.has_value()) continue;
-      if (info->table->GetColumnIndex(pred->column) == nullptr) continue;
+      const auto ref = FindBaseColumn(*cur, pred->column);
+      if (!ref || info->table->GetColumnIndex(ref->column) == nullptr) continue;
       const double selectivity = info->ColumnSelectivity(
-          policy, pred->column, pred->op, pred->constant, 0.1);
+          policy, ref->column, pred->op, pred->constant, 0.1);
       const double hits = table_rows * selectivity;
       candidates.push_back(Candidate{
           Candidate::Kind::kDataIndex,
@@ -865,6 +789,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
           auto scan = std::make_unique<ParallelScanOp>(exec, info->table,
                                                        propagate, morsels);
           scan->SetZonePredicate(zone_pred);  // Copy: one per partition.
+          scan->Qualify(cur->alias);
           OpPtr part = std::move(scan);
           if (!data_conjuncts.empty()) {
             std::vector<ExprPtr> cloned;
@@ -888,9 +813,6 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
               std::make_unique<ExchangeOp>(std::move(part), w));
         }
         op = std::make_unique<GatherOp>(std::move(partitions), morsels);
-        if (!cur->alias.empty()) {
-          op = std::make_unique<RenameOp>(std::move(op), cur->alias);
-        }
         // Cross-partition order is nondeterministic: no interesting order.
         return Lowered{std::move(op), std::nullopt};
       }
@@ -901,6 +823,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     }
     case Candidate::Kind::kDataIndex: {
       auto pred = *MatchColumnPredicate(data_conjuncts[best->conjunct].get());
+      const std::string column = FindBaseColumn(*cur, pred.column)->column;
       std::optional<Value> lower;
       std::optional<Value> upper;
       bool lower_inc = true;
@@ -928,7 +851,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
           break;
       }
       op = std::make_unique<IndexScanOp>(ctx_->exec_context(), info->table,
-                                         pred.column, lower, lower_inc, upper,
+                                         column, lower, lower_inc, upper,
                                          upper_inc, propagate);
       data_conjuncts.erase(data_conjuncts.begin() +
                            static_cast<long>(best->conjunct));
@@ -972,6 +895,9 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     }
   }
 
+  // Every candidate is a ScanOp; it emits the FROM entry's `rel.col`.
+  static_cast<ScanOp*>(op.get())->Qualify(cur->alias);
+
   // Residuals: data selection first (Rule 1 lets us order freely), then
   // the summary selection. Both preserve the interesting order (Rules
   // 3-4).
@@ -982,9 +908,6 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   if (!summary_conjuncts.empty()) {
     op = std::make_unique<SummarySelectOp>(
         std::move(op), CombineConjuncts(std::move(summary_conjuncts)));
-  }
-  if (!cur->alias.empty()) {
-    op = std::make_unique<RenameOp>(std::move(op), cur->alias);
   }
   // The access-path root is where table statistics turned into an
   // estimate; misestimates observed at runtime feed back to this table.
@@ -1083,30 +1006,31 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       return out;
     }
     case LogicalKind::kJoin: {
-      INSIGHT_ASSIGN_OR_RETURN(Schema left_schema,
-                               OutputSchema(*node.children[0]));
-      INSIGHT_ASSIGN_OR_RETURN(Schema right_schema,
-                               OutputSchema(*node.children[1]));
       INSIGHT_ASSIGN_OR_RETURN(Lowered left, LowerRec(*node.children[0]));
 
-      // Index join candidacy: right side is a bare scan whose equi-join
-      // column is indexed.
+      // The first equi-join conjunct keys an index or hash join; the rest
+      // stay residual.
       std::optional<EquiJoinKeys> keys;
-      for (const ExprPtr& conjunct : SplitConjuncts(node.predicate.get())) {
-        keys = MatchEquiJoin(conjunct.get(), left_schema, right_schema);
-        if (keys.has_value()) break;
+      std::vector<ExprPtr> residual;
+      for (ExprPtr& conjunct : SplitConjuncts(node.predicate.get())) {
+        if (!keys.has_value()) {
+          keys = MatchEquiJoin(conjunct.get(), *node.children[0],
+                               *node.children[1]);
+          if (keys.has_value()) continue;
+        }
+        residual.push_back(std::move(conjunct));
       }
+      // Index join candidacy: right side is a scan whose equi-join column
+      // is indexed.
       const LogicalNode* right_node = node.children[1].get();
       bool index_join = false;
-      const RelationInfo* right_info = nullptr;
-      // Index joins materialize the inner table's own schema, so an
-      // aliased inner would lose its qualification: require a bare scan.
+      std::optional<BaseColumn> inner;
       if (options_.use_data_indexes && keys.has_value() &&
-          right_node->kind == LogicalKind::kScan &&
-          right_node->alias.empty()) {
-        INSIGHT_ASSIGN_OR_RETURN(right_info, ctx_->Get(right_node->table));
-        index_join =
-            right_info->table->GetColumnIndex(keys->right_column) != nullptr;
+          right_node->kind == LogicalKind::kScan) {
+        inner = FindBaseColumn(*right_node, keys->right_column);
+        index_join = inner.has_value() &&
+                     inner->info->table->GetColumnIndex(inner->column) !=
+                         nullptr;
         if (index_join) {
           // Cost guard: index join wins unless the outer is huge relative
           // to the inner (probe per outer row vs one materialization).
@@ -1136,20 +1060,13 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       Lowered out;
       out.order = order;
       if (index_join) {
-        // Residual conjuncts beyond the equi key become a post-select.
-        std::vector<ExprPtr> residual;
-        for (ExprPtr& conjunct : SplitConjuncts(node.predicate.get())) {
-          auto k = MatchEquiJoin(conjunct.get(), left_schema, right_schema);
-          if (k.has_value() && k->left_column == keys->left_column &&
-              k->right_column == keys->right_column) {
-            continue;
-          }
-          residual.push_back(std::move(conjunct));
-        }
-        out.op = std::make_unique<IndexNLJoinOp>(
-            std::move(left.op), right_info->table, keys->right_column,
-            Col(keys->left_column), right_info->mgr,
+        auto join = std::make_unique<IndexNLJoinOp>(
+            std::move(left.op), inner->info->table, inner->column,
+            Col(keys->left_column), inner->info->mgr,
             right_node->propagate_summaries);
+        join->QualifyInner(right_node->alias);
+        out.op = std::move(join);
+        // Residual conjuncts beyond the equi key become a post-select.
         if (!residual.empty()) {
           out.op = std::make_unique<SelectOp>(
               std::move(out.op), CombineConjuncts(std::move(residual)));
@@ -1158,15 +1075,6 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
         // Hash join: build on the right, probe with the left (outer order
         // preserved, so the Rule 5 analysis above still applies).
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
-        std::vector<ExprPtr> residual;
-        for (ExprPtr& conjunct : SplitConjuncts(node.predicate.get())) {
-          auto k = MatchEquiJoin(conjunct.get(), left_schema, right_schema);
-          if (k.has_value() && k->left_column == keys->left_column &&
-              k->right_column == keys->right_column) {
-            continue;
-          }
-          residual.push_back(std::move(conjunct));
-        }
         out.op = std::make_unique<HashJoinOp>(
             std::move(left.op), std::move(right.op), keys->left_column,
             keys->right_column, CombineConjuncts(std::move(residual)));
@@ -1192,8 +1100,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       std::string label;
       if (options_.use_summary_indexes && !pred.merged_form() &&
           pred.op == CompareOp::kEq &&
-          right_node->kind == LogicalKind::kScan &&
-          right_node->alias.empty()) {
+          right_node->kind == LogicalKind::kScan) {
         const auto* lf =
             dynamic_cast<const SummaryFuncExpr*>(pred.left_expr.get());
         const auto* rf =
@@ -1224,10 +1131,11 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       Lowered out;
       out.order = order;
       if (index_join) {
-        out.op = std::make_unique<SummaryJoinOp>(
+        auto join = std::make_unique<SummaryJoinOp>(
             std::move(left.op), right_info->table, right_info->mgr,
-            right_index, instance, label,
-            right_node->propagate_summaries);
+            right_index, instance, label, right_node->propagate_summaries);
+        join->QualifyInner(right_node->alias);
+        out.op = std::move(join);
       } else {
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
         out.op = std::make_unique<SummaryJoinOp>(
@@ -1243,8 +1151,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       // tuples, so missing objects would silently drop rows).
       if (node.sort_keys.size() == 1 && !node.sort_keys[0].descending &&
           options_.use_summary_indexes &&
-          node.children[0]->kind == LogicalKind::kScan &&
-          node.children[0]->alias.empty()) {
+          node.children[0]->kind == LogicalKind::kScan) {
         const auto* func = dynamic_cast<const SummaryFuncExpr*>(
             node.sort_keys[0].expr.get());
         if (func != nullptr &&
@@ -1260,10 +1167,12 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
           if (index != nullptr && complete) {
             ClassifierProbe probe;
             probe.label = func->label();
-            Lowered out;
-            out.op = std::make_unique<SummaryIndexScanOp>(
+            auto scan = std::make_unique<SummaryIndexScanOp>(
                 ctx_->exec_context(), index, probe, info->table->name(),
                 node.children[0]->propagate_summaries);
+            scan->Qualify(node.children[0]->alias);
+            Lowered out;
+            out.op = std::move(scan);
             out.order = PhysOrder{func->instance(), func->label()};
             return out;
           }
@@ -1320,19 +1229,16 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
     case LogicalKind::kLimit: {
       INSIGHT_ASSIGN_OR_RETURN(Lowered child, LowerRec(*node.children[0]));
       // LIMIT pushdown into a parallel gather: walk through 1:1
-      // pass-through operators (rename, project) — never through a
-      // filter, which can drop rows — and hand the gather an early-stop
-      // hint so the workers do not drain the whole table.
+      // projections — never through a filter, which can drop rows — and
+      // hand the gather an early-stop hint so the workers do not drain
+      // the whole table.
       PhysicalOperator* walk = child.op.get();
       while (walk != nullptr) {
         if (auto* gather = dynamic_cast<GatherOp*>(walk)) {
           gather->set_limit(node.limit);
           break;
         }
-        if (dynamic_cast<RenameOp*>(walk) == nullptr &&
-            dynamic_cast<ProjectOp*>(walk) == nullptr) {
-          break;
-        }
+        if (dynamic_cast<ProjectOp*>(walk) == nullptr) break;
         auto kids = walk->children();
         walk = kids.size() == 1 ? kids[0] : nullptr;
       }

@@ -52,6 +52,12 @@ struct OptimizerOptions {
   double sketch_staleness_threshold = 0.10;
 };
 
+/// The two sides of an equi-join conjunct "left_column = right_column".
+struct EquiJoinKeys {
+  std::string left_column;
+  std::string right_column;
+};
+
 /// Per-operator cardinality and cost estimate. Costs are abstract units:
 /// 1.0 per page I/O + 0.01 per tuple of CPU, the classical textbook
 /// weighting.
@@ -81,9 +87,6 @@ class Optimizer {
   /// Cardinality/cost estimation for a logical subtree.
   Result<PlanEstimate> Estimate(const LogicalNode& node);
 
-  /// Output schema of a logical subtree (binder-style resolution).
-  Result<Schema> OutputSchema(const LogicalNode& node);
-
  private:
   /// Interesting order carried by a physical subplan (Rules 3-6): rows
   /// arrive ordered by `instance.label` ascending.
@@ -100,8 +103,24 @@ class Optimizer {
   Result<bool> PushDownOnce(LogicalNode* node);
   Result<bool> InstancesOnlyOn(const std::vector<std::string>& instances,
                                const LogicalNode& subtree, bool* any_linked);
-  Result<bool> ColumnsResolve(const std::vector<std::string>& columns,
-                              const LogicalNode& subtree);
+  /// True when every column is emitted by some scan in `subtree`.
+  bool ColumnsResolve(const std::vector<std::string>& columns,
+                      const LogicalNode& subtree) const;
+  /// Detects an equi-join conjunct "l = r" with l emitted by `left` and r
+  /// by `right`.
+  std::optional<EquiJoinKeys> MatchEquiJoin(const Expression* expr,
+                                            const LogicalNode& left,
+                                            const LogicalNode& right) const;
+
+  /// A bound column reference resolved to the relation that stores it.
+  struct BaseColumn {
+    const RelationInfo* info;
+    std::string column;  // The name in the relation's own schema.
+  };
+  /// Maps a bound name to the scan in `subtree` that emits it: `rel.col`
+  /// under a scan aliased `rel`, or a bare column of an unaliased scan.
+  std::optional<BaseColumn> FindBaseColumn(const LogicalNode& subtree,
+                                           const std::string& name) const;
 
   /// Lowers one logical node (recursing through LowerRec) and stamps the
   /// node's cardinality estimate onto the resulting operator.
@@ -135,16 +154,6 @@ class Optimizer {
 std::vector<ExprPtr> SplitConjuncts(const Expression* expr);
 /// Re-joins conjuncts with AND (nullptr for an empty list).
 ExprPtr CombineConjuncts(std::vector<ExprPtr> conjuncts);
-
-/// Detects an equi-join conjunct "left_col = right_col" where left_col
-/// resolves in `left` and right_col in `right` schemas.
-struct EquiJoinKeys {
-  std::string left_column;
-  std::string right_column;
-};
-std::optional<EquiJoinKeys> MatchEquiJoin(const Expression* expr,
-                                          const Schema& left,
-                                          const Schema& right);
 
 }  // namespace insight
 

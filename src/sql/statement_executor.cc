@@ -76,135 +76,167 @@ std::string QueryResult::ToString(size_t max_rows) const {
 
 namespace {
 
-// Aliases (or table names) bound so far, for conjunct routing.
-struct BoundSide {
-  std::set<std::string> names;  // Lower-cased aliases/table names.
-  Schema schema;
+// The FROM clause's names, each entry exposed as its alias or else its
+// table name. Every column reference and `$` qualifier resolves here to
+// exactly one entry; everything downstream looks the result up exactly.
+class FromScope : public NameBinder {
+ public:
+  Status Add(const std::string& rel, const Schema* schema) {
+    if (Relation(rel).ok()) {
+      return Status::InvalidArgument("duplicate name in FROM: " + rel);
+    }
+    entries_.push_back({rel, schema});
+    return Status::OK();
+  }
+
+  Result<std::string> Relation(const std::string& name) const override {
+    for (const Entry& entry : entries_) {
+      if (EqualsIgnoreCase(entry.rel, name)) return entry.rel;
+    }
+    return Status::NotFound("no FROM entry named " + name);
+  }
+
+  // `col` binds to the one entry with that column, `rel.col` to entry rel;
+  // `outputs` (aggregate results, for ORDER BY) bind as themselves.
+  Result<std::string> Column(const std::string& name) const override {
+    for (const std::string& output : outputs) {
+      if (EqualsIgnoreCase(output, name)) return name;
+    }
+    const size_t dot = name.find('.');
+    std::string rel;
+    if (dot != std::string::npos) {
+      INSIGHT_ASSIGN_OR_RETURN(rel, Relation(name.substr(0, dot)));
+    }
+    const std::string column = name.substr(dot + 1);  // npos + 1 == 0.
+    std::string bound;
+    for (const Entry& entry : entries_) {
+      if (!rel.empty() && entry.rel != rel) continue;
+      Result<size_t> idx = entry.schema->IndexOf(column);
+      if (!idx.ok()) continue;
+      if (!bound.empty()) {
+        return Status::InvalidArgument("ambiguous column name: " + name);
+      }
+      bound = entry.rel + "." + entry.schema->column(*idx).name;
+    }
+    if (bound.empty()) return Status::NotFound("no column named " + name);
+    return bound;
+  }
+
+  const std::string& rel(size_t i) const { return entries_[i].rel; }
+
+  std::vector<std::string> outputs;
+
+ private:
+  struct Entry {
+    std::string rel;
+    const Schema* schema;  // The base table's.
+  };
+  std::vector<Entry> entries_;
 };
 
-bool QualifierIn(const std::string& qualifier, const BoundSide& side) {
-  return side.names.count(ToLower(qualifier)) > 0;
+Result<ExprPtr> BindExpr(const Expression& expr, const NameBinder& binder) {
+  ExprPtr bound = expr.Clone();
+  INSIGHT_RETURN_NOT_OK(bound->Bind(binder));
+  return bound;
 }
 
 }  // namespace
 
-Result<LogicalPtr> StatementExecutor::BindSelect(
+Result<StatementExecutor::BoundSelect> StatementExecutor::BindSelect(
     const SelectStatement& select) {
   if (select.from.empty()) {
     return Status::ParseError("FROM clause required");
   }
-  Optimizer opt(db_->context(), db_->optimizer_options());
+  FromScope scope;
+  for (const SelectStatement::FromTable& from : select.from) {
+    INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info,
+                             db_->context()->Get(from.table));
+    const std::string& rel = from.alias.empty() ? from.table : from.alias;
+    INSIGHT_RETURN_NOT_OK(scope.Add(rel, &info->table->schema()));
+  }
 
-  auto scan_for = [&](const SelectStatement::FromTable& from) {
-    return from.alias.empty() ? LScan(from.table)
-                              : LScanAs(from.table, from.alias);
-  };
-  auto names_for = [&](const SelectStatement::FromTable& from) {
-    return ToLower(from.alias.empty() ? from.table : from.alias);
-  };
-
-  LogicalPtr plan = scan_for(select.from[0]);
-  BoundSide bound;
-  bound.names.insert(names_for(select.from[0]));
-  INSIGHT_ASSIGN_OR_RETURN(bound.schema, opt.OutputSchema(*plan));
+  BoundSelect out;
+  bool has_aggregates = false;
+  for (const SelectItem& item : select.items) {
+    if (item.star) {
+      out.outputs.push_back(nullptr);
+    } else if (item.is_aggregate) {
+      has_aggregates = true;
+      out.outputs.push_back(Col(item.aggregate.output_name));
+    } else {
+      INSIGHT_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*item.expr, scope));
+      out.outputs.push_back(std::move(bound));
+    }
+  }
 
   std::vector<ExprPtr> conjuncts;
   if (select.where != nullptr) {
-    conjuncts = SplitConjuncts(select.where.get());
+    INSIGHT_ASSIGN_OR_RETURN(ExprPtr where, BindExpr(*select.where, scope));
+    conjuncts = SplitConjuncts(where.get());
   }
 
+  LogicalPtr plan = LScanAs(select.from[0].table, scope.rel(0));
+  std::set<std::string> joined = {scope.rel(0)};
   for (size_t t = 1; t < select.from.size(); ++t) {
-    LogicalPtr right = scan_for(select.from[t]);
-    INSIGHT_ASSIGN_OR_RETURN(Schema right_schema, opt.OutputSchema(*right));
-    BoundSide right_side;
-    right_side.names.insert(names_for(select.from[t]));
-    right_side.schema = right_schema;
-
-    // Route conjuncts connecting the bound side with the new table.
+    const std::string& rel = scope.rel(t);
+    // Route the conjuncts connecting the joined entries with entry t.
     std::vector<ExprPtr> data_join;
     std::optional<SummaryJoinPredicate> summary_join;
     std::vector<ExprPtr> remaining;
     for (ExprPtr& conjunct : conjuncts) {
-      // Summary-join shape: comparison of two summary functions with
-      // qualifiers on opposite sides.
-      if (const auto* cmp =
-              dynamic_cast<const CompareExpr*>(conjunct.get())) {
-        const auto* lf = dynamic_cast<const SummaryFuncExpr*>(cmp->left());
-        const auto* rf = dynamic_cast<const SummaryFuncExpr*>(cmp->right());
-        if (lf != nullptr && rf != nullptr && !lf->qualifier().empty() &&
-            !rf->qualifier().empty() &&
-            !EqualsIgnoreCase(lf->qualifier(), rf->qualifier())) {
-          const bool lf_bound = QualifierIn(lf->qualifier(), bound);
-          const bool rf_new = QualifierIn(rf->qualifier(), right_side);
-          const bool rf_bound = QualifierIn(rf->qualifier(), bound);
-          const bool lf_new = QualifierIn(lf->qualifier(), right_side);
-          if ((lf_bound && rf_new) || (rf_bound && lf_new)) {
-            if (summary_join.has_value()) {
-              return Status::NotImplemented(
-                  "multiple summary-join predicates between the same "
-                  "relations");
-            }
-            SummaryJoinPredicate pred;
-            pred.op = cmp->op();
-            if (lf_bound) {
-              pred.left_expr = cmp->left()->Clone();
-              pred.right_expr = cmp->right()->Clone();
-            } else {
-              // Mirror so left_expr evaluates on the bound side.
-              pred.left_expr = cmp->right()->Clone();
-              pred.right_expr = cmp->left()->Clone();
-              pred.op = [](CompareOp op) {
-                switch (op) {
-                  case CompareOp::kLt:
-                    return CompareOp::kGt;
-                  case CompareOp::kLe:
-                    return CompareOp::kGe;
-                  case CompareOp::kGt:
-                    return CompareOp::kLt;
-                  case CompareOp::kGe:
-                    return CompareOp::kLe;
-                  default:
-                    return op;
-                }
-              }(pred.op);
-            }
-            summary_join = std::move(pred);
-            conjunct.reset();
-            continue;
-          }
-        }
+      // Summary-join shape: two summary functions compared, one `$`
+      // qualified by a joined entry and the other by entry t.
+      const auto* cmp = dynamic_cast<const CompareExpr*>(conjunct.get());
+      const SummaryFuncExpr* lf = nullptr;
+      const SummaryFuncExpr* rf = nullptr;
+      if (cmp != nullptr) {
+        lf = dynamic_cast<const SummaryFuncExpr*>(cmp->left());
+        rf = dynamic_cast<const SummaryFuncExpr*>(cmp->right());
       }
-      // Data conjunct spanning both sides?
-      std::vector<std::string> columns;
-      conjunct->CollectColumns(&columns);
-      if (!conjunct->IsSummaryBased() && !columns.empty()) {
-        bool any_bound = false;
-        bool any_new = false;
-        bool all_resolve = true;
-        const Schema combined =
-            Schema::Concat(bound.schema, right_side.schema);
-        for (const std::string& column : columns) {
-          if (bound.schema.IndexOf(column).ok()) {
-            any_bound = true;
-          } else if (right_side.schema.IndexOf(column).ok()) {
-            any_new = true;
-          } else if (!combined.IndexOf(column).ok()) {
-            all_resolve = false;
-          } else {
-            // Resolves only in the combined schema (ambiguous singly).
-            any_bound = any_new = true;
+      if (lf != nullptr && rf != nullptr) {
+        const bool lf_joined = joined.count(lf->qualifier()) > 0;
+        if ((lf_joined && rf->qualifier() == rel) ||
+            (joined.count(rf->qualifier()) > 0 && lf->qualifier() == rel)) {
+          if (summary_join.has_value()) {
+            return Status::NotImplemented(
+                "multiple summary-join predicates between the same "
+                "relations");
           }
-        }
-        if (all_resolve && any_bound && any_new) {
-          data_join.push_back(std::move(conjunct));
-          conjunct.reset();
+          // Mirrored when needed so left_expr evaluates on the joined side.
+          SummaryJoinPredicate pred;
+          pred.op = lf_joined ? cmp->op() : FlipOp(cmp->op());
+          pred.left_expr = (lf_joined ? cmp->left() : cmp->right())->Clone();
+          pred.right_expr = (lf_joined ? cmp->right() : cmp->left())->Clone();
+          summary_join = std::move(pred);
           continue;
         }
       }
-      if (conjunct != nullptr) remaining.push_back(std::move(conjunct));
+      // Data conjunct over joined entries and entry t, touching both.
+      std::vector<std::string> columns;
+      conjunct->CollectColumns(&columns);
+      bool any_joined = false;
+      bool any_new = false;
+      bool all_in_scope = !conjunct->IsSummaryBased();
+      for (const std::string& column : columns) {
+        // The FROM entry a bound `rel.col` belongs to (names hold no dot).
+        const std::string column_rel = column.substr(0, column.find('.'));
+        if (column_rel == rel) {
+          any_new = true;
+        } else if (joined.count(column_rel) > 0) {
+          any_joined = true;
+        } else {
+          all_in_scope = false;
+        }
+      }
+      if (all_in_scope && any_joined && any_new) {
+        data_join.push_back(std::move(conjunct));
+      } else {
+        remaining.push_back(std::move(conjunct));
+      }
     }
     conjuncts = std::move(remaining);
 
+    LogicalPtr right = LScanAs(select.from[t].table, rel);
     if (summary_join.has_value()) {
       plan = LSummaryJoin(std::move(plan), std::move(right),
                           std::move(*summary_join));
@@ -220,8 +252,7 @@ Result<LogicalPtr> StatementExecutor::BindSelect(
                               : CombineConjuncts(std::move(data_join));
       plan = LJoin(std::move(plan), std::move(right), std::move(join_pred));
     }
-    bound.names.insert(names_for(select.from[t]));
-    bound.schema = Schema::Concat(bound.schema, right_side.schema);
+    joined.insert(rel);
   }
 
   // Residual WHERE conjuncts: data selections below summary selections.
@@ -243,31 +274,37 @@ Result<LogicalPtr> StatementExecutor::BindSelect(
                           CombineConjuncts(std::move(summary_conjuncts)));
   }
 
-  // Aggregation.
-  bool has_aggregates = false;
-  for (const SelectItem& item : select.items) {
-    if (item.is_aggregate) has_aggregates = true;
-  }
   if (has_aggregates || !select.group_by.empty()) {
+    std::vector<std::string> group_columns;
+    for (const std::string& column : select.group_by) {
+      INSIGHT_ASSIGN_OR_RETURN(std::string bound, scope.Column(column));
+      group_columns.push_back(std::move(bound));
+    }
     std::vector<AggregateSpec> aggs;
     for (const SelectItem& item : select.items) {
       if (!item.is_aggregate) continue;
-      aggs.push_back(AggregateSpec{
-          item.aggregate.kind,
-          item.aggregate.arg == nullptr ? nullptr
-                                        : item.aggregate.arg->Clone(),
-          item.aggregate.output_name});
+      ExprPtr arg;
+      if (item.aggregate.arg != nullptr) {
+        INSIGHT_ASSIGN_OR_RETURN(arg, BindExpr(*item.aggregate.arg, scope));
+      }
+      aggs.push_back(AggregateSpec{item.aggregate.kind, std::move(arg),
+                                   item.aggregate.output_name});
     }
-    plan = LAggregate(std::move(plan), select.group_by, std::move(aggs));
+    // ORDER BY may also name an aggregate's output.
+    for (const AggregateSpec& agg : aggs) {
+      scope.outputs.push_back(agg.output_name);
+    }
+    plan = LAggregate(std::move(plan), std::move(group_columns),
+                      std::move(aggs));
   }
 
   if (select.distinct) {
     // DISTINCT applies to the select list: project first (which also
     // applies the summary projection semantics), then de-duplicate.
     std::vector<std::string> columns;
-    for (const SelectItem& item : select.items) {
-      const auto* col = dynamic_cast<const ColumnExpr*>(item.expr.get());
-      if (item.star || item.is_aggregate || col == nullptr) {
+    for (const ExprPtr& output : out.outputs) {
+      const auto* col = dynamic_cast<const ColumnExpr*>(output.get());
+      if (col == nullptr || has_aggregates) {
         return Status::NotImplemented(
             "SELECT DISTINCT requires a plain column list");
       }
@@ -280,14 +317,16 @@ Result<LogicalPtr> StatementExecutor::BindSelect(
   if (!select.order_by.empty()) {
     std::vector<SortKey> keys;
     for (const SortKey& key : select.order_by) {
-      keys.push_back(SortKey{key.expr->Clone(), key.descending});
+      INSIGHT_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*key.expr, scope));
+      keys.push_back(SortKey{std::move(bound), key.descending});
     }
     plan = LSort(std::move(plan), std::move(keys));
   }
   if (select.limit.has_value()) {
     plan = LLimit(std::move(plan), *select.limit);
   }
-  return plan;
+  out.plan = std::move(plan);
+  return out;
 }
 
 Status StatementExecutor::RefreshSelectStats(const SelectStatement& select) {
@@ -311,11 +350,11 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
   // Shared plan gate: estimation reads the planner statistics that
   // RefreshSelectStats replaces under the unique gate.
   std::shared_lock<std::shared_mutex> plan_gate(plan_mu_);
-  INSIGHT_ASSIGN_OR_RETURN(LogicalPtr plan, BindSelect(select));
+  INSIGHT_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(select));
   Optimizer optimizer(db_->context(), db_->optimizer_options());
   if (explain_only) {
     INSIGHT_ASSIGN_OR_RETURN(LogicalPtr rewritten,
-                             optimizer.Rewrite(plan->Clone()));
+                             optimizer.Rewrite(std::move(bound.plan)));
     INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Lower(*rewritten));
     QueryResult result;
     result.message = "Logical plan:\n" + rewritten->Explain() +
@@ -330,7 +369,7 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
     }
     return result;
   }
-  INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Optimize(std::move(plan)));
+  INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Optimize(std::move(bound.plan)));
   plan_gate.unlock();  // Execution runs gate-free.
   // Pin every read in the plan — scans, index probes, summary fetches —
   // to the caller's snapshot via a per-query context copy. The shared
@@ -345,36 +384,46 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
                        std::chrono::steady_clock::now() - query_start)
                        .count()));
 
-  // Materialize the select list.
+  // Materialize the select list. `*` shows an unaliased FROM entry's
+  // columns under their base names, an aliased one's as `alias.col`.
   const Schema& plan_schema = op->schema();
-  QueryResult result;
+  std::vector<Column> header;
   std::vector<ExprPtr> output_exprs;
-  for (const SelectItem& item : select.items) {
+  for (size_t i = 0; i < select.items.size(); ++i) {
+    const SelectItem& item = select.items[i];
     if (item.star) {
       for (const Column& col : plan_schema.columns()) {
-        result.schema.AddColumn(col).ok();
+        std::string name = col.name;
+        for (const SelectStatement::FromTable& from : select.from) {
+          const size_t n = from.table.size();
+          if (from.alias.empty() && name.size() > n && name[n] == '.' &&
+              name.compare(0, n, from.table) == 0) {
+            name.erase(0, n + 1);
+            break;
+          }
+        }
+        header.push_back({std::move(name), col.type});
         output_exprs.push_back(Col(col.name));
       }
-    } else if (item.is_aggregate) {
-      result.schema
-          .AddColumn({item.name, item.aggregate.kind ==
-                                         AggregateSpec::Kind::kAvg
-                                     ? ValueType::kDouble
-                                     : ValueType::kInt64})
-          .ok();
-      output_exprs.push_back(Col(item.aggregate.output_name));
-    } else {
-      ValueType type = ValueType::kString;
-      if (const auto* col = dynamic_cast<const ColumnExpr*>(item.expr.get())) {
-        auto idx = plan_schema.IndexOf(col->name());
-        if (idx.ok()) type = plan_schema.column(*idx).type;
-      } else if (item.expr->IsSummaryBased()) {
-        type = ValueType::kInt64;
-      }
-      result.schema.AddColumn({item.name, type}).ok();
-      output_exprs.push_back(item.expr->Clone());
+      continue;
     }
+    ValueType type = ValueType::kString;
+    if (item.is_aggregate) {
+      type = item.aggregate.kind == AggregateSpec::Kind::kAvg
+                 ? ValueType::kDouble
+                 : ValueType::kInt64;
+    } else if (const auto* col =
+                   dynamic_cast<const ColumnExpr*>(bound.outputs[i].get())) {
+      auto idx = plan_schema.IndexOf(col->name());
+      if (idx.ok()) type = plan_schema.column(*idx).type;
+    } else if (item.expr->IsSummaryBased()) {
+      type = ValueType::kInt64;
+    }
+    header.push_back({item.name, type});
+    output_exprs.push_back(std::move(bound.outputs[i]));
   }
+  QueryResult result;
+  result.schema = Schema(std::move(header));
   for (Row& row : rows) {
     Tuple out;
     for (const ExprPtr& expr : output_exprs) {
@@ -531,9 +580,9 @@ Result<std::string> StatementExecutor::ExplainAnalyze(
     const Snapshot& snap) {
   const auto query_start = std::chrono::steady_clock::now();
   std::shared_lock<std::shared_mutex> plan_gate(plan_mu_);
-  INSIGHT_ASSIGN_OR_RETURN(LogicalPtr plan, BindSelect(select));
+  INSIGHT_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(select));
   Optimizer optimizer(db_->context(), db_->optimizer_options());
-  INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Optimize(std::move(plan)));
+  INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Optimize(std::move(bound.plan)));
   plan_gate.unlock();
   ExecutionContext query_ctx = *db_->context()->exec_context();
   query_ctx.set_snapshot(snap);

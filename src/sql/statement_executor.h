@@ -66,8 +66,16 @@ class StatementExecutor {
   /// the internal plan gate additionally excludes concurrent planners.
   Status RefreshSelectStats(const SelectStatement& select);
 
-  /// Binds FROM/WHERE into a logical plan (join routing included).
-  Result<LogicalPtr> BindSelect(const SelectStatement& select);
+  /// A SELECT with every name resolved: the logical plan, and one output
+  /// expression per select item (null for `*`).
+  struct BoundSelect {
+    LogicalPtr plan;
+    std::vector<ExprPtr> outputs;
+  };
+  /// The one place names resolve: every column reference and `$`
+  /// qualifier becomes the `rel.col` of exactly one FROM entry, and join
+  /// conjuncts route on the result (DESIGN.md, "Name resolution").
+  Result<BoundSelect> BindSelect(const SelectStatement& select);
 
  private:
   /// Post-execution observability: query counters/latency, per-operator

@@ -4,31 +4,9 @@
 
 namespace insight {
 
-namespace {
-// Unqualified trailing component of "r.a" -> "a".
-std::string_view Unqualified(std::string_view name) {
-  const size_t pos = name.rfind('.');
-  return pos == std::string_view::npos ? name : name.substr(pos + 1);
-}
-}  // namespace
-
 Result<size_t> Schema::IndexOf(const std::string& name) const {
-  // Pass 1: exact (case-insensitive) match on the full name.
   for (size_t i = 0; i < columns_.size(); ++i) {
     if (EqualsIgnoreCase(columns_[i].name, name)) return i;
-  }
-  // Pass 2: match the unqualified suffix; must be unambiguous.
-  size_t found = columns_.size();
-  int matches = 0;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (EqualsIgnoreCase(Unqualified(columns_[i].name), Unqualified(name))) {
-      found = i;
-      ++matches;
-    }
-  }
-  if (matches == 1) return found;
-  if (matches > 1) {
-    return Status::InvalidArgument("ambiguous column name: " + name);
   }
   return Status::NotFound("no column named " + name);
 }
@@ -47,6 +25,13 @@ Schema Schema::Project(const std::vector<size_t>& indices) const {
   std::vector<Column> cols;
   cols.reserve(indices.size());
   for (size_t i : indices) cols.push_back(columns_[i]);
+  return Schema(std::move(cols));
+}
+
+Schema Schema::Qualified(const std::string& rel) const {
+  if (rel.empty()) return *this;
+  std::vector<Column> cols = columns_;
+  for (Column& col : cols) col.name = rel + "." + col.name;
   return Schema(std::move(cols));
 }
 

@@ -17,8 +17,8 @@ struct Column {
 
 /// Ordered set of columns describing a relation or an operator output.
 /// Column names are unique case-insensitively within one schema; qualified
-/// names ("r.a") are stored verbatim, and lookup falls back to matching the
-/// unqualified suffix so both "a" and "r.a" resolve.
+/// names ("r.a") are stored verbatim and looked up verbatim — the SQL
+/// binder resolves every reference to the exact name an operator emits.
 class Schema {
  public:
   Schema() = default;
@@ -29,19 +29,19 @@ class Schema {
   const Column& column(size_t i) const { return columns_[i]; }
   const std::vector<Column>& columns() const { return columns_; }
 
-  /// Index of a column by (possibly qualified) name; NotFound if absent,
-  /// InvalidArgument if an unqualified name is ambiguous.
+  /// Index of the first column named exactly `name` (case-insensitive);
+  /// NotFound if absent.
   Result<size_t> IndexOf(const std::string& name) const;
-
-  bool HasColumn(const std::string& name) const {
-    return IndexOf(name).ok();
-  }
 
   /// Appends a column; returns AlreadyExists on an exact duplicate name.
   Status AddColumn(Column col);
 
   /// Schema with only the listed columns (by position), in that order.
   Schema Project(const std::vector<size_t>& indices) const;
+
+  /// The same columns named `rel.col`: how a scan exposes its relation
+  /// under a FROM entry's name. Unchanged when `rel` is empty.
+  Schema Qualified(const std::string& rel) const;
 
   /// Concatenation for join outputs. Collisions are allowed because join
   /// outputs keep qualified names.

@@ -289,6 +289,25 @@ TEST_F(NetEndToEndTest, ErrorsCarryTheEngineStatusCode) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
+TEST_F(NetEndToEndTest, UnknownColumnInDistinctOrGroupByKeepsServerUp) {
+  // Both statements used to abort the server inside an operator
+  // constructor; the binder now rejects the name before planning.
+  StartServer();
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Execute("CREATE TABLE A (id INT, name TEXT)").ok());
+  ASSERT_TRUE(client->Execute("INSERT INTO A VALUES (1, 'a')").ok());
+  for (const char* sql : {"SELECT DISTINCT nosuch FROM A",
+                          "SELECT nosuch, COUNT(*) AS c FROM A "
+                          "GROUP BY nosuch"}) {
+    auto rejected = client->Execute(sql);
+    ASSERT_FALSE(rejected.ok()) << sql;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kNotFound)
+        << rejected.status().ToString();
+    EXPECT_TRUE(client->Ping().ok()) << sql;
+  }
+}
+
 TEST_F(NetEndToEndTest, OversizedStatementRejectedByDatabaseKeepsSession) {
   // The statement fits the frame limit but exceeds the database's
   // max_statement_bytes: a clean Error frame, session stays usable.

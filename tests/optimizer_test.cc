@@ -72,6 +72,18 @@ class OptimizerTest : public ::testing::Test {
     EXPECT_EQ(render(*naive_rows), render(*opt_rows));
   }
 
+  // Registers an (id INT, name TEXT) relation holding ids 0..rows-1.
+  Table* IdTable(const std::string& name, int rows) {
+    Schema schema({{"id", ValueType::kInt64}, {"name", ValueType::kString}});
+    Table* table = *db.catalog.CreateTable(name, schema);
+    for (int i = 0; i < rows; ++i) {
+      Tuple row({Value::Int(i), Value::String(std::to_string(i))});
+      EXPECT_TRUE(table->Insert(row).ok());
+    }
+    EXPECT_TRUE(ctx->RegisterRelation(table, nullptr).ok());
+    return table;
+  }
+
   TestDb db;
   std::unique_ptr<SummaryBTree> sbt;
   Table* synonyms;
@@ -314,13 +326,70 @@ TEST_F(OptimizerTest, EstimatesReflectSelectivity) {
   EXPECT_LT(sel_est->rows, 12.0);
   EXPECT_GT(sel_est->rows, 0.0);
 
-  // Impossible range estimates ~0.
+  // An impossible range estimates the one-row floor, never zero.
   LogicalPtr none = LSummarySelect(
       LScan("Birds"), Cmp(LabelValue("ClassBird1", "Disease"), CompareOp::kGt,
                           Lit(Value::Int(1000))));
   auto none_est = opt.Estimate(*none);
   ASSERT_TRUE(none_est.ok());
-  EXPECT_LT(none_est->rows, 0.5);
+  EXPECT_DOUBLE_EQ(none_est->rows, 1.0);
+}
+
+// `column <op> v` over an integer column.
+ExprPtr IntPred(const std::string& column, CompareOp op, int64_t v) {
+  return Cmp(Col(column), op, Lit(Value::Int(v)));
+}
+
+TEST_F(OptimizerTest, EstimatesReadBoundColumnsAndNeverDropBelowOneRow) {
+  // A(id, name) with 2,000 rows, indexed on id, and B(id, name) with 500.
+  ASSERT_TRUE(IdTable("A", 2000)->CreateColumnIndex("id").ok());
+  IdTable("B", 500);
+  ASSERT_TRUE(ctx->Analyze("A").ok());
+  ASSERT_TRUE(ctx->Analyze("B").ok());
+  Optimizer opt(ctx.get(), OptimizerOptions{});
+  auto rows = [&](LogicalPtr plan) {
+    auto est = opt.Estimate(*plan);
+    EXPECT_TRUE(est.ok()) << est.status().ToString();
+    return est.ok() ? est->rows : -1.0;
+  };
+  const CompareOp lt = CompareOp::kLt;
+  const CompareOp gt = CompareOp::kGt;
+
+  // `x.id` under `A x` estimates exactly like `id` under a bare `A`.
+  const double bare = rows(LSelect(LScan("A"), IntPred("id", lt, 100)));
+  EXPECT_NEAR(bare, 100, 10);
+  const double qualified =
+      rows(LSelect(LScanAs("A", "x"), IntPred("x.id", lt, 100)));
+  EXPECT_DOUBLE_EQ(qualified, bare);
+  const double point =
+      rows(LSelect(LScanAs("A", "x"), IntPred("x.id", CompareOp::kEq, 7)));
+  EXPECT_DOUBLE_EQ(point, 1);
+
+  // The access path emits the alias's names and finds the one row.
+  auto op = opt.Optimize(
+      LSelect(LScanAs("A", "x"), IntPred("x.id", CompareOp::kEq, 7)));
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  EXPECT_EQ((*op)->schema().column(0).name, "x.id");
+  auto hits = CollectRows(op->get());
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(hits->size(), 1u);
+
+  // Equi-join size from the keys' distinct counts: 2000 * 500 / 2000.
+  ExprPtr keys = Cmp(Col("x.id"), CompareOp::kEq, Col("y.id"));
+  const double join =
+      rows(LJoin(LScanAs("A", "x"), LScanAs("B", "y"), keys->Clone()));
+  EXPECT_GE(join, 250);
+  EXPECT_LE(join, 1000);
+
+  // Ranges whose selectivity product underflows still estimate one row,
+  // and so does a join with an empty side.
+  ExprPtr low = And(IntPred("A.id", lt, 100), IntPred("A.id", gt, 50));
+  ExprPtr high = And(IntPred("A.id", lt, 60), IntPred("A.id", gt, 55));
+  ExprPtr narrow = And(std::move(low), std::move(high));
+  EXPECT_GE(rows(LSelect(LScanAs("A", "A"), std::move(narrow))), 1.0);
+  LogicalPtr none = LSelect(LScanAs("A", "x"), IntPred("x.id", lt, 0));
+  EXPECT_GE(rows(LJoin(std::move(none), LScanAs("B", "y"), keys->Clone())),
+            1.0);
 }
 
 TEST_F(OptimizerTest, EstimateJoinUsesDistinctCounts) {

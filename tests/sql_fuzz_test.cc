@@ -217,5 +217,37 @@ TEST(SqlFuzzTest, FuzzedStatementsAgainstLiveDatabaseReturnStatus) {
   }
 }
 
+TEST(SqlFuzzTest, QualifiedNamesReturnStatusNeverAbort) {
+  // Malformed, unknown and colliding qualified names in every clause the
+  // binder resolves: each must come back as an error Status.
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (a INT, b TEXT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO T VALUES (1, 'x')").ok());
+  std::string shared_alias = "SELECT * FROM T";
+  for (int i = 1; i < 200; ++i) shared_alias += ", T t";
+  shared_alias.insert(std::string("SELECT * FROM T").size(), " t");
+  const std::string statements[] = {
+      "SELECT a.b.c.d FROM T",
+      "SELECT a FROM T WHERE a.b.c.d = 1",
+      "SELECT DISTINCT a.b.c.d FROM T",
+      "SELECT a.b.c.d, COUNT(*) FROM T GROUP BY a.b.c.d",
+      "SELECT a FROM T ORDER BY a.b.c.d",
+      "SELECT COUNT(a.b.c.d) FROM T",
+      "SELECT zz.a FROM T",
+      "SELECT a FROM T WHERE zz.a = 1",
+      "SELECT DISTINCT zz.a FROM T",
+      "SELECT zz.a, COUNT(*) FROM T GROUP BY zz.a",
+      "SELECT a FROM T x WHERE T.a = 1",
+      "SELECT zz.$.getSummaryObject('I').getLabelValue('L') FROM T",
+      "SELECT a FROM T WHERE zz.$.getSize() > 0",
+      "SELECT a FROM T ORDER BY zz.$.getSize()",
+      shared_alias,
+  };
+  for (const std::string& sql : statements) {
+    auto result = db.Execute(sql);
+    EXPECT_FALSE(result.ok()) << sql;
+  }
+}
+
 }  // namespace
 }  // namespace insight

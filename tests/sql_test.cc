@@ -367,6 +367,39 @@ TEST_F(DatabaseTest, CreateDataIndexAndUseIt) {
   EXPECT_EQ(result->rows.size(), 1u);
 }
 
+TEST_F(DatabaseTest, UnknownDistinctOrGroupByColumnIsNotFound) {
+  // Both used to abort the process in an operator constructor.
+  auto distinct = db.Execute("SELECT DISTINCT nosuch FROM Birds");
+  EXPECT_TRUE(distinct.status().IsNotFound()) << distinct.status().ToString();
+  auto grouped =
+      db.Execute("SELECT nosuch, COUNT(*) AS c FROM Birds GROUP BY nosuch");
+  EXPECT_TRUE(grouped.status().IsNotFound()) << grouped.status().ToString();
+  // The same statements over a real column still run.
+  EXPECT_TRUE(db.Execute("SELECT DISTINCT family FROM Birds").ok());
+  auto families =
+      db.Execute("SELECT family, COUNT(*) AS c FROM Birds GROUP BY family");
+  EXPECT_TRUE(families.ok()) << families.status().ToString();
+}
+
+TEST_F(DatabaseTest, QualifiedNamesBindToTheirFromEntry) {
+  auto by_table = db.Execute("SELECT Birds.name FROM Birds WHERE "
+                             "Birds.family = 'family1'");
+  ASSERT_TRUE(by_table.ok()) << by_table.status().ToString();
+  auto by_alias =
+      db.Execute("SELECT b.name FROM Birds b WHERE b.family = 'family1'");
+  ASSERT_TRUE(by_alias.ok()) << by_alias.status().ToString();
+  auto bare = db.Execute("SELECT name FROM Birds WHERE family = 'family1'");
+  ASSERT_TRUE(bare.ok());
+  EXPECT_EQ(by_table->rows.size(), bare->rows.size());
+  EXPECT_EQ(by_alias->rows.size(), bare->rows.size());
+  // An alias hides the table name; `*` headers keep their usual names.
+  auto hidden = db.Execute("SELECT Birds.name FROM Birds b");
+  EXPECT_TRUE(hidden.status().IsNotFound()) << hidden.status().ToString();
+  auto star = db.Execute("SELECT * FROM Birds b LIMIT 1");
+  ASSERT_TRUE(star.ok());
+  EXPECT_EQ(star->schema.column(0).name, "b.name");
+}
+
 TEST_F(DatabaseTest, ResultToStringRendersTable) {
   auto result = db.Execute("SELECT name, weight FROM Birds LIMIT 2");
   ASSERT_TRUE(result.ok());

@@ -59,18 +59,27 @@ TEST(ValueTest, EqualValuesHashEqually) {
   EXPECT_EQ(Value::String("a").Hash(), Value::String("a").Hash());
 }
 
-TEST(SchemaTest, IndexOfQualifiedAndUnqualified) {
+TEST(SchemaTest, IndexOfMatchesExactNamesOnly) {
   Schema s({{"r.a", ValueType::kInt64}, {"r.b", ValueType::kString}});
   EXPECT_EQ(*s.IndexOf("r.a"), 0u);
-  EXPECT_EQ(*s.IndexOf("a"), 0u);
-  EXPECT_EQ(*s.IndexOf("B"), 1u);
+  EXPECT_EQ(*s.IndexOf("R.B"), 1u);
+  EXPECT_TRUE(s.IndexOf("a").status().IsNotFound());
   EXPECT_TRUE(s.IndexOf("c").status().IsNotFound());
 }
 
-TEST(SchemaTest, AmbiguousUnqualifiedName) {
+TEST(SchemaTest, UnqualifiedNameNeverMatchesQualifiedColumn) {
   Schema s({{"r.a", ValueType::kInt64}, {"s.a", ValueType::kInt64}});
-  EXPECT_TRUE(s.IndexOf("a").status().IsInvalidArgument());
-  EXPECT_EQ(*s.IndexOf("r.a"), 0u);
+  EXPECT_TRUE(s.IndexOf("a").status().IsNotFound());
+  EXPECT_EQ(*s.IndexOf("s.a"), 1u);
+}
+
+TEST(SchemaTest, QualifiedPrefixesEveryColumn) {
+  Schema s({{"a", ValueType::kInt64}, {"b", ValueType::kString}});
+  Schema q = s.Qualified("x");
+  EXPECT_EQ(q.column(0).name, "x.a");
+  EXPECT_EQ(q.column(1).name, "x.b");
+  EXPECT_EQ(q.column(1).type, ValueType::kString);
+  EXPECT_EQ(s.Qualified(""), s);
 }
 
 TEST(SchemaTest, AddColumnRejectsDuplicates) {
