@@ -36,9 +36,7 @@ Result<std::unique_ptr<AnnotationStore>> AnnotationStore::Create(
   INSIGHT_ASSIGN_OR_RETURN(
       store->annotations_,
       catalog->CreateTable(relation + "_Annotations",
-                           Schema({{"ann_id", ValueType::kInt64},
-                                   {"text", ValueType::kString}})));
-  INSIGHT_RETURN_NOT_OK(store->annotations_->CreateColumnIndex("ann_id"));
+                           Schema({{"text", ValueType::kString}})));
   INSIGHT_ASSIGN_OR_RETURN(
       store->links_,
       catalog->CreateTable(relation + "_AnnLinks",
@@ -66,10 +64,7 @@ Result<AnnId> AnnotationStore::Add(
   }
   const AnnId ann_id = g_next_ann_id.fetch_add(1);
   INSIGHT_RETURN_NOT_OK(
-      annotations_
-          ->Insert(Tuple({Value::Int(static_cast<int64_t>(ann_id)),
-                          Value::String(text)}))
-          .status());
+      annotations_->InsertWithOid(ann_id, Tuple({Value::String(text)})));
   for (const AnnotationTarget& t : targets) {
     INSIGHT_RETURN_NOT_OK(
         links_
@@ -101,15 +96,12 @@ Status AnnotationStore::AddWithId(
     Transaction* txn = CurrentTxn();
     const Snapshot snap =
         txn != nullptr ? txn->snapshot() : Snapshot::Latest();
-    if (RowFor(id, snap).ok()) {
+    if (annotations_->Get(id, snap).ok()) {
       return Status::AlreadyExists("annotation " + std::to_string(id));
     }
   }
   INSIGHT_RETURN_NOT_OK(
-      annotations_
-          ->Insert(Tuple({Value::Int(static_cast<int64_t>(id)),
-                          Value::String(text)}))
-          .status());
+      annotations_->InsertWithOid(id, Tuple({Value::String(text)})));
   for (const AnnotationTarget& t : targets) {
     INSIGHT_RETURN_NOT_OK(
         links_
@@ -125,12 +117,12 @@ Status AnnotationStore::AddWithId(
 Status AnnotationStore::ForEachAnnotation(
     const std::function<Status(const Annotation&)>& fn) const {
   Table::Iterator it = annotations_->Scan();
-  Oid row_oid;
+  Oid ann_id;
   Tuple row;
-  while (it.Next(&row_oid, &row)) {
+  while (it.Next(&ann_id, &row)) {
     Annotation ann;
-    ann.id = static_cast<AnnId>(row.at(0).AsInt());
-    ann.text = row.at(1).AsString();
+    ann.id = ann_id;
+    ann.text = row.at(0).AsString();
     INSIGHT_ASSIGN_OR_RETURN(std::vector<Oid> tuples, TuplesFor(ann.id));
     for (Oid oid : tuples) {
       INSIGHT_ASSIGN_OR_RETURN(uint64_t mask, MaskFor(ann.id, oid));
@@ -141,30 +133,10 @@ Status AnnotationStore::ForEachAnnotation(
   return Status::OK();
 }
 
-Result<Oid> AnnotationStore::RowFor(AnnId id, const Snapshot& snap) const {
-  const BTree* by_id = annotations_->GetColumnIndex("ann_id");
-  INSIGHT_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> hits,
-      by_id->Lookup(EncodeIndexKey(Value::Int(static_cast<int64_t>(id)))));
-  for (uint64_t hit : hits) {
-    // Index entries may outlive (or precede) the versions visible to this
-    // snapshot; confirm the row resolves before trusting the hit.
-    auto row = annotations_->Get(static_cast<Oid>(hit), snap);
-    if (!row.ok()) {
-      if (row.status().IsNotFound()) continue;
-      return row.status();
-    }
-    if (static_cast<AnnId>(row.ValueOrDie().at(0).AsInt()) != id) continue;
-    return static_cast<Oid>(hit);
-  }
-  return Status::NotFound("annotation " + std::to_string(id));
-}
-
 Result<std::string> AnnotationStore::GetText(AnnId id,
                                              const Snapshot& snap) const {
-  INSIGHT_ASSIGN_OR_RETURN(Oid row_oid, RowFor(id, snap));
-  INSIGHT_ASSIGN_OR_RETURN(Tuple row, annotations_->Get(row_oid, snap));
-  return row.at(1).AsString();
+  INSIGHT_ASSIGN_OR_RETURN(Tuple row, annotations_->Get(id, snap));
+  return row.at(0).AsString();
 }
 
 Result<std::vector<Annotation>> AnnotationStore::ForTuple(
@@ -244,8 +216,6 @@ Result<std::vector<Oid>> AnnotationStore::TuplesFor(
 }
 
 Status AnnotationStore::Delete(AnnId id) {
-  Transaction* txn = CurrentTxn();
-  const Snapshot snap = txn != nullptr ? txn->snapshot() : Snapshot::Latest();
   const BTree* by_ann = links_->GetColumnIndex("ann_id");
   INSIGHT_ASSIGN_OR_RETURN(
       std::vector<uint64_t> link_oids,
@@ -256,8 +226,7 @@ Status AnnotationStore::Delete(AnnId id) {
     // conflicts (kAborted) and real failures are not.
     if (!st.ok() && !st.IsNotFound()) return st;
   }
-  INSIGHT_ASSIGN_OR_RETURN(Oid row_oid, RowFor(id, snap));
-  return annotations_->Delete(row_oid);
+  return annotations_->Delete(id);
 }
 
 uint64_t AnnotationStore::storage_bytes() const {

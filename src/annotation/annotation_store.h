@@ -50,9 +50,10 @@ struct Annotation {
 };
 
 /// Raw-annotation storage for one user relation: an `<rel>_Annotations`
-/// heap table (text) plus an `<rel>_AnnLinks` table (ann_id, tuple oid,
-/// column mask) with B-Tree indexes on both link columns, supporting
-/// zoom-in (tuple -> annotations) and deletion (annotation -> links).
+/// table of `(text)` rows keyed by AnnId (the row's OID is the annotation
+/// id) plus an `<rel>_AnnLinks` table (ann_id, tuple oid, column mask)
+/// with B-Tree indexes on both link columns, supporting zoom-in (tuple ->
+/// annotations) and deletion (annotation -> links).
 class AnnotationStore {
  public:
   /// Creates the side tables in `catalog`. `relation` is the annotated
@@ -97,7 +98,8 @@ class AnnotationStore {
 
   uint64_t num_annotations() const { return annotations_->num_rows(); }
 
-  /// Total bytes of raw-annotation storage (text + links + indexes).
+  /// Bytes of raw-annotation storage: the text and link heaps plus their
+  /// OID indexes (the link tables' column indexes are not counted).
   uint64_t storage_bytes() const;
 
   size_t num_columns() const { return num_columns_; }
@@ -105,13 +107,8 @@ class AnnotationStore {
  private:
   AnnotationStore(size_t num_columns) : num_columns_(num_columns) {}
 
-  /// Row OID in the annotations table for a given (global) annotation id,
-  /// restricted to rows visible to `snap` (index hits for invisible
-  /// versions are filtered out).
-  Result<Oid> RowFor(AnnId id, const Snapshot& snap) const;
-
   size_t num_columns_;
-  Table* annotations_ = nullptr;  // (ann_id INT, text STRING)
+  Table* annotations_ = nullptr;  // (text STRING), row OID = AnnId
   Table* links_ = nullptr;        // (ann_id INT, tuple_oid INT, mask INT)
 };
 

@@ -131,12 +131,8 @@ Result<uint64_t> SummaryBTree::MakePayload(Oid oid) const {
                              mgr_->base()->DiskTupleLoc(oid, snap));
     return loc.Pack();
   }
-  INSIGHT_ASSIGN_OR_RETURN(Oid storage_row, mgr_->StorageRowFor(oid, snap));
-  if (storage_row == kInvalidOid) {
-    return Status::Internal("no summary-storage row for tuple " +
-                            std::to_string(oid));
-  }
-  return static_cast<uint64_t>(storage_row);
+  // The summary-storage row's OID, which is the tuple's own OID.
+  return static_cast<uint64_t>(oid);
 }
 
 bool SummaryBTree::EntryVisible(const std::string& label, int64_t count,
@@ -443,11 +439,12 @@ Result<Tuple> SummaryBTree::FetchDataTuple(const SummaryIndexHit& hit,
     return mgr_->base()->GetAt(RowLocation::Unpack(hit.payload), oid_out,
                                snap);
   }
-  // Conventional: indexed-object row -> tuple OID -> OID-index probe ->
-  // heap read (the extra level of indirection of Fig. 4(c)).
-  INSIGHT_ASSIGN_OR_RETURN(Tuple storage_row,
-                           mgr_->storage_table()->Get(hit.payload, snap));
-  const Oid oid = static_cast<Oid>(storage_row.at(0).AsInt());
+  // Conventional: indexed-object row -> OID-index probe -> heap read (the
+  // extra level of indirection of Fig. 4(c)). The storage row is read
+  // even though its OID is the tuple's: the pointer lands on the indexed
+  // object, and a tuple without a visible one is not a hit.
+  const Oid oid = static_cast<Oid>(hit.payload);
+  INSIGHT_RETURN_NOT_OK(mgr_->storage_table()->Get(oid, snap).status());
   if (oid_out != nullptr) *oid_out = oid;
   return mgr_->base()->Get(oid, snap);
 }
@@ -465,12 +462,12 @@ Result<Tuple> SummaryBTree::FetchDataTupleWithSummaries(
     INSIGHT_ASSIGN_OR_RETURN(*summaries, mgr_->GetSummaries(oid, snap));
     return tuple;
   }
+  const Oid oid = static_cast<Oid>(hit.payload);
   INSIGHT_ASSIGN_OR_RETURN(Tuple storage_row,
-                           mgr_->storage_table()->Get(hit.payload, snap));
-  const Oid oid = static_cast<Oid>(storage_row.at(0).AsInt());
+                           mgr_->storage_table()->Get(oid, snap));
   if (oid_out != nullptr) *oid_out = oid;
   INSIGHT_ASSIGN_OR_RETURN(
-      *summaries, SummarySet::Deserialize(storage_row.at(1).AsString()));
+      *summaries, SummarySet::Deserialize(storage_row.at(0).AsString()));
   return mgr_->base()->Get(oid, snap);
 }
 

@@ -57,7 +57,8 @@ struct SummaryIndexHit {
 /// data tuples in the user relation R, not of the indexed objects.
 ///
 /// The conventional-pointer variant (Fig. 13's comparison arm) stores the
-/// summary-storage row instead and joins back to R at query time.
+/// summary-storage row's OID (which is the data tuple's OID) instead and
+/// joins back to R at query time through that row.
 ///
 /// Maintenance is event-driven: creation subscribes to the instance's
 /// SummaryManager events and applies the per-label delete+re-insert
@@ -66,7 +67,7 @@ class SummaryBTree {
  public:
   enum class PointerMode {
     kBackward,      // Leaf payload = RowLocation in R's heap (+ OID).
-    kConventional,  // Leaf payload = summary-storage row OID.
+    kConventional,  // Leaf payload = summary-storage row OID (= tuple OID).
   };
 
   struct Options {

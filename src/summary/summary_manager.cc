@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/string_util.h"
-#include "index/key_codec.h"
 
 namespace insight {
 
@@ -45,9 +44,7 @@ Result<std::unique_ptr<SummaryManager>> SummaryManager::Create(
   INSIGHT_ASSIGN_OR_RETURN(
       mgr->storage_,
       catalog->CreateTable(base->name() + "_SummaryStorage",
-                           Schema({{"tuple_oid", ValueType::kInt64},
-                                   {"blob", ValueType::kString}})));
-  INSIGHT_RETURN_NOT_OK(mgr->storage_->CreateColumnIndex("tuple_oid"));
+                           Schema({{"blob", ValueType::kString}})));
   // Feed the base table's zone maps: label bounds must follow a row's
   // versions to whatever heap page they land on, and maintenance needs
   // the all-versions union when it re-derives a page.
@@ -89,17 +86,16 @@ Status SummaryManager::UnlinkInstance(const std::string& name) {
   instances_.erase(instances_.begin() + pos);
 
   // Strip the instance's objects from every storage row (admin scan).
-  std::vector<std::pair<Oid, Oid>> rows;  // (storage row, tuple oid)
+  std::vector<std::pair<Oid, SummarySet>> rows;
   auto it = storage_->Scan();
-  Oid row_oid;
+  Oid tuple_oid;
   Tuple row;
-  while (it.Next(&row_oid, &row)) {
-    rows.emplace_back(row_oid, static_cast<Oid>(row.at(0).AsInt()));
+  while (it.Next(&tuple_oid, &row)) {
+    INSIGHT_ASSIGN_OR_RETURN(SummarySet set,
+                             SummarySet::Deserialize(row.at(0).AsString()));
+    rows.emplace_back(tuple_oid, std::move(set));
   }
-  for (const auto& [storage_row, tuple_oid] : rows) {
-    INSIGHT_ASSIGN_OR_RETURN(Tuple blob_row, storage_->Get(storage_row));
-    INSIGHT_ASSIGN_OR_RETURN(
-        SummarySet set, SummarySet::Deserialize(blob_row.at(1).AsString()));
+  for (auto& [tuple_oid, set] : rows) {
     std::vector<SummaryObject> kept;
     const SummaryObject* removed = nullptr;
     SummaryObject removed_copy;
@@ -112,8 +108,8 @@ Status SummaryManager::UnlinkInstance(const std::string& name) {
       }
     }
     if (removed == nullptr) continue;
-    INSIGHT_RETURN_NOT_OK(
-        SaveSummaries(tuple_oid, storage_row, SummarySet(std::move(kept))));
+    INSIGHT_RETURN_NOT_OK(SaveSummaries(tuple_oid, /*exists=*/true,
+                                        SummarySet(std::move(kept))));
     INSIGHT_RETURN_NOT_OK(Notify(tuple_oid, instance_id, removed, nullptr));
   }
   return Status::OK();
@@ -137,85 +133,42 @@ bool SummaryManager::HasInstance(uint32_t instance_id) const {
 
 Status SummaryManager::CollectLabelZoneCounts(
     Oid tuple_oid, std::vector<std::pair<std::string, int64_t>>* out) const {
-  const BTree* idx = storage_->GetColumnIndex("tuple_oid");
-  if (idx == nullptr) return Status::OK();
-  INSIGHT_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> hits,
-      idx->Lookup(EncodeIndexKey(Value::Int(static_cast<int64_t>(tuple_oid)))));
-  for (uint64_t hit : hits) {
-    // Union over every stored version of the summary row, any stamp: a
-    // zone rebuilt from this union stays conservative for any snapshot.
-    auto versions = storage_->GetVersionTuples(static_cast<Oid>(hit));
-    if (!versions.ok()) continue;
-    for (const Tuple& row : *versions) {
-      if (static_cast<Oid>(row.at(0).AsInt()) != tuple_oid) {
-        continue;  // Stale index entry from a reused slot.
-      }
-      auto set = SummarySet::Deserialize(row.at(1).AsString());
-      if (!set.ok()) continue;
-      AppendLabelZoneCounts(*set, out);
-    }
+  // Union over every stored version of the summary row, any stamp: a
+  // zone rebuilt from this union stays conservative for any snapshot.
+  INSIGHT_ASSIGN_OR_RETURN(std::vector<Tuple> versions,
+                           storage_->GetVersionTuples(tuple_oid));
+  for (const Tuple& row : versions) {
+    auto set = SummarySet::Deserialize(row.at(0).AsString());
+    if (!set.ok()) continue;
+    AppendLabelZoneCounts(*set, out);
   }
   return Status::OK();
 }
 
-Result<Oid> SummaryManager::FindStorageRow(Oid tuple_oid,
-                                           const Snapshot& snap) const {
-  const BTree* idx = storage_->GetColumnIndex("tuple_oid");
-  INSIGHT_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> hits,
-      idx->Lookup(EncodeIndexKey(Value::Int(static_cast<int64_t>(tuple_oid)))));
-  for (uint64_t hit : hits) {
-    auto row = storage_->Get(static_cast<Oid>(hit), snap);
-    if (!row.ok()) {
-      if (row.status().IsNotFound()) continue;  // Invisible version.
-      return row.status();
-    }
-    if (static_cast<Oid>(row.ValueOrDie().at(0).AsInt()) != tuple_oid) {
-      continue;  // Stale index entry from a sibling version.
-    }
-    return static_cast<Oid>(hit);
+Result<std::optional<SummarySet>> SummaryManager::ReadForWrite(
+    Oid tuple_oid, const Snapshot& snap) const {
+  auto row = storage_->Get(tuple_oid, snap);
+  if (row.ok()) {
+    INSIGHT_ASSIGN_OR_RETURN(
+        SummarySet set,
+        SummarySet::Deserialize(row.ValueOrDie().at(0).AsString()));
+    return std::optional<SummarySet>(std::move(set));
   }
-  return kInvalidOid;
+  if (!row.status().IsNotFound()) return row.status();
+  // No version is visible. If another open transaction created one (or
+  // committed it past our snapshot), two writers are racing to summarize
+  // the same tuple: first writer wins.
+  INSIGHT_RETURN_NOT_OK(storage_->CheckInsertConflict(tuple_oid, snap));
+  return std::optional<SummarySet>();
 }
 
-Result<Oid> SummaryManager::FindStorageRowForWrite(Oid tuple_oid,
-                                                   const Snapshot& snap) const {
-  const BTree* idx = storage_->GetColumnIndex("tuple_oid");
-  INSIGHT_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> hits,
-      idx->Lookup(EncodeIndexKey(Value::Int(static_cast<int64_t>(tuple_oid)))));
-  for (uint64_t hit : hits) {
-    auto row = storage_->Get(static_cast<Oid>(hit), snap);
-    if (row.ok()) {
-      if (static_cast<Oid>(row.ValueOrDie().at(0).AsInt()) != tuple_oid) {
-        continue;
-      }
-      return static_cast<Oid>(hit);
-    }
-    if (!row.status().IsNotFound()) return row.status();
-    // The storage row exists but is invisible. If another open
-    // transaction created it (or committed it past our snapshot), two
-    // writers are racing to summarize the same tuple: first writer wins.
-    INSIGHT_RETURN_NOT_OK(
-        storage_->CheckInsertConflict(static_cast<Oid>(hit), snap));
-  }
-  return kInvalidOid;
-}
-
-Status SummaryManager::SaveSummaries(Oid tuple_oid, Oid storage_row,
+Status SummaryManager::SaveSummaries(Oid tuple_oid, bool exists,
                                      const SummarySet& set) {
   std::string blob;
   set.Serialize(&blob);
-  Tuple row({Value::Int(static_cast<int64_t>(tuple_oid)),
-             Value::String(std::move(blob))});
-  Status saved;
-  if (storage_row == kInvalidOid) {
-    saved = storage_->Insert(row).status();
-  } else {
-    saved = storage_->Update(storage_row, row);
-  }
-  INSIGHT_RETURN_NOT_OK(saved);
+  Tuple row({Value::String(std::move(blob))});
+  INSIGHT_RETURN_NOT_OK(exists ? storage_->Update(tuple_oid, row)
+                               : storage_->InsertWithOid(tuple_oid, row));
   // Every summary mutation funnels through here (including WAL replay
   // and snapshot restore), which is what makes "no label entry on a
   // tracked page => no annotated row there" a zone-map invariant: widen
@@ -302,14 +255,10 @@ Status SummaryManager::SummarizeAdded(
     per_tuple[t.oid] |= t.column_mask;
   }
   for (const auto& [oid, mask] : per_tuple) {
-    INSIGHT_ASSIGN_OR_RETURN(Oid storage_row,
-                             FindStorageRowForWrite(oid, snap));
-    SummarySet set;
-    if (storage_row != kInvalidOid) {
-      INSIGHT_ASSIGN_OR_RETURN(Tuple row, storage_->Get(storage_row, snap));
-      INSIGHT_ASSIGN_OR_RETURN(set,
-                               SummarySet::Deserialize(row.at(1).AsString()));
-    }
+    INSIGHT_ASSIGN_OR_RETURN(std::optional<SummarySet> stored,
+                             ReadForWrite(oid, snap));
+    const bool exists = stored.has_value();
+    SummarySet set = exists ? std::move(*stored) : SummarySet();
     // Apply every instance first, then persist, then notify: index
     // listeners must observe the storage row already in place (backward
     // and conventional pointers both resolve through it or the base heap).
@@ -339,7 +288,7 @@ Status SummaryManager::SummarizeAdded(
       event.after = *obj;
       events.push_back(std::move(event));
     }
-    INSIGHT_RETURN_NOT_OK(SaveSummaries(oid, storage_row, set));
+    INSIGHT_RETURN_NOT_OK(SaveSummaries(oid, exists, set));
     for (const Event& event : events) {
       INSIGHT_RETURN_NOT_OK(
           Notify(oid, event.instance_id,
@@ -358,12 +307,10 @@ Status SummaryManager::RemoveAnnotation(AnnId ann) {
 
   const AnnotationResolver resolver = MakeResolver();
   for (Oid oid : tuples) {
-    INSIGHT_ASSIGN_OR_RETURN(Oid storage_row,
-                             FindStorageRowForWrite(oid, snap));
-    if (storage_row == kInvalidOid) continue;
-    INSIGHT_ASSIGN_OR_RETURN(Tuple row, storage_->Get(storage_row, snap));
-    INSIGHT_ASSIGN_OR_RETURN(SummarySet set,
-                             SummarySet::Deserialize(row.at(1).AsString()));
+    INSIGHT_ASSIGN_OR_RETURN(std::optional<SummarySet> stored,
+                             ReadForWrite(oid, snap));
+    if (!stored.has_value()) continue;
+    SummarySet& set = *stored;
     for (const SummaryInstance& inst : instances_) {
       SummaryObject* obj = set.GetSummaryObject(inst.name());
       if (obj == nullptr) continue;
@@ -373,7 +320,7 @@ Status SummaryManager::RemoveAnnotation(AnnId ann) {
       INSIGHT_RETURN_NOT_OK(st);
       INSIGHT_RETURN_NOT_OK(Notify(oid, inst.id(), &before, obj));
     }
-    INSIGHT_RETURN_NOT_OK(SaveSummaries(oid, storage_row, set));
+    INSIGHT_RETURN_NOT_OK(SaveSummaries(oid, /*exists=*/true, set));
   }
   return annotations_->Delete(ann);
 }
@@ -381,34 +328,34 @@ Status SummaryManager::RemoveAnnotation(AnnId ann) {
 Status SummaryManager::OnTupleDeleted(Oid oid) {
   Transaction* txn = CurrentTxn();
   const Snapshot snap = txn != nullptr ? txn->snapshot() : Snapshot::Latest();
-  INSIGHT_ASSIGN_OR_RETURN(Oid storage_row, FindStorageRowForWrite(oid, snap));
-  if (storage_row == kInvalidOid) return Status::OK();
-  INSIGHT_ASSIGN_OR_RETURN(Tuple row, storage_->Get(storage_row, snap));
-  INSIGHT_ASSIGN_OR_RETURN(SummarySet set,
-                           SummarySet::Deserialize(row.at(1).AsString()));
-  for (const SummaryObject& obj : set.objects()) {
+  INSIGHT_ASSIGN_OR_RETURN(std::optional<SummarySet> stored,
+                           ReadForWrite(oid, snap));
+  if (!stored.has_value()) return Status::OK();
+  for (const SummaryObject& obj : stored->objects()) {
     INSIGHT_RETURN_NOT_OK(Notify(oid, obj.instance_id, &obj, nullptr));
   }
-  return storage_->Delete(storage_row);
+  return storage_->Delete(oid);
 }
 
 Result<SummarySet> SummaryManager::GetSummaries(Oid oid,
                                                 const Snapshot& snap) const {
-  INSIGHT_ASSIGN_OR_RETURN(Oid storage_row, FindStorageRow(oid, snap));
-  if (storage_row == kInvalidOid) return SummarySet();
-  INSIGHT_ASSIGN_OR_RETURN(Tuple row, storage_->Get(storage_row, snap));
-  return SummarySet::Deserialize(row.at(1).AsString());
+  auto row = storage_->Get(oid, snap);
+  if (!row.ok()) {
+    if (row.status().IsNotFound()) return SummarySet();  // Un-annotated.
+    return row.status();
+  }
+  return SummarySet::Deserialize(row.ValueOrDie().at(0).AsString());
 }
 
 Status SummaryManager::ForEachSummaryRow(
     const std::function<Status(Oid, const SummarySet&)>& fn) const {
   auto it = storage_->Scan();
-  Oid row_oid;
+  Oid tuple_oid;
   Tuple row;
-  while (it.Next(&row_oid, &row)) {
+  while (it.Next(&tuple_oid, &row)) {
     INSIGHT_ASSIGN_OR_RETURN(SummarySet set,
-                             SummarySet::Deserialize(row.at(1).AsString()));
-    INSIGHT_RETURN_NOT_OK(fn(static_cast<Oid>(row.at(0).AsInt()), set));
+                             SummarySet::Deserialize(row.at(0).AsString()));
+    INSIGHT_RETURN_NOT_OK(fn(tuple_oid, set));
   }
   return Status::OK();
 }

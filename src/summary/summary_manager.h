@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +20,8 @@ namespace insight {
 /// Per-relation orchestration of raw annotations and their summaries:
 ///   - owns the de-normalized `<rel>_SummaryStorage` table (one row per
 ///     annotated data tuple holding every serialized summary object —
-///     Figure 4(b)), linked 1-1 to the base table by tuple OID
+///     Figure 4(b)), linked 1-1 to the base table by sharing its tuple's
+///     OID: the storage row of tuple `t` is row `t`
 ///   - maintains summary objects incrementally as annotations arrive or
 ///     disappear (Section 2 of the base system)
 ///   - publishes before/after object events so summary indexes
@@ -63,20 +65,13 @@ class SummaryManager {
   Status OnTupleDeleted(Oid oid);
 
   /// The tuple's summary set (empty when un-annotated) as visible to
-  /// `snap`. This is the propagation fast path: one index probe + one
+  /// `snap`. This is the propagation fast path: one OID-index probe + one
   /// de-normalized row read.
   Result<SummarySet> GetSummaries(
       Oid oid, const Snapshot& snap = Snapshot::Latest()) const;
 
-  /// OID of the tuple's `<rel>_SummaryStorage` row (kInvalidOid when the
-  /// tuple is un-annotated). Conventional-pointer summary indexes store
-  /// this as their payload.
-  Result<Oid> StorageRowFor(Oid tuple_oid,
-                            const Snapshot& snap = Snapshot::Latest()) const {
-    return FindStorageRow(tuple_oid, snap);
-  }
-
-  /// The de-normalized storage table itself (1-1 with annotated tuples).
+  /// The de-normalized storage table itself (1-1 with annotated tuples,
+  /// rows `(blob)` keyed by the data tuple's OID).
   Table* storage_table() const { return storage_; }
 
   /// Invokes `fn` for every (tuple, summary set) row — bulk index builds.
@@ -104,8 +99,7 @@ class SummaryManager {
   Table* base() const { return base_; }
   AnnotationStore* annotations() const { return annotations_; }
 
-  /// Bytes used by the de-normalized summary storage (heap + oid index +
-  /// the tuple_oid lookup index).
+  /// Bytes used by the de-normalized summary storage (heap + OID index).
   uint64_t summary_storage_bytes() const;
 
  private:
@@ -120,17 +114,13 @@ class SummaryManager {
       Oid tuple_oid,
       std::vector<std::pair<std::string, int64_t>>* out) const;
 
-  /// Storage-row OID for a tuple as visible to `snap`, or kInvalidOid
-  /// when absent.
-  Result<Oid> FindStorageRow(Oid tuple_oid, const Snapshot& snap) const;
-
-  /// FindStorageRow for the write path: additionally returns kAborted
-  /// (first-writer-wins) when the tuple's storage row exists but is
-  /// invisible because another open transaction created or superseded it
-  /// — two concurrent annotators of one tuple must not both insert a
-  /// storage row.
-  Result<Oid> FindStorageRowForWrite(Oid tuple_oid,
-                                     const Snapshot& snap) const;
+  /// The tuple's stored summary set as visible to `snap` (nullopt when
+  /// it has no visible storage row) for a writer about to change it.
+  /// Returns kAborted (first-writer-wins) when the storage row exists but
+  /// is invisible because another open transaction created or superseded
+  /// it — two concurrent annotators of one tuple must not both insert one.
+  Result<std::optional<SummarySet>> ReadForWrite(Oid tuple_oid,
+                                                 const Snapshot& snap) const;
 
   /// Incremental maintenance shared by AddAnnotation / AddAnnotationWithId:
   /// folds a freshly stored annotation into every targeted tuple's
@@ -138,14 +128,16 @@ class SummaryManager {
   Status SummarizeAdded(AnnId ann, const std::string& text,
                         const std::vector<AnnotationTarget>& targets);
 
-  Status SaveSummaries(Oid tuple_oid, Oid storage_row, const SummarySet& set);
+  /// Writes the tuple's storage row: an update when `exists`, else an
+  /// insert under the tuple's OID.
+  Status SaveSummaries(Oid tuple_oid, bool exists, const SummarySet& set);
 
   Status Notify(Oid oid, uint32_t instance_id, const SummaryObject* before,
                 const SummaryObject* after);
 
   Table* base_;
   AnnotationStore* annotations_;
-  Table* storage_ = nullptr;  // (tuple_oid INT, blob STRING)
+  Table* storage_ = nullptr;  // (blob STRING), row OID = tuple OID
   std::vector<SummaryInstance> instances_;
   std::map<uint32_t, std::vector<std::pair<ListenerId, Listener>>>
       listeners_;

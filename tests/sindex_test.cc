@@ -270,6 +270,8 @@ TEST_F(SindexTest, ConventionalPointersResolveThroughStorage) {
   opts.pointer_mode = SummaryBTree::PointerMode::kConventional;
   auto index =
       *SummaryBTree::Create(&storage_, &pool_, mgr_.get(), "ClassBird1", opts);
+  auto backward = *SummaryBTree::Create(&storage_, &pool_, mgr_.get(),
+                                        "ClassBird1", SummaryBTree::Options{});
   auto hits = index->Search(ClassifierProbe::Equal("Disease", 4));
   ASSERT_TRUE(hits.ok());
   ASSERT_EQ(hits->size(), 1u);
@@ -278,6 +280,29 @@ TEST_F(SindexTest, ConventionalPointersResolveThroughStorage) {
   ASSERT_TRUE(tuple.ok());
   EXPECT_EQ(oid, 11u);
   EXPECT_EQ(tuple->at(0).AsString(), "bird10");
+
+  // Both side tables are keyed by their owner's id alone.
+  EXPECT_TRUE(mgr_->storage_table()->IndexedColumns().empty());
+  EXPECT_TRUE((*catalog_.GetTable("Birds_Annotations"))
+                  ->IndexedColumns()
+                  .empty());
+
+  // The conventional payload equals the tuple OID, yet the pointer must
+  // still resolve through the storage row: with that row physically gone
+  // the hit no longer resolves. Backward pointers never touch it.
+  ASSERT_TRUE(mgr_->storage_table()->Delete(11).ok());
+  EXPECT_TRUE(index->FetchDataTuple((*hits)[0]).status().IsNotFound());
+  SummarySet summaries;
+  EXPECT_TRUE(index->FetchDataTupleWithSummaries((*hits)[0], &summaries)
+                  .status()
+                  .IsNotFound());
+  auto bwd_hits = backward->Search(ClassifierProbe::Equal("Disease", 4));
+  ASSERT_TRUE(bwd_hits.ok());
+  ASSERT_EQ(bwd_hits->size(), 1u);
+  auto bwd_tuple = backward->FetchDataTuple((*bwd_hits)[0], &oid);
+  ASSERT_TRUE(bwd_tuple.ok()) << bwd_tuple.status().ToString();
+  EXPECT_EQ(oid, 11u);
+  EXPECT_EQ(bwd_tuple->at(0).AsString(), "bird10");
 }
 
 TEST_F(SindexTest, BaselineIndexAnswersSameQueries) {

@@ -4,6 +4,7 @@
 #include "index/catalog.h"
 #include "mining/naive_bayes.h"
 #include "summary/summary_manager.h"
+#include "txn/transaction_manager.h"
 
 namespace insight {
 namespace {
@@ -200,6 +201,102 @@ TEST_F(SummaryManagerTest, OnTupleDeletedDropsStorageRow) {
   EXPECT_TRUE(mgr_->GetSummaries(10)->empty());
   // Idempotent for never-annotated tuples.
   EXPECT_TRUE(mgr_->OnTupleDeleted(10).ok());
+}
+
+// ---------- Storage rows keyed by tuple OID, under transactions ----------
+
+TEST_F(SummaryManagerTest, StorageRowSharesItsTuplesOid) {
+  mgr_->AddAnnotation("disease infection", {{4, 1}}).status();
+  Table* storage = mgr_->storage_table();
+  EXPECT_TRUE(storage->IndexedColumns().empty());
+  EXPECT_EQ(storage->schema().num_columns(), 1u);
+  EXPECT_EQ(storage->num_rows(), 1u);
+  EXPECT_TRUE(storage->Get(4).ok());
+  EXPECT_TRUE(storage->Get(5).status().IsNotFound());
+}
+
+TEST_F(SummaryManagerTest, RolledBackFirstAnnotateLeavesNoStorageRow) {
+  TransactionManager txns;
+  Transaction* doomed = *txns.Begin();
+  {
+    TxnScope scope(doomed);
+    ASSERT_TRUE(
+        mgr_->AddAnnotation("disease infection sick", {{2, 1}}).ok());
+    EXPECT_EQ(*mgr_->GetSummaries(2, doomed->snapshot())
+                   ->GetSummaryObject("ClassBird1")
+                   ->GetLabelValue("Disease"),
+              1);
+  }
+  ASSERT_TRUE(txns.Abort(doomed->id()).ok());
+  EXPECT_TRUE(mgr_->storage_table()->Get(2).status().IsNotFound());
+  EXPECT_TRUE(mgr_->storage_table()->GetVersionTuples(2)->empty());
+  EXPECT_TRUE(mgr_->GetSummaries(2)->empty());
+
+  // A later ANNOTATE of the same tuple inserts the row afresh.
+  Transaction* later = *txns.Begin();
+  {
+    TxnScope scope(later);
+    ASSERT_TRUE(
+        mgr_->AddAnnotation("nesting feeding behavior flight", {{2, 1}})
+            .ok());
+  }
+  ASSERT_TRUE(txns.Commit(later->id()).ok());
+  auto set = mgr_->GetSummaries(2);
+  ASSERT_TRUE(set.ok());
+  const SummaryObject* cls = set->GetSummaryObject("ClassBird1");
+  ASSERT_NE(cls, nullptr);
+  EXPECT_EQ(*cls->GetLabelValue("Disease"), 0);
+  EXPECT_EQ(*cls->GetLabelValue("Behavior"), 1);
+  EXPECT_EQ(store_->ForTuple(2)->size(), 1u);
+}
+
+TEST_F(SummaryManagerTest, SnapshotBeforeFirstAnnotationSeesNoSummaries) {
+  TransactionManager txns;
+  Transaction* reader = *txns.Begin();
+  Transaction* writer = *txns.Begin();
+  {
+    TxnScope scope(writer);
+    ASSERT_TRUE(mgr_->AddAnnotation("disease infection", {{3, 1}}).ok());
+  }
+  ASSERT_TRUE(txns.Commit(writer->id()).ok());
+
+  // The older snapshot predates the storage row and the annotation.
+  EXPECT_TRUE(mgr_->GetSummaries(3, reader->snapshot())->empty());
+  EXPECT_TRUE(store_->ForTuple(3, reader->snapshot())->empty());
+  {
+    // Its own first ANNOTATE of the tuple loses to the committed one.
+    TxnScope scope(reader);
+    EXPECT_TRUE(mgr_->AddAnnotation("disease again", {{3, 1}})
+                    .status()
+                    .IsAborted());
+  }
+  ASSERT_TRUE(txns.Abort(reader->id()).ok());
+
+  // A fresh snapshot sees both.
+  const Snapshot fresh = txns.LatestSnapshot();
+  auto set = mgr_->GetSummaries(3, fresh);
+  ASSERT_TRUE(set.ok());
+  EXPECT_EQ(*set->GetSummaryObject("ClassBird1")->GetLabelValue("Disease"),
+            1);
+  auto zoom = store_->ForTuple(3, fresh);
+  ASSERT_EQ(zoom->size(), 1u);
+  EXPECT_EQ((*zoom)[0].text, "disease infection");
+}
+
+TEST_F(SummaryManagerTest, AddWithIdOnAVisibleIdIsAlreadyExists) {
+  const AnnId ann = *mgr_->AddAnnotation("disease infection", {{6, 1}});
+  EXPECT_EQ(store_->AddWithId(ann, "duplicate", {{5, 1}}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(mgr_->AddAnnotationWithId(ann, "duplicate", {{5, 1}}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(*store_->GetText(ann), "disease infection");
+  EXPECT_TRUE(mgr_->GetSummaries(5)->empty());
+
+  // Once removed, the id is free again (replay re-adds it this way).
+  ASSERT_TRUE(mgr_->RemoveAnnotation(ann).ok());
+  ASSERT_TRUE(mgr_->AddAnnotationWithId(ann, "nesting behavior", {{5, 1}})
+                  .ok());
+  EXPECT_EQ(*store_->GetText(ann), "nesting behavior");
 }
 
 TEST_F(SummaryManagerTest, ForEachSummaryRowVisitsAllAnnotatedTuples) {

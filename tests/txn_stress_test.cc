@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -63,6 +64,32 @@ std::vector<Oid> ProbeOids(const SummaryBTree& index,
   }
   std::sort(oids.begin(), oids.end());
   return oids;
+}
+
+/// Classifier label counts of one tuple's stored summary set, keyed by
+/// (instance, label).
+std::map<std::pair<std::string, std::string>, int64_t> LabelCounts(
+    SummaryManager* mgr, Oid oid) {
+  auto set = mgr->GetSummaries(oid);
+  EXPECT_TRUE(set.ok()) << set.status().ToString();
+  std::map<std::pair<std::string, std::string>, int64_t> counts;
+  if (!set.ok()) return counts;
+  for (const SummaryObject& obj : set->objects()) {
+    if (obj.type != SummaryType::kClassifier) continue;
+    for (const Representative& rep : obj.reps) {
+      counts[{obj.instance_name, rep.text}] = rep.count;
+    }
+  }
+  return counts;
+}
+
+std::multiset<std::string> ZoomTexts(Database* db, Oid oid) {
+  auto annotations = db->ZoomIn("Items", oid);
+  EXPECT_TRUE(annotations.ok()) << annotations.status().ToString();
+  std::multiset<std::string> texts;
+  if (!annotations.ok()) return texts;
+  for (const Annotation& ann : *annotations) texts.insert(ann.text);
+  return texts;
 }
 
 /// One writer's workload: each iteration retries a whole transaction
@@ -229,6 +256,16 @@ TEST(TxnStressTest, InterleavedTxnsEqualSerialReplayOfCommitted) {
     EXPECT_EQ(ProbeOids(*got, ClassifierProbe::Range(label, 1, max_count)),
               ProbeOids(*want, ClassifierProbe::Range(label, 1, max_count)))
         << label;
+  }
+
+  // (4) The stored summary sets and zoom-ins of the contended tuples
+  // match the reference too: rolled-back and conflict-aborted attempts
+  // left nothing in the storage rows, and every commit is counted once.
+  SummaryManager* want_mgr = *reference.GetManager("Items");
+  for (Oid oid = 1; oid <= static_cast<Oid>(kSharedTuples); ++oid) {
+    EXPECT_FALSE(LabelCounts(want_mgr, oid).empty()) << oid;
+    EXPECT_EQ(LabelCounts(mgr, oid), LabelCounts(want_mgr, oid)) << oid;
+    EXPECT_EQ(ZoomTexts(&db, oid), ZoomTexts(&reference, oid)) << oid;
   }
   EXPECT_GT(conflicts.load(), 0)
       << "the workload never conflicted; contention is not being tested";
