@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "index/btree.h"
@@ -48,6 +52,35 @@ void BM_BTreeLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// One batch of 1,024 random keys, sorted, resolved by a single LookupMany
+// walk (one descent per leaf run). Items are keys, so per-key cost is
+// 1 / items_per_second, comparable with BM_BTreeLookup's.
+void BM_BTreeLookupMany(benchmark::State& state) {
+  constexpr int64_t kBatch = 1024;
+  StorageManager storage(StorageManager::Backend::kMemory);
+  BufferPool pool(&storage, 4096);
+  FileId file = *storage.CreateFile("bt");
+  BTree tree = std::move(BTree::Create(&pool, file)).ValueOrDie();
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    (void)tree.Insert("key:" + ZeroPad(i, 6), static_cast<uint64_t>(i));
+  }
+  Rng rng(2);
+  std::vector<std::string> keys;
+  for (auto _ : state) {
+    state.PauseTiming();
+    keys.clear();
+    for (int64_t k = 0; k < kBatch; ++k) {
+      keys.push_back("key:" + ZeroPad(rng.Uniform(0, state.range(0) - 1), 6));
+    }
+    std::sort(keys.begin(), keys.end());
+    state.ResumeTiming();
+    auto hits = tree.LookupMany(keys);
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_BTreeLookupMany)->Arg(10000)->Arg(100000);
 
 void BM_HeapInsert(benchmark::State& state) {
   StorageManager storage(StorageManager::Backend::kMemory);

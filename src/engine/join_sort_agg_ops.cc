@@ -463,48 +463,59 @@ bool SortOp::summary_based() const {
   return false;
 }
 
-Result<int> SortOp::CompareRows(const Row& a, const Row& b) const {
+Result<SortOp::KeyedRow> SortOp::Decorate(Row row) const {
+  KeyedRow keyed;
+  keyed.keys.reserve(keys_.size());
   for (const SortKey& key : keys_) {
-    INSIGHT_ASSIGN_OR_RETURN(Value va, key.expr->Eval(a, child_->schema()));
-    INSIGHT_ASSIGN_OR_RETURN(Value vb, key.expr->Eval(b, child_->schema()));
-    int c = va.Compare(vb);
-    if (key.descending) c = -c;
-    if (c != 0) return c;
+    INSIGHT_ASSIGN_OR_RETURN(Value v, key.expr->Eval(row, child_->schema()));
+    keyed.keys.push_back(std::move(v));
   }
-  return 0;
+  keyed.row = std::move(row);
+  return keyed;
+}
+
+bool SortOp::Less(const KeyedRow& a, const KeyedRow& b) const {
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    int c = a.keys[i].Compare(b.keys[i]);
+    if (keys_[i].descending) c = -c;
+    if (c != 0) return c < 0;
+  }
+  return false;
 }
 
 namespace {
 std::atomic<uint64_t> g_spill_counter{1};
 }  // namespace
 
-Status SortOp::SpillRun(std::vector<Row>* run) {
-  // Sort the run, then write it to a fresh temporary heap file.
-  Status sort_status;
+Status SortOp::SpillRun(std::vector<KeyedRow>* run) {
   std::stable_sort(run->begin(), run->end(),
-                   [&](const Row& a, const Row& b) {
-                     auto c = CompareRows(a, b);
-                     if (!c.ok()) {
-                       sort_status = c.status();
-                       return false;
-                     }
-                     return *c < 0;
+                   [this](const KeyedRow& a, const KeyedRow& b) {
+                     return Less(a, b);
                    });
-  INSIGHT_RETURN_NOT_OK(sort_status);
   INSIGHT_ASSIGN_OR_RETURN(
       FileId file,
       storage_->CreateFile("tmp.sort." +
                            std::to_string(g_spill_counter.fetch_add(1))));
   Run r;
   r.file = std::make_unique<HeapFile>(pool_, file);
-  for (const Row& row : *run) {
+  for (const KeyedRow& keyed : *run) {
     std::string buf;
-    row.Serialize(&buf);
+    keyed.row.Serialize(&buf);
     INSIGHT_RETURN_NOT_OK(r.file->Insert(buf).status());
   }
   runs_.push_back(std::move(r));
   ++runs_spilled_;
   run->clear();
+  return Status::OK();
+}
+
+Status SortOp::Run::Advance(const SortOp& op) {
+  head.reset();
+  RowLocation loc;
+  std::string rec;
+  if (!it->Next(&loc, &rec)) return Status::OK();
+  INSIGHT_ASSIGN_OR_RETURN(Row row, Row::Deserialize(rec));
+  INSIGHT_ASSIGN_OR_RETURN(head, op.Decorate(std::move(row)));
   return Status::OK();
 }
 
@@ -519,7 +530,7 @@ Status SortOp::OpenImpl() {
     return Status::InvalidArgument("external sort needs storage + pool");
   }
   size_t bytes = 0;
-  std::vector<Row> buffer;
+  std::vector<KeyedRow> buffer;
   RowBatch input;
   input.set_capacity(batch_capacity());
   while (true) {
@@ -531,7 +542,8 @@ Status SortOp::OpenImpl() {
         row.Serialize(&tmp);
         bytes += tmp.size();
       }
-      buffer.push_back(std::move(row));
+      INSIGHT_ASSIGN_OR_RETURN(KeyedRow keyed, Decorate(std::move(row)));
+      buffer.push_back(std::move(keyed));
       if (mode_ == Mode::kExternal && bytes > memory_budget_) {
         INSIGHT_RETURN_NOT_OK(SpillRun(&buffer));
         bytes = 0;
@@ -541,17 +553,10 @@ Status SortOp::OpenImpl() {
   child_->Close();
 
   if (mode_ == Mode::kMemory || runs_.empty()) {
-    Status sort_status;
     std::stable_sort(buffer.begin(), buffer.end(),
-                     [&](const Row& a, const Row& b) {
-                       auto c = CompareRows(a, b);
-                       if (!c.ok()) {
-                         sort_status = c.status();
-                         return false;
-                       }
-                       return *c < 0;
+                     [this](const KeyedRow& a, const KeyedRow& b) {
+                       return Less(a, b);
                      });
-    INSIGHT_RETURN_NOT_OK(sort_status);
     sorted_ = std::move(buffer);
     return Status::OK();
   }
@@ -559,12 +564,7 @@ Status SortOp::OpenImpl() {
   if (!buffer.empty()) INSIGHT_RETURN_NOT_OK(SpillRun(&buffer));
   for (Run& run : runs_) {
     run.it.emplace(run.file->Scan());
-    RowLocation loc;
-    std::string rec;
-    if (run.it->Next(&loc, &rec)) {
-      INSIGHT_ASSIGN_OR_RETURN(Row head, Row::Deserialize(rec));
-      run.head = std::move(head);
-    }
+    INSIGHT_RETURN_NOT_OK(run.Advance(*this));
   }
   return Status::OK();
 }
@@ -572,7 +572,7 @@ Status SortOp::OpenImpl() {
 Result<bool> SortOp::NextBatchImpl(RowBatch* batch) {
   if (runs_.empty()) {
     while (!batch->full() && pos_ < sorted_.size()) {
-      batch->Push(sorted_[pos_++]);
+      batch->Push(std::move(sorted_[pos_++].row));
     }
     return !batch->empty();
   }
@@ -581,23 +581,13 @@ Result<bool> SortOp::NextBatchImpl(RowBatch* batch) {
     size_t best = runs_.size();
     for (size_t i = 0; i < runs_.size(); ++i) {
       if (!runs_[i].head.has_value()) continue;
-      if (best == runs_.size()) {
+      if (best == runs_.size() || Less(*runs_[i].head, *runs_[best].head)) {
         best = i;
-        continue;
       }
-      INSIGHT_ASSIGN_OR_RETURN(int c,
-                               CompareRows(*runs_[i].head, *runs_[best].head));
-      if (c < 0) best = i;
     }
     if (best == runs_.size()) break;
-    batch->Push(std::move(*runs_[best].head));
-    runs_[best].head.reset();
-    RowLocation loc;
-    std::string rec;
-    if (runs_[best].it->Next(&loc, &rec)) {
-      INSIGHT_ASSIGN_OR_RETURN(Row head, Row::Deserialize(rec));
-      runs_[best].head = std::move(head);
-    }
+    batch->Push(std::move(runs_[best].head->row));
+    INSIGHT_RETURN_NOT_OK(runs_[best].Advance(*this));
   }
   return !batch->empty();
 }

@@ -156,10 +156,10 @@ Result<std::vector<Row>> CollectRows(PhysicalOperator* root);
 // ---------- Scans ----------
 
 /// Heap-scan loop shared by SeqScanOp and ParallelScanOp: moves the live
-/// tuples of `it` into `batch` as rows until the batch fills, attaching
-/// each row's summary set when `mgr` is non-null. True once `it` runs dry.
-Result<bool> ScanHeapInto(Table::Iterator* it, SummaryManager* mgr,
-                          Snapshot snapshot, RowBatch* batch);
+/// tuples of `it` into `batch` as bare rows until the batch fills. True
+/// once `it` runs dry. A propagating scan then attaches the whole batch's
+/// summary sets with one SummaryManager::AttachSummaries call.
+bool ScanHeapInto(Table::Iterator* it, RowBatch* batch);
 
 /// Base of the access paths over one stored relation. A scan emits the
 /// relation's columns under their base names, or as `rel.col` once the
@@ -692,7 +692,10 @@ struct SortKey {
 /// Sort operator serving both the standard ORDER BY and the paper's
 /// summary-based sort O (keys may be summary functions). kMemory sorts
 /// in RAM; kExternal spills sorted runs to temporary heap files and
-/// k-way-merges them (the Disk arm of Fig. 14).
+/// k-way-merges them (the Disk arm of Fig. 14). Each row's keys are
+/// evaluated once, as it arrives (or as a spilled row is read back), so
+/// comparisons never evaluate and a key that fails to evaluate fails the
+/// statement whatever the input size.
 class SortOp : public PhysicalOperator {
  public:
   enum class Mode { kMemory, kExternal };
@@ -720,8 +723,17 @@ class SortOp : public PhysicalOperator {
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
-  Result<int> CompareRows(const Row& a, const Row& b) const;
-  Status SpillRun(std::vector<Row>* run);
+  /// A row decorated with its evaluated sort keys.
+  struct KeyedRow {
+    std::vector<Value> keys;
+    Row row;
+  };
+  Result<KeyedRow> Decorate(Row row) const;
+  /// Key order (DESC keys reversed); equal keys compare false, so
+  /// stable_sort keeps arrival order among ties.
+  bool Less(const KeyedRow& a, const KeyedRow& b) const;
+  /// Sorts `run` and writes it to a fresh temporary heap file.
+  Status SpillRun(std::vector<KeyedRow>* run);
 
   OpPtr child_;
   std::vector<SortKey> keys_;
@@ -729,13 +741,15 @@ class SortOp : public PhysicalOperator {
   StorageManager* storage_;
   BufferPool* pool_;
   size_t memory_budget_;
-  std::vector<Row> sorted_;  // kMemory result buffer.
+  std::vector<KeyedRow> sorted_;  // kMemory result buffer.
   size_t pos_ = 0;
   // kExternal state.
   struct Run {
     std::unique_ptr<HeapFile> file;
     std::optional<HeapFile::Iterator> it;
-    std::optional<Row> head;
+    std::optional<KeyedRow> head;
+    /// Reads the next row of the run into `head` (empty at the end).
+    Status Advance(const SortOp& op);
   };
   std::vector<Run> runs_;
   uint64_t runs_spilled_ = 0;

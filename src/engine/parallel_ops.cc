@@ -47,10 +47,10 @@ Result<bool> ParallelScanOp::NextBatchImpl(RowBatch* batch) {
       if (!morsels_->Next(&begin, &end)) break;
       OpenMorsel(begin, end);
     }
-    INSIGHT_ASSIGN_OR_RETURN(
-        bool morsel_done,
-        ScanHeapInto(&*it_, propagate_ ? mgr_ : nullptr, snapshot(), batch));
-    if (morsel_done) it_.reset();
+    if (ScanHeapInto(&*it_, batch)) it_.reset();
+  }
+  if (propagate_) {
+    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
   }
   return !batch->empty();
 }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -113,15 +114,10 @@ Result<std::vector<Row>> CollectRows(PhysicalOperator* root) {
 
 // ---------- SeqScanOp ----------
 
-Result<bool> ScanHeapInto(Table::Iterator* it, SummaryManager* mgr,
-                          Snapshot snapshot, RowBatch* batch) {
+bool ScanHeapInto(Table::Iterator* it, RowBatch* batch) {
   while (!batch->full()) {
     Row row;
     if (!it->Next(&row.oid, &row.data)) return true;
-    if (mgr != nullptr) {
-      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                               mgr->GetSummaries(row.oid, snapshot));
-    }
     batch->Push(std::move(row));
   }
   return false;
@@ -146,9 +142,10 @@ Status SeqScanOp::OpenImpl() {
 }
 
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* batch) {
-  auto scanned =
-      ScanHeapInto(&*it_, propagate_ ? mgr_ : nullptr, snapshot(), batch);
-  if (!scanned.ok()) return scanned.status();
+  ScanHeapInto(&*it_, batch);
+  if (propagate_) {
+    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
+  }
   return !batch->empty();
 }
 
@@ -242,11 +239,10 @@ Result<bool> IndexScanOp::NextBatchImpl(RowBatch* batch) {
     Row row;
     row.data = std::move(tuple);
     row.oid = oid;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
     batch->Push(std::move(row));
+  }
+  if (propagate_) {
+    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
   }
   return !batch->empty();
 }
@@ -295,21 +291,11 @@ Status SummaryIndexScanOp::OpenImpl() {
 }
 
 Result<bool> SummaryIndexScanOp::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full() && pos_ < hits_.size()) {
-    const SummaryIndexHit& hit = hits_[pos_++];
-    Oid oid = kInvalidOid;
-    Row row;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(
-          row.data, index_->FetchDataTupleWithSummaries(hit, &row.summaries,
-                                                        &oid, snapshot()));
-    } else {
-      INSIGHT_ASSIGN_OR_RETURN(row.data,
-                               index_->FetchDataTuple(hit, &oid, snapshot()));
-    }
-    row.oid = oid;
-    batch->Push(std::move(row));
-  }
+  const size_t n = std::min(batch->capacity(), hits_.size() - pos_);
+  INSIGHT_RETURN_NOT_OK(index_->FetchRows(
+      std::span<const SummaryIndexHit>(hits_).subspan(pos_, n), propagate_,
+      snapshot(), batch));
+  pos_ += n;
   return !batch->empty();
 }
 
@@ -348,7 +334,7 @@ const Schema& BaselineIndexScanOp::BaseSchema() const {
 Status BaselineIndexScanOp::OpenImpl() {
   ResetExec();
   pos_ = 0;
-  INSIGHT_ASSIGN_OR_RETURN(hits_, index_->Search(probe_));
+  INSIGHT_ASSIGN_OR_RETURN(hits_, index_->Search(probe_, snapshot()));
   return Status::OK();
 }
 
@@ -357,20 +343,19 @@ Result<bool> BaselineIndexScanOp::NextBatchImpl(RowBatch* batch) {
     const SummaryIndexHit& hit = hits_[pos_++];
     Oid oid = kInvalidOid;
     Row row;
-    INSIGHT_ASSIGN_OR_RETURN(row.data, index_->FetchDataTuple(hit, &oid));
+    INSIGHT_ASSIGN_OR_RETURN(row.data,
+                             index_->FetchDataTuple(hit, &oid, snapshot()));
     row.oid = oid;
-    if (propagate_) {
-      if (reconstruct_summaries_) {
-        // Fig. 12 arm: re-form the object from its normalized primitives.
-        INSIGHT_ASSIGN_OR_RETURN(SummaryObject obj,
-                                 index_->ReconstructObject(oid));
-        row.summaries = SummarySet({std::move(obj)});
-      } else {
-        INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                                 mgr_->GetSummaries(oid, snapshot()));
-      }
+    if (propagate_ && reconstruct_summaries_) {
+      // Fig. 12 arm: re-form the object from its normalized primitives.
+      INSIGHT_ASSIGN_OR_RETURN(SummaryObject obj,
+                               index_->ReconstructObject(oid));
+      row.summaries = SummarySet({std::move(obj)});
     }
     batch->Push(std::move(row));
+  }
+  if (propagate_ && !reconstruct_summaries_) {
+    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
   }
   return !batch->empty();
 }
@@ -416,21 +401,24 @@ Status KeywordIndexScanOp::OpenImpl() {
 }
 
 Result<bool> KeywordIndexScanOp::NextBatchImpl(RowBatch* batch) {
+  // Posting-list OIDs ascend, so each run of them is one GetMany walk.
   while (!batch->full() && pos_ < oids_.size()) {
-    const Oid oid = oids_[pos_++];
-    auto data = mgr_->base()->Get(oid, snapshot());
-    if (!data.ok()) {
-      if (data.status().IsNotFound()) continue;
-      return data.status();
+    const auto run = std::span<const Oid>(oids_).subspan(
+        pos_, std::min(batch->capacity() - batch->size(),
+                       oids_.size() - pos_));
+    pos_ += run.size();
+    INSIGHT_ASSIGN_OR_RETURN(auto tuples,
+                             mgr_->base()->GetMany(run, snapshot()));
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (!tuples[i].has_value()) continue;  // Not visible to us.
+      Row row;
+      row.data = std::move(*tuples[i]);
+      row.oid = run[i];
+      batch->Push(std::move(row));
     }
-    Row row;
-    row.data = std::move(data.ValueOrDie());
-    row.oid = oid;
-    if (propagate_) {
-      INSIGHT_ASSIGN_OR_RETURN(row.summaries,
-                               mgr_->GetSummaries(oid, snapshot()));
-    }
-    batch->Push(std::move(row));
+  }
+  if (propagate_) {
+    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
   }
   return !batch->empty();
 }

@@ -334,10 +334,49 @@ Result<bool> BTree::Contains(std::string_view key) const {
 }
 
 Result<std::vector<uint64_t>> BTree::Lookup(std::string_view key) const {
-  std::vector<uint64_t> out;
-  INSIGHT_ASSIGN_OR_RETURN(Iterator it, RangeScan(key, true, key, true));
-  for (; it.Valid(); it.Next()) out.push_back(it.value());
-  INSIGHT_RETURN_NOT_OK(it.status());
+  const std::string k(key);
+  INSIGHT_ASSIGN_OR_RETURN(auto hits, LookupMany({&k, 1}));
+  return std::move(hits.front());
+}
+
+Result<std::vector<std::vector<uint64_t>>> BTree::LookupMany(
+    std::span<const std::string> keys) const {
+  if (!std::is_sorted(keys.begin(), keys.end())) {
+    return Status::InvalidArgument("btree: LookupMany keys not sorted");
+  }
+  std::vector<std::vector<uint64_t>> out(keys.size());
+  std::shared_lock<std::shared_mutex> lk(*latch_);
+  // `leaf` is the current leaf. Every entry of the leaves chained before
+  // it sorts below the next key to look up, so while that key's lower
+  // bound falls inside `leaf` (or `leaf` is the last leaf) the walk needs
+  // no descent.
+  Node leaf;
+  bool descended = false;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && keys[i] == keys[i - 1]) {
+      out[i] = out[i - 1];
+      continue;
+    }
+    size_t pos = LowerBound(leaf.keys, leaf.values, keys[i], 0);
+    const bool last_leaf = descended && leaf.next_leaf == kInvalidPageId;
+    if (pos == leaf.keys.size() && !last_leaf) {
+      EngineMetrics::Get().btree_probes->Add(1);
+      INSIGHT_ASSIGN_OR_RETURN(PageId page, FindLeaf(keys[i], 0));
+      INSIGHT_ASSIGN_OR_RETURN(leaf, ReadNode(page));
+      descended = true;
+      pos = LowerBound(leaf.keys, leaf.values, keys[i], 0);
+    }
+    // A key's entries may continue into the following leaves (duplicates
+    // straddling a split, or a leaf emptied by lazy deletes).
+    while (true) {
+      for (; pos < leaf.keys.size() && leaf.keys[pos] == keys[i]; ++pos) {
+        out[i].push_back(leaf.values[pos]);
+      }
+      if (pos < leaf.keys.size() || leaf.next_leaf == kInvalidPageId) break;
+      INSIGHT_ASSIGN_OR_RETURN(leaf, ReadNode(leaf.next_leaf));
+      pos = 0;
+    }
+  }
   return out;
 }
 

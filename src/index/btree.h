@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -58,8 +59,17 @@ class BTree {
   /// True if at least one entry with this key exists.
   Result<bool> Contains(std::string_view key) const;
 
-  /// Collects the payloads of all entries with exactly this key.
+  /// Collects the payloads of all entries with exactly this key: the
+  /// one-key call of LookupMany.
   Result<std::vector<uint64_t>> Lookup(std::string_view key) const;
+
+  /// Batch point lookup. `keys` must be ascending (repeats allowed);
+  /// result `i` holds the payloads of key `i` in entry order (empty when
+  /// absent). One sorted walk: the tree is descended once per run of keys
+  /// that land on the same leaf, not once per key, and each descent counts
+  /// as one `btree_probes`. InvalidArgument when `keys` is not sorted.
+  Result<std::vector<std::vector<uint64_t>>> LookupMany(
+      std::span<const std::string> keys) const;
 
   /// Forward iterator over a [lower, upper] key range. The range is
   /// materialized when the iterator is created (under the tree latch);

@@ -81,6 +81,27 @@ Result<Table::DecodedRecord> Table::DecodeRecord(std::string_view rec) {
   return out;
 }
 
+Result<std::optional<Table::DecodedRecord>> Table::ReadVersion(
+    Oid oid, RowLocation loc) const {
+  auto rec = heap_->Get(loc);
+  if (!rec.ok()) {
+    // A concurrent GC/undo may have reclaimed this version between the
+    // index probe and the heap read; it was invisible to us anyway.
+    if (rec.status().IsNotFound()) return std::optional<DecodedRecord>();
+    return rec.status();
+  }
+  INSIGHT_ASSIGN_OR_RETURN(DecodedRecord decoded,
+                           DecodeRecord(rec.ValueOrDie()));
+  if (decoded.oid != oid) {
+    // Same race as NotFound, one step later: an aborted txn's undo freed
+    // the slot and a concurrent insert reused it before our stale index
+    // entry was pruned. The version that used to live here was never
+    // committed, so it is invisible to every snapshot — skip it.
+    return std::optional<DecodedRecord>();
+  }
+  return std::optional<DecodedRecord>(std::move(decoded));
+}
+
 Result<std::vector<std::pair<Table::DecodedRecord, RowLocation>>>
 Table::LoadVersions(Oid oid) const {
   INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> hits,
@@ -89,23 +110,9 @@ Table::LoadVersions(Oid oid) const {
   out.reserve(hits.size());
   for (uint64_t packed : hits) {
     const RowLocation loc = RowLocation::Unpack(packed);
-    auto rec = heap_->Get(loc);
-    if (!rec.ok()) {
-      // A concurrent GC/undo may have reclaimed this version between the
-      // index probe and the heap read; it was invisible to us anyway.
-      if (rec.status().IsNotFound()) continue;
-      return rec.status();
-    }
-    INSIGHT_ASSIGN_OR_RETURN(DecodedRecord decoded,
-                             DecodeRecord(rec.ValueOrDie()));
-    if (decoded.oid != oid) {
-      // Same race as NotFound, one step later: an aborted txn's undo freed
-      // the slot and a concurrent insert reused it before our stale index
-      // entry was pruned. The version that used to live here was never
-      // committed, so it is invisible to every snapshot — skip it.
-      continue;
-    }
-    out.emplace_back(std::move(decoded), loc);
+    INSIGHT_ASSIGN_OR_RETURN(std::optional<DecodedRecord> decoded,
+                             ReadVersion(oid, loc));
+    if (decoded.has_value()) out.emplace_back(std::move(*decoded), loc);
   }
   return out;
 }
@@ -223,13 +230,33 @@ Result<RowLocation> Table::DiskTupleLoc(Oid oid, const Snapshot& snap) const {
 }
 
 Result<Tuple> Table::Get(Oid oid, const Snapshot& snap) const {
-  INSIGHT_ASSIGN_OR_RETURN(auto versions, LoadVersions(oid));
-  for (auto& [rec, loc] : versions) {
-    if (VersionVisible(rec.begin, rec.end, snap)) {
-      return std::move(rec.tuple);
+  INSIGHT_ASSIGN_OR_RETURN(auto rows, GetMany({&oid, 1}, snap));
+  if (!rows.front().has_value()) {
+    return Status::NotFound("oid " + std::to_string(oid));
+  }
+  return std::move(*rows.front());
+}
+
+Result<std::vector<std::optional<Tuple>>> Table::GetMany(
+    std::span<const Oid> oids, const Snapshot& snap) const {
+  std::vector<std::string> keys;
+  keys.reserve(oids.size());
+  for (Oid oid : oids) keys.push_back(OidKey(oid));
+  INSIGHT_ASSIGN_OR_RETURN(auto hits, oid_index_->LookupMany(keys));
+  std::vector<std::optional<Tuple>> out(oids.size());
+  for (size_t i = 0; i < oids.size(); ++i) {
+    for (uint64_t packed : hits[i]) {
+      INSIGHT_ASSIGN_OR_RETURN(
+          std::optional<DecodedRecord> decoded,
+          ReadVersion(oids[i], RowLocation::Unpack(packed)));
+      if (decoded.has_value() &&
+          VersionVisible(decoded->begin, decoded->end, snap)) {
+        out[i] = std::move(decoded->tuple);
+        break;
+      }
     }
   }
-  return Status::NotFound("oid " + std::to_string(oid));
+  return out;
 }
 
 Result<Tuple> Table::GetAt(RowLocation loc, Oid* oid_out,

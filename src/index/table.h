@@ -5,6 +5,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,8 +65,19 @@ class Table {
   /// Names of columns that have a secondary index, in index order.
   std::vector<std::string> IndexedColumns() const;
 
-  /// Fetches the version visible to `snap` by OID.
+  /// Fetches the version visible to `snap` by OID (NotFound when none):
+  /// the one-oid call of GetMany.
   Result<Tuple> Get(Oid oid, const Snapshot& snap = Snapshot::Latest()) const;
+
+  /// Batch form of Get. `oids` must be ascending (repeats allowed); result
+  /// `i` is the version of `oids[i]` visible to `snap`, or nullopt when no
+  /// version is. A row's versions are tried in OID-index order and the
+  /// first visible one wins; index entries whose slot was reclaimed or
+  /// reused by another row are skipped. One BTree::LookupMany walk, so
+  /// the OID index is descended once per leaf run, not once per row.
+  Result<std::vector<std::optional<Tuple>>> GetMany(
+      std::span<const Oid> oids,
+      const Snapshot& snap = Snapshot::Latest()) const;
 
   /// The paper's diskTupleLoc(): heap location of the tuple version
   /// visible to `snap`, given its OID.
@@ -199,6 +212,11 @@ class Table {
 
   /// Shared insert path: stamps per CurrentTxn() and registers closures.
   Status InsertRecord(Oid oid, const Tuple& tuple);
+
+  /// Reads and decodes the version of `oid` at `loc`; nullopt when the
+  /// slot was reclaimed or now holds another row (a stale index entry).
+  Result<std::optional<DecodedRecord>> ReadVersion(Oid oid,
+                                                   RowLocation loc) const;
 
   /// Loads and decodes every version of `oid` (with tuples).
   Result<std::vector<std::pair<DecodedRecord, RowLocation>>> LoadVersions(

@@ -295,8 +295,9 @@ EngineMetrics& EngineMetrics::Get() {
                                          "Maintenance key deletes");
     m->sbtree_rebuilds = r.GetCounter("insight_sbtree_rebuilds_total",
                                       "Count-width widening rebuilds");
-    m->btree_probes = r.GetCounter("insight_btree_probes_total",
-                                   "Data B-Tree lookups and range scans");
+    m->btree_probes = r.GetCounter(
+        "insight_btree_probes_total",
+        "Data B-Tree descents (lookups, range scans, batched-lookup leaves)");
     m->heap_pages_scanned = r.GetCounter("insight_heap_pages_scanned_total",
                                          "Heap pages visited by scans");
     m->scan_pages_skipped =

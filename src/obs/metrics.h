@@ -194,6 +194,10 @@ struct EngineMetrics {
   Counter* sbtree_key_deletes;
   Counter* sbtree_rebuilds;
   // Data access paths.
+  // B-Tree descents (root to leaf): one per Lookup, RangeScan or
+  // ScanAll, and one per leaf run of a batched LookupMany, so a batch of
+  // sorted keys landing on one leaf counts once. Chained-leaf steps within
+  // a walk are not descents and are not counted.
   Counter* btree_probes;
   Counter* heap_pages_scanned;
   Counter* scan_pages_skipped;      // Heap pages pruned by zone maps.

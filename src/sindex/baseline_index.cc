@@ -116,7 +116,7 @@ Status BaselineClassifierIndex::OnObjectChanged(Oid oid,
 }
 
 Result<std::vector<SummaryIndexHit>> BaselineClassifierIndex::Search(
-    const ClassifierProbe& probe) const {
+    const ClassifierProbe& probe, const Snapshot& snap) const {
   const int64_t max_count = [&] {
     int64_t m = 9;
     for (int i = 1; i < options_.count_width; ++i) m = m * 10 + 9;
@@ -136,8 +136,15 @@ Result<std::vector<SummaryIndexHit>> BaselineClassifierIndex::Search(
   std::vector<SummaryIndexHit> hits;
   for (; it.Valid(); it.Next()) {
     // Index payload is the normalized-row OID; resolve to the data tuple
-    // OID (first level of indirection).
-    INSIGHT_ASSIGN_OR_RETURN(Tuple row, normalized_->Get(it.value()));
+    // OID (first level of indirection). An entry of a version `snap` does
+    // not see (uncommitted, rolled back, superseded or deleted) is stale.
+    auto visible = normalized_->Get(it.value(), snap);
+    if (!visible.ok()) {
+      if (visible.status().IsNotFound()) continue;
+      return visible.status();
+    }
+    const Tuple& row = visible.ValueOrDie();
+    if (EncodeIndexKey(row.at(3)) != it.key()) continue;
     hits.push_back(SummaryIndexHit{
         row.at(2).AsInt(), static_cast<uint64_t>(row.at(0).AsInt()),
         static_cast<Oid>(row.at(0).AsInt())});
@@ -147,9 +154,9 @@ Result<std::vector<SummaryIndexHit>> BaselineClassifierIndex::Search(
 }
 
 Result<Tuple> BaselineClassifierIndex::FetchDataTuple(
-    const SummaryIndexHit& hit, Oid* oid_out) const {
+    const SummaryIndexHit& hit, Oid* oid_out, const Snapshot& snap) const {
   if (oid_out != nullptr) *oid_out = hit.oid;
-  return mgr_->base()->Get(hit.oid);  // OID-index probe + heap read.
+  return mgr_->base()->Get(hit.oid, snap);  // OID-index probe + heap read.
 }
 
 Result<SummaryObject> BaselineClassifierIndex::ReconstructObject(

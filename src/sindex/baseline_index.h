@@ -35,12 +35,17 @@ class BaselineClassifierIndex {
   ~BaselineClassifierIndex();
 
   /// Hits in ascending count order. `payload` is the matching tuple's OID.
+  /// The derived index holds an entry for every stored version of a
+  /// normalized row, so each entry is kept only when the row version
+  /// visible to `snap` still carries its key.
   Result<std::vector<SummaryIndexHit>> Search(
-      const ClassifierProbe& probe) const;
+      const ClassifierProbe& probe,
+      const Snapshot& snap = Snapshot::Latest()) const;
 
   /// Data-tuple fetch through the OID index (the scheme's extra join).
   Result<Tuple> FetchDataTuple(const SummaryIndexHit& hit,
-                               Oid* oid_out = nullptr) const;
+                               Oid* oid_out = nullptr,
+                               const Snapshot& snap = Snapshot::Latest()) const;
 
   /// Re-forms the Classifier summary object of one tuple from its
   /// normalized rows — the propagation path measured in Fig. 12. Element

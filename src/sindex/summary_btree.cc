@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "engine/row_batch.h"
 #include "obs/metrics.h"
 #include "wal/crash_point.h"
 
@@ -430,45 +432,61 @@ Result<std::vector<SummaryIndexHit>> SummaryBTree::ScanLabel(
   return Search(probe, snap);
 }
 
-Result<Tuple> SummaryBTree::FetchDataTuple(const SummaryIndexHit& hit,
-                                           Oid* oid_out,
-                                           const Snapshot& snap) const {
+Status SummaryBTree::FetchRows(std::span<const SummaryIndexHit> hits,
+                               bool with_summaries, const Snapshot& snap,
+                               RowBatch* out) const {
   if (options_.pointer_mode == PointerMode::kBackward) {
-    // One direct heap read; no SummaryStorage involvement.
-    EngineMetrics::Get().sbtree_backward_derefs->Add(1);
-    return mgr_->base()->GetAt(RowLocation::Unpack(hit.payload), oid_out,
-                               snap);
+    // One direct heap read per hit; no SummaryStorage involvement unless
+    // the summary sets are wanted.
+    EngineMetrics::Get().sbtree_backward_derefs->Add(hits.size());
+    for (const SummaryIndexHit& hit : hits) {
+      Row row;
+      INSIGHT_ASSIGN_OR_RETURN(
+          row.data, mgr_->base()->GetAt(RowLocation::Unpack(hit.payload),
+                                        &row.oid, snap));
+      out->Push(std::move(row));
+    }
+    return with_summaries ? mgr_->AttachSummaries(out, snap) : Status::OK();
   }
   // Conventional: indexed-object row -> OID-index probe -> heap read (the
   // extra level of indirection of Fig. 4(c)). The storage row is read
   // even though its OID is the tuple's: the pointer lands on the indexed
   // object, and a tuple without a visible one is not a hit.
-  const Oid oid = static_cast<Oid>(hit.payload);
-  INSIGHT_RETURN_NOT_OK(mgr_->storage_table()->Get(oid, snap).status());
-  if (oid_out != nullptr) *oid_out = oid;
-  return mgr_->base()->Get(oid, snap);
+  std::vector<size_t> order(hits.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return hits[a].payload < hits[b].payload;
+  });
+  std::vector<Oid> oids;
+  oids.reserve(hits.size());
+  for (size_t i : order) oids.push_back(static_cast<Oid>(hits[i].payload));
+  INSIGHT_ASSIGN_OR_RETURN(auto stored,
+                           mgr_->storage_table()->GetMany(oids, snap));
+  INSIGHT_ASSIGN_OR_RETURN(auto data, mgr_->base()->GetMany(oids, snap));
+  std::vector<Row> rows(hits.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    if (!stored[k].has_value() || !data[k].has_value()) {
+      return Status::NotFound("oid " + std::to_string(oids[k]));
+    }
+    Row& row = rows[order[k]];
+    row.oid = oids[k];
+    row.data = std::move(*data[k]);
+    if (with_summaries) {
+      INSIGHT_ASSIGN_OR_RETURN(
+          row.summaries, SummarySet::Deserialize(stored[k]->at(0).AsString()));
+    }
+  }
+  for (Row& row : rows) out->Push(std::move(row));
+  return Status::OK();
 }
 
-Result<Tuple> SummaryBTree::FetchDataTupleWithSummaries(
-    const SummaryIndexHit& hit, SummarySet* summaries, Oid* oid_out,
-    const Snapshot& snap) const {
-  if (options_.pointer_mode == PointerMode::kBackward) {
-    EngineMetrics::Get().sbtree_backward_derefs->Add(1);
-    Oid oid = kInvalidOid;
-    INSIGHT_ASSIGN_OR_RETURN(
-        Tuple tuple, mgr_->base()->GetAt(RowLocation::Unpack(hit.payload),
-                                         &oid, snap));
-    if (oid_out != nullptr) *oid_out = oid;
-    INSIGHT_ASSIGN_OR_RETURN(*summaries, mgr_->GetSummaries(oid, snap));
-    return tuple;
-  }
-  const Oid oid = static_cast<Oid>(hit.payload);
-  INSIGHT_ASSIGN_OR_RETURN(Tuple storage_row,
-                           mgr_->storage_table()->Get(oid, snap));
-  if (oid_out != nullptr) *oid_out = oid;
-  INSIGHT_ASSIGN_OR_RETURN(
-      *summaries, SummarySet::Deserialize(storage_row.at(0).AsString()));
-  return mgr_->base()->Get(oid, snap);
+Result<Tuple> SummaryBTree::FetchDataTuple(const SummaryIndexHit& hit,
+                                           Oid* oid_out,
+                                           const Snapshot& snap) const {
+  RowBatch batch(1);
+  INSIGHT_RETURN_NOT_OK(FetchRows({&hit, 1}, false, snap, &batch));
+  if (oid_out != nullptr) *oid_out = batch[0].oid;
+  return std::move(batch[0].data);
 }
 
 uint64_t SummaryBTree::size_bytes() const {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "txn/txn.h"
 
 namespace insight {
+
+class RowBatch;
 
 /// Probe for "classLabel <Op> constant" predicates over a Classifier-type
 /// summary instance. Missing bounds are replaced by the label's 000/999
@@ -106,20 +109,24 @@ class SummaryBTree {
       const std::string& label,
       const Snapshot& snap = Snapshot::Latest()) const;
 
-  /// Resolves a hit to the data tuple. Backward mode: one heap read.
-  /// Conventional mode: storage-row fetch + OID-index probe + heap read
-  /// (the extra joins the backward pointers save).
+  /// Resolves `hits` to the rows of `out` (empty on entry), in hit order:
+  /// each hit's data tuple and OID and, with `with_summaries`, its
+  /// summary set.
+  /// Backward mode: one heap read per hit, then one
+  /// SummaryManager::AttachSummaries walk for the summary sets.
+  /// Conventional mode: the storage rows the pointers land on, then the
+  /// data tuples, each fetched with one Table::GetMany walk (the extra
+  /// join the backward pointers save); propagation takes the summary sets
+  /// from those storage rows and reads none twice — which is why the two
+  /// modes cost about the same when propagating (Fig. 13). NotFound when
+  /// a hit no longer resolves for `snap`.
+  Status FetchRows(std::span<const SummaryIndexHit> hits, bool with_summaries,
+                   const Snapshot& snap, RowBatch* out) const;
+
+  /// One hit's data tuple: the one-hit call of FetchRows.
   Result<Tuple> FetchDataTuple(const SummaryIndexHit& hit,
                                Oid* oid_out = nullptr,
                                const Snapshot& snap = Snapshot::Latest()) const;
-
-  /// Resolves a hit to the data tuple AND its summary set. Conventional
-  /// pointers land on the storage row anyway and reuse it for
-  /// propagation; backward pointers read it separately — which is why
-  /// the two modes cost about the same when propagating (Fig. 13).
-  Result<Tuple> FetchDataTupleWithSummaries(
-      const SummaryIndexHit& hit, SummarySet* summaries,
-      Oid* oid_out = nullptr, const Snapshot& snap = Snapshot::Latest()) const;
 
   uint64_t num_entries() const { return tree_->num_entries(); }
   uint32_t height() const { return tree_->height(); }

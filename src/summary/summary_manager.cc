@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "common/string_util.h"
+#include "engine/row_batch.h"
 
 namespace insight {
 
@@ -337,14 +339,35 @@ Status SummaryManager::OnTupleDeleted(Oid oid) {
   return storage_->Delete(oid);
 }
 
+Status SummaryManager::AttachSummaries(RowBatch* batch,
+                                       const Snapshot& snap) const {
+  std::vector<Row>& rows = batch->rows();
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return rows[a].oid < rows[b].oid; });
+  std::vector<Oid> oids;
+  oids.reserve(rows.size());
+  for (size_t i : order) oids.push_back(rows[i].oid);
+  INSIGHT_ASSIGN_OR_RETURN(auto stored, storage_->GetMany(oids, snap));
+  for (size_t k = 0; k < order.size(); ++k) {
+    SummarySet& out = rows[order[k]].summaries;
+    if (!stored[k].has_value()) {
+      out = SummarySet();  // Un-annotated.
+      continue;
+    }
+    INSIGHT_ASSIGN_OR_RETURN(
+        out, SummarySet::Deserialize(stored[k]->at(0).AsString()));
+  }
+  return Status::OK();
+}
+
 Result<SummarySet> SummaryManager::GetSummaries(Oid oid,
                                                 const Snapshot& snap) const {
-  auto row = storage_->Get(oid, snap);
-  if (!row.ok()) {
-    if (row.status().IsNotFound()) return SummarySet();  // Un-annotated.
-    return row.status();
-  }
-  return SummarySet::Deserialize(row.ValueOrDie().at(0).AsString());
+  RowBatch batch(1);
+  batch.Push(Row{oid, Tuple(), SummarySet()});
+  INSIGHT_RETURN_NOT_OK(AttachSummaries(&batch, snap));
+  return std::move(batch[0].summaries);
 }
 
 Status SummaryManager::ForEachSummaryRow(

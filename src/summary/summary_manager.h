@@ -17,6 +17,8 @@
 
 namespace insight {
 
+class RowBatch;
+
 /// Per-relation orchestration of raw annotations and their summaries:
 ///   - owns the de-normalized `<rel>_SummaryStorage` table (one row per
 ///     annotated data tuple holding every serialized summary object —
@@ -64,9 +66,16 @@ class SummaryManager {
   /// listeners (index entries must go too).
   Status OnTupleDeleted(Oid oid);
 
-  /// The tuple's summary set (empty when un-annotated) as visible to
-  /// `snap`. This is the propagation fast path: one OID-index probe + one
-  /// de-normalized row read.
+  /// Propagation: attaches to every row of `batch` its tuple's summary
+  /// set (empty when un-annotated) as visible to `snap`, keyed by
+  /// `Row::oid`. This is the 1-1 join with the de-normalized storage,
+  /// done once per batch: the rows' OIDs are sorted and resolved with one
+  /// Table::GetMany walk, so the storage table's OID index is descended
+  /// once per leaf run. Row order is unchanged.
+  Status AttachSummaries(RowBatch* batch,
+                         const Snapshot& snap = Snapshot::Latest()) const;
+
+  /// One tuple's summary set: the one-row call of AttachSummaries.
   Result<SummarySet> GetSummaries(
       Oid oid, const Snapshot& snap = Snapshot::Latest()) const;
 

@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "index/btree.h"
 #include "index/key_codec.h"
+#include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
 
@@ -125,6 +126,31 @@ TEST_F(BTreeTest, SplitsGrowHeight) {
   EXPECT_EQ(expected, 20000u);
 }
 
+TEST_F(BTreeTest, LookupManyDescendsOncePerLeafRun) {
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(tree_->Insert("key:" + ZeroPad(i, 6), i).ok());
+  }
+  ASSERT_GE(tree_->height(), 2u);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 10000; i += 2) keys.push_back("key:" + ZeroPad(i, 6));
+  Counter* probes = EngineMetrics::Get().btree_probes;
+  const uint64_t before = probes->value();
+  auto hits = tree_->LookupMany(keys);
+  ASSERT_TRUE(hits.ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ((*hits)[i], std::vector<uint64_t>{2 * i});
+  }
+  // btree_probes counts descents: one per leaf the walk lands on, far
+  // fewer than one per key.
+  const uint64_t descents = probes->value() - before;
+  EXPECT_GE(descents, 2u);
+  EXPECT_LE(descents, 40u);
+
+  // Unsorted keys are refused rather than answered wrongly.
+  std::swap(keys[0], keys[1]);
+  EXPECT_TRUE(tree_->LookupMany(keys).status().IsInvalidArgument());
+}
+
 TEST_F(BTreeTest, ReopenPreservesContents) {
   FileId file = *storage_.CreateFile("idx2");
   {
@@ -221,61 +247,202 @@ TEST(KeyCodecTest, RangeSentinels) {
 
 // Property sweep: the tree mirrors a reference multiset of (key, value)
 // under random inserts/deletes, across several seeds.
-class BTreeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+// Differential tests of the tree against std::multimap. The model
+// iterates in (key, insertion) order; the tree orders duplicates by
+// payload, so every comparison sorts the model's payloads per key.
+using Model = std::multimap<std::string, uint64_t>;
+
+std::vector<uint64_t> ModelLookup(const Model& model, const std::string& key) {
+  std::vector<uint64_t> out;
+  auto [lo, hi] = model.equal_range(key);
+  for (auto it = lo; it != hi; ++it) out.push_back(it->second);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::pair<std::string, uint64_t>> ModelRange(
+    const Model& model, const std::string& lo, bool lo_inclusive,
+    const std::string& hi, bool hi_inclusive) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const auto& [k, v] : model) {
+    if (lo_inclusive ? k < lo : k <= lo) continue;
+    if (hi_inclusive ? k > hi : k >= hi) continue;
+    out.emplace_back(k, v);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// LookupMany over `keys` (sorted here) and Lookup of each key both match
+// the model.
+void ExpectLookupsMatch(const BTree& tree, const Model& model,
+                        std::vector<std::string> keys) {
+  std::sort(keys.begin(), keys.end());
+  auto many = tree.LookupMany(keys);
+  ASSERT_TRUE(many.ok()) << many.status().ToString();
+  ASSERT_EQ(many->size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::vector<uint64_t> expected = ModelLookup(model, keys[i]);
+    EXPECT_EQ((*many)[i], expected) << "LookupMany key " << keys[i];
+    auto one = tree.Lookup(keys[i]);
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(*one, expected) << "Lookup key " << keys[i];
+  }
+}
+
+void ExpectRangeMatches(const BTree& tree, const Model& model,
+                        const std::string& lo, bool lo_inclusive,
+                        const std::string& hi, bool hi_inclusive) {
+  auto it = tree.RangeScan(lo, lo_inclusive, hi, hi_inclusive);
+  ASSERT_TRUE(it.ok());
+  std::vector<std::pair<std::string, uint64_t>> got;
+  for (; it->Valid(); it->Next()) got.emplace_back(it->key(), it->value());
+  EXPECT_EQ(got, ModelRange(model, lo, lo_inclusive, hi, hi_inclusive))
+      << (lo_inclusive ? "[" : "(") << lo << ", " << hi
+      << (hi_inclusive ? "]" : ")");
+}
+
+std::string FuzzKey(int64_t i) { return "k" + ZeroPad(i, 4); }
+
+class BTreeFuzzTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  BTreeFuzzTest()
+      : storage_(StorageManager::Backend::kMemory), pool_(&storage_, 512) {
+    tree_ = std::make_unique<BTree>(
+        *BTree::Create(&pool_, *storage_.CreateFile("fuzz")));
+  }
+
+  void Insert(const std::string& key, uint64_t value) {
+    ASSERT_TRUE(tree_->Insert(key, value).ok());
+    model_.emplace(key, value);
+  }
+  void Erase(Model::iterator it) {
+    ASSERT_TRUE(tree_->Delete(it->first, it->second).ok());
+    model_.erase(it);
+  }
+
+  StorageManager storage_;
+  BufferPool pool_;
+  std::unique_ptr<BTree> tree_;
+  Model model_;
+};
 
 TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
-  StorageManager storage(StorageManager::Backend::kMemory);
-  BufferPool pool(&storage, 512);
-  FileId file = *storage.CreateFile("fuzz");
-  BTree tree = *BTree::Create(&pool, file);
-
   Rng rng(GetParam());
-  std::multimap<std::string, uint64_t> model;
   for (int step = 0; step < 5000; ++step) {
-    const std::string key = "k" + ZeroPad(rng.Uniform(0, 300), 4);
-    if (rng.NextBool(0.7) || model.empty()) {
-      const uint64_t value = static_cast<uint64_t>(rng.Uniform(0, 1 << 20));
-      ASSERT_TRUE(tree.Insert(key, value).ok());
-      model.emplace(key, value);
+    const std::string key = FuzzKey(rng.Uniform(0, 300));
+    if (rng.NextBool(0.7) || model_.empty()) {
+      Insert(key, static_cast<uint64_t>(rng.Uniform(0, 1 << 20)));
     } else {
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(0, static_cast<int64_t>(model.size()) - 1));
-      ASSERT_TRUE(tree.Delete(it->first, it->second).ok());
-      model.erase(it);
+      auto it = model_.begin();
+      std::advance(it,
+                   rng.Uniform(0, static_cast<int64_t>(model_.size()) - 1));
+      Erase(it);
     }
   }
-  ASSERT_EQ(tree.num_entries(), model.size());
+  ASSERT_EQ(tree_->num_entries(), model_.size());
 
-  // Full-scan equivalence (model multimap iterates in sorted key order;
-  // tie-break payload order also matches because entries sort by value).
-  std::vector<std::pair<std::string, uint64_t>> expected(model.begin(),
-                                                         model.end());
+  // Full-scan equivalence.
+  std::vector<std::pair<std::string, uint64_t>> expected(model_.begin(),
+                                                         model_.end());
   std::sort(expected.begin(), expected.end());
-  auto it = tree.ScanAll();
+  auto it = tree_->ScanAll();
   ASSERT_TRUE(it.ok());
-  size_t i = 0;
-  for (; it->Valid(); it->Next(), ++i) {
-    ASSERT_LT(i, expected.size());
-    EXPECT_EQ(it->key(), expected[i].first);
-    EXPECT_EQ(it->value(), expected[i].second);
-  }
-  EXPECT_EQ(i, expected.size());
+  std::vector<std::pair<std::string, uint64_t>> got;
+  for (; it->Valid(); it->Next()) got.emplace_back(it->key(), it->value());
+  EXPECT_EQ(got, expected);
 
-  // Random range queries match the model.
+  // Random ranges, every mix of strict and inclusive bounds, match the
+  // model entry for entry.
   for (int q = 0; q < 50; ++q) {
-    std::string lo = "k" + ZeroPad(rng.Uniform(0, 300), 4);
-    std::string hi = "k" + ZeroPad(rng.Uniform(0, 300), 4);
+    std::string lo = FuzzKey(rng.Uniform(0, 300));
+    std::string hi = FuzzKey(rng.Uniform(0, 300));
     if (lo > hi) std::swap(lo, hi);
-    size_t expected_count = 0;
-    for (const auto& [k, v] : model) {
-      if (k >= lo && k <= hi) ++expected_count;
-    }
-    auto range_it = tree.RangeScan(lo, true, hi, true);
-    ASSERT_TRUE(range_it.ok());
-    size_t got = 0;
-    for (; range_it->Valid(); range_it->Next()) ++got;
-    EXPECT_EQ(got, expected_count) << lo << ".." << hi;
+    ExpectRangeMatches(*tree_, model_, lo, rng.NextBool(0.5), hi,
+                       rng.NextBool(0.5));
   }
+
+  // Random sorted key lists with repeats, absent keys inside the key
+  // space (never inserted, or deleted) and keys below and above it.
+  for (int q = 0; q < 20; ++q) {
+    std::vector<std::string> keys;
+    const int64_t n = rng.Uniform(1, 200);
+    for (int64_t i = 0; i < n; ++i) {
+      keys.push_back(FuzzKey(rng.Uniform(0, 320)));
+    }
+    keys.push_back(keys.front());  // A repeat.
+    keys.push_back("a");           // Below every key.
+    keys.push_back("z");           // Above every key.
+    ExpectLookupsMatch(*tree_, model_, keys);
+  }
+}
+
+TEST_P(BTreeFuzzTest, LookupManyDuplicatesStraddleLeafSplits) {
+  // Thousands of entries share one key, interleaved with neighbours, so
+  // that key's run spans several leaves and its first leaf also holds
+  // smaller keys.
+  Rng rng(GetParam());
+  for (int i = 0; i < 6000; ++i) {
+    if (rng.NextBool(0.6)) {
+      Insert(FuzzKey(500), static_cast<uint64_t>(rng.Uniform(0, 1 << 30)));
+    } else {
+      Insert(FuzzKey(rng.Uniform(0, 1000)),
+             static_cast<uint64_t>(rng.Uniform(0, 1 << 30)));
+    }
+  }
+  ASSERT_GE(tree_->height(), 2u);
+  ExpectLookupsMatch(*tree_, model_,
+                     {FuzzKey(499), FuzzKey(500), FuzzKey(500), FuzzKey(501),
+                      "a", "z"});
+  std::vector<std::string> all;
+  for (int64_t i = 0; i <= 1000; ++i) all.push_back(FuzzKey(i));
+  ExpectLookupsMatch(*tree_, model_, all);
+  ExpectRangeMatches(*tree_, model_, FuzzKey(500), true, FuzzKey(500), true);
+  ExpectRangeMatches(*tree_, model_, FuzzKey(499), false, FuzzKey(501), false);
+  ExpectRangeMatches(*tree_, model_, FuzzKey(500), false, FuzzKey(900), true);
+}
+
+TEST_P(BTreeFuzzTest, LookupManyAcrossLeavesEmptiedByLazyDeletes) {
+  Rng rng(GetParam());
+  for (int64_t i = 0; i < 8000; ++i) {
+    Insert(FuzzKey(i), static_cast<uint64_t>(rng.Uniform(0, 1 << 20)));
+    if (i % 7 == 0) Insert(FuzzKey(i), static_cast<uint64_t>(i));
+  }
+  // Deletes never merge leaves, so emptying a contiguous middle band and
+  // the tail leaves whole leaves behind with no entries.
+  const int64_t band_lo = rng.Uniform(1000, 3000);
+  const int64_t band_hi = band_lo + rng.Uniform(2000, 3000);
+  for (auto it = model_.lower_bound(FuzzKey(band_lo));
+       it != model_.end() && it->first <= FuzzKey(band_hi);) {
+    auto next = std::next(it);
+    Erase(it);
+    it = next;
+  }
+  for (auto it = model_.lower_bound(FuzzKey(7000)); it != model_.end();) {
+    auto next = std::next(it);
+    Erase(it);
+    it = next;
+  }
+  // Scattered deletes too, so some runs thin out rather than vanish.
+  for (int i = 0; i < 500 && !model_.empty(); ++i) {
+    auto it = model_.begin();
+    std::advance(it, rng.Uniform(0, static_cast<int64_t>(model_.size()) - 1));
+    Erase(it);
+  }
+  ASSERT_EQ(tree_->num_entries(), model_.size());
+
+  std::vector<std::string> all;
+  for (int64_t i = 0; i < 8200; i += 1 + rng.Uniform(0, 2)) {
+    all.push_back(FuzzKey(i));
+  }
+  ExpectLookupsMatch(*tree_, model_, all);
+  ExpectLookupsMatch(*tree_, model_,
+                     {FuzzKey(band_lo - 1), FuzzKey(band_lo),
+                      FuzzKey(band_hi), FuzzKey(band_hi + 1), FuzzKey(7999)});
+  ExpectRangeMatches(*tree_, model_, FuzzKey(band_lo - 10), true,
+                     FuzzKey(band_hi + 10), false);
+  ExpectRangeMatches(*tree_, model_, FuzzKey(band_lo), false, FuzzKey(8100),
+                     true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeFuzzTest,

@@ -886,5 +886,79 @@ TEST(SortTest, ExternalBatchOutputMatchesMemoryRowForRow) {
   EXPECT_EQ(Repr(*mem_rows), Repr(*ext_rows));
 }
 
+// Sort keys are evaluated once per row, before sorting, so a key that
+// fails fails the statement at every input size; it used to surface only
+// once a comparison ran (two rows or more).
+TEST(SortTest, KeyErrorFailsAtAnyInputSize) {
+  for (int birds : {1, 2, 5}) {
+    for (SortOp::Mode mode : {SortOp::Mode::kMemory, SortOp::Mode::kExternal}) {
+      TestDb db(birds);
+      for (int i = 1; i <= birds; ++i) {
+        db.Annotate(static_cast<Oid>(i), "disease", 1);
+      }
+      std::vector<SortKey> keys;
+      keys.push_back(SortKey{LabelValue("ClassBird1", "NoSuchLabel"), true});
+      SortOp sort(db.Scan(true), std::move(keys), mode, &db.storage,
+                  &db.pool, /*memory_budget_bytes=*/1024);
+      auto rows = CollectRows(&sort);
+      EXPECT_FALSE(rows.ok()) << birds << " rows, mode "
+                              << static_cast<int>(mode);
+    }
+  }
+}
+
+// DESC over ties and NULLs: both sort modes keep exactly the order of a
+// stable sort under the per-comparison key evaluation they replaced.
+TEST(SortTest, DescTiesAndNullsKeepComparatorOrder) {
+  const Schema schema({{"k", ValueType::kInt64}, {"j", ValueType::kInt64}});
+  std::vector<Row> input;
+  const int64_t ks[] = {3, -1, 1, 3, -1, 2, 1, 3, -1, 2, 0, 3};
+  for (size_t i = 0; i < sizeof(ks) / sizeof(ks[0]); ++i) {
+    Row row;
+    row.oid = i + 1;
+    row.data = Tuple({ks[i] < 0 ? Value::Null() : Value::Int(ks[i]),
+                      i % 3 == 0 ? Value::Null()
+                                 : Value::Int(static_cast<int64_t>(i % 2))});
+    input.push_back(std::move(row));
+  }
+  auto make_keys = [](bool two_keys) {
+    std::vector<SortKey> keys;
+    keys.push_back(SortKey{Col("k"), true});
+    if (two_keys) keys.push_back(SortKey{Col("j"), true});
+    return keys;
+  };
+  for (bool two_keys : {false, true}) {
+    // Reference: stable_sort comparing freshly evaluated keys, negated
+    // for DESC (the comparator SortOp used before keys were decorated).
+    std::vector<Row> expected = input;
+    const std::vector<SortKey> ref_keys = make_keys(two_keys);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](const Row& a, const Row& b) {
+                       for (const SortKey& key : ref_keys) {
+                         int c = key.expr->Eval(a, schema)->Compare(
+                             *key.expr->Eval(b, schema));
+                         if (key.descending) c = -c;
+                         if (c != 0) return c < 0;
+                       }
+                       return false;
+                     });
+    StorageManager storage(StorageManager::Backend::kMemory);
+    BufferPool pool(&storage, 64);
+    for (SortOp::Mode mode : {SortOp::Mode::kMemory, SortOp::Mode::kExternal}) {
+      // A tiny budget spills a run every couple of rows, so ties meet
+      // again in the merge.
+      SortOp sort(std::make_unique<VectorSourceOp>(schema, input),
+                  make_keys(two_keys), mode, &storage, &pool,
+                  /*memory_budget_bytes=*/40);
+      auto rows = CollectRows(&sort);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(Repr(*rows), Repr(expected))
+          << (two_keys ? "two keys" : "one key") << ", mode "
+          << static_cast<int>(mode);
+      if (mode == SortOp::Mode::kExternal) EXPECT_GT(sort.runs_spilled(), 2u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace insight

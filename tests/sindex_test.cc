@@ -6,6 +6,7 @@
 
 #include "annotation/annotation_store.h"
 #include "common/rng.h"
+#include "engine/row_batch.h"
 #include "index/catalog.h"
 #include "index/key_codec.h"
 #include "obs/metrics.h"
@@ -292,9 +293,10 @@ TEST_F(SindexTest, ConventionalPointersResolveThroughStorage) {
   // the hit no longer resolves. Backward pointers never touch it.
   ASSERT_TRUE(mgr_->storage_table()->Delete(11).ok());
   EXPECT_TRUE(index->FetchDataTuple((*hits)[0]).status().IsNotFound());
-  SummarySet summaries;
-  EXPECT_TRUE(index->FetchDataTupleWithSummaries((*hits)[0], &summaries)
-                  .status()
+  RowBatch fetched;
+  EXPECT_TRUE(index
+                  ->FetchRows(*hits, /*with_summaries=*/true,
+                              Snapshot::Latest(), &fetched)
                   .IsNotFound());
   auto bwd_hits = backward->Search(ClassifierProbe::Equal("Disease", 4));
   ASSERT_TRUE(bwd_hits.ok());

@@ -145,9 +145,48 @@ void RunWriter(Database* db, int tid, std::vector<CommittedTxn>* committed,
   }
 }
 
+std::string SummaryBytes(const SummarySet& set) {
+  std::string bytes;
+  set.Serialize(&bytes);
+  return bytes;
+}
+
+/// A propagating SELECT * inside a transaction attaches to every row
+/// exactly the summary set a per-OID GetSummaries reads at that
+/// transaction's snapshot, while writers keep committing around it.
+/// `annotated_rows` (optional) receives the rows with a non-empty set.
+void ExpectPropagationMatchesGetSummaries(Database* db,
+                                          size_t* annotated_rows = nullptr) {
+  uint64_t txn = 0;
+  ASSERT_TRUE(db->Execute("BEGIN", &txn).ok());
+  const Snapshot snap = db->txn_manager()->Find(txn)->snapshot();
+  auto result = db->Execute("SELECT * FROM Items", &txn);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->summaries.size(), result->rows.size());
+  // Row names are unique, so they map each output row back to its OID.
+  std::map<std::string, Oid> oid_of;
+  Table* items = *db->GetTable("Items");
+  auto it = items->Scan(snap);
+  Oid oid = kInvalidOid;
+  Tuple tuple;
+  while (it.Next(&oid, &tuple)) oid_of[tuple.at(0).AsString()] = oid;
+  SummaryManager* mgr = *db->GetManager("Items");
+  for (size_t i = 0; i < result->rows.size(); ++i) {
+    const std::string name = result->rows[i].at(0).AsString();
+    ASSERT_EQ(oid_of.count(name), 1u) << name;
+    auto want = mgr->GetSummaries(oid_of[name], snap);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(SummaryBytes(result->summaries[i]), SummaryBytes(*want))
+        << name;
+    if (annotated_rows != nullptr && !want->empty()) ++*annotated_rows;
+  }
+  ASSERT_TRUE(db->Execute("COMMIT", &txn).ok());
+}
+
 /// Readers hammer latest-snapshot SELECTs while writers commit. Each
 /// result must be internally consistent (no torn rows) and row counts
-/// must never move backwards across successive snapshots.
+/// must never move backwards across successive snapshots. Every round
+/// also checks propagation at a transaction's snapshot.
 void RunReader(Database* db, std::atomic<bool>* stop) {
   size_t last_count = 0;
   while (!stop->load(std::memory_order_acquire)) {
@@ -158,6 +197,7 @@ void RunReader(Database* db, std::atomic<bool>* stop) {
     }
     ASSERT_GE(result->rows.size(), last_count);
     last_count = result->rows.size();
+    ExpectPropagationMatchesGetSummaries(db);
   }
 }
 
@@ -269,6 +309,12 @@ TEST(TxnStressTest, InterleavedTxnsEqualSerialReplayOfCommitted) {
   }
   EXPECT_GT(conflicts.load(), 0)
       << "the workload never conflicted; contention is not being tested";
+
+  // (5) Propagation at a snapshot once the writers are done: the
+  // contended tuples carry summaries, so the check is not vacuous.
+  size_t annotated_rows = 0;
+  ExpectPropagationMatchesGetSummaries(&db, &annotated_rows);
+  EXPECT_GE(annotated_rows, static_cast<size_t>(kSharedTuples));
 }
 
 /// Snapshot stability under concurrent commits: a transaction opened
