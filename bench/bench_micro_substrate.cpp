@@ -1,7 +1,8 @@
 // Micro-benchmarks of the substrate primitives (google-benchmark):
 // B-Tree insert/lookup, heap insert/fetch, tuple serialization, Naive
-// Bayes classification, and the summary merge kernel. These put numbers
-// on the cost-model constants in src/optimizer/optimizer.cc.
+// Bayes classification, whole-word keyword matching, and the summary
+// merge kernel. These put numbers on the cost-model constants in
+// src/optimizer/optimizer.cc.
 
 #include <benchmark/benchmark.h>
 
@@ -134,6 +135,44 @@ void BM_NaiveBayesClassify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NaiveBayesClassify);
+
+// Whole-word keyword match over generated snippet-sized texts, as a
+// containsSingle/containsUnion predicate runs it: Arg(0) is the reference
+// (TokenizeWords, one lower-cased string per word), Arg(1) the in-place
+// ContainsWord kernel. The "time/byte" counter is the per-text-byte
+// cost in seconds (printed with an SI prefix: "1.5n" is 1.5 ns).
+void BM_ContainsWord(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<std::string> snippets;
+  size_t bytes = 0;
+  for (int i = 0; i < 256; ++i) {
+    snippets.push_back(GenerateAnnotationText(DrawTopic(&rng), 380, &rng));
+    bytes += snippets.back().size();
+  }
+  const bool kernel = state.range(0) == 1;
+  for (auto _ : state) {
+    size_t hits = 0;
+    for (const std::string& text : snippets) {
+      if (kernel) {
+        hits += ContainsWord(text, "outbreak") ? 1 : 0;
+      } else {
+        for (const std::string& word : TokenizeWords(text)) {
+          if (word == "outbreak") {
+            ++hits;
+            break;
+          }
+        }
+      }
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.counters["time/byte"] = benchmark::Counter(
+      static_cast<double>(bytes) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetBytesProcessed(static_cast<int64_t>(bytes) *
+                          static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ContainsWord)->Arg(0)->Arg(1);
 
 SummaryObject MakeClassifierObject(uint32_t instance, int elements,
                                    Rng* rng) {

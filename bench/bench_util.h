@@ -81,9 +81,12 @@ inline void PrintHeader(const char* figure, const char* paper_expectation,
   std::printf("==============================================================\n");
 }
 
-/// Median wall-clock milliseconds of `repeats` runs of `fn`.
+/// Median wall-clock milliseconds of `repeats` runs of `fn`, after one
+/// untimed warm-up call, so whichever arm runs first does not pay for
+/// cold caches and buffer-pool faults the later arms skip.
 template <typename Fn>
 double MedianMillis(int repeats, Fn&& fn) {
+  fn();
   std::vector<double> times;
   for (int i = 0; i < repeats; ++i) {
     Stopwatch timer;

@@ -93,10 +93,50 @@ std::vector<std::string> TokenizeWords(std::string_view text) {
   return words;
 }
 
+namespace {
+
+// C-locale character classes, as TokenizeWords sees them: ASCII letters
+// and digits are word bytes; every other byte (0x80 and up included)
+// separates words. `fold` lower-cases ASCII letters and keeps the rest.
+struct WordTables {
+  bool word[256];
+  char fold[256];
+  constexpr WordTables() : word(), fold() {
+    for (int c = 0; c < 256; ++c) {
+      const bool lower = c >= 'a' && c <= 'z';
+      const bool upper = c >= 'A' && c <= 'Z';
+      word[c] = lower || upper || (c >= '0' && c <= '9');
+      fold[c] = static_cast<char>(upper ? c - 'A' + 'a' : c);
+    }
+  }
+};
+constexpr WordTables kWord;
+
+}  // namespace
+
 bool ContainsWord(std::string_view text, std::string_view word) {
-  const std::string needle = ToLower(word);
-  for (const std::string& tok : TokenizeWords(text)) {
-    if (tok == needle) return true;
+  // A token is a maximal run of word bytes, so a needle that is empty or
+  // holds a separator byte matches none.
+  const size_t len = word.size();
+  if (len == 0 || len > text.size()) return false;
+  const auto* w = reinterpret_cast<const unsigned char*>(word.data());
+  for (size_t k = 0; k < len; ++k) {
+    if (!kWord.word[w[k]]) return false;
+  }
+  // Walk `text` in place for a run of `len` bytes that folds to the
+  // needle's folding and is bounded by separators (or the text's ends).
+  // Folding maps word bytes to word bytes and separators to themselves,
+  // so a folded match holds word bytes only.
+  const auto* t = reinterpret_cast<const unsigned char*>(text.data());
+  const size_t last = text.size() - len;
+  const char first = kWord.fold[w[0]];
+  for (size_t i = 0; i <= last; ++i) {
+    if (kWord.fold[t[i]] != first) continue;
+    if (i > 0 && kWord.word[t[i - 1]]) continue;
+    if (i < last && kWord.word[t[i + len]]) continue;
+    size_t k = 1;
+    while (k < len && kWord.fold[t[i + k]] == kWord.fold[w[k]]) ++k;
+    if (k == len) return true;
   }
   return false;
 }

@@ -37,7 +37,10 @@ std::string ZeroPad(int64_t value, int width);
 /// all annotation-processing components agree on word boundaries.
 std::vector<std::string> TokenizeWords(std::string_view text);
 
-/// True if `text` contains `word` as a whole token (case-insensitive).
+/// True if `text` contains `word` as a whole token (case-insensitive):
+/// exactly when TokenizeWords(text) holds ToLower(word), so an empty word
+/// or one with a non-alphanumeric byte never matches. Walks `text` in
+/// place and allocates nothing.
 bool ContainsWord(std::string_view text, std::string_view word);
 
 /// SQL LIKE-style matching with '%' (any run) and '_' (any single char).

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/string_util.h"
 #include "engine/row.h"
 #include "engine/row_batch.h"
 #include "types/schema.h"
@@ -54,12 +55,10 @@ class Expression {
   /// the binder; the first name it rejects fails the whole expression.
   virtual Status Bind(const NameBinder&) { return Status::OK(); }
 
-  /// True when the expression touches any summary object.
-  bool IsSummaryBased() const {
-    std::vector<std::string> instances;
-    CollectInstances(&instances);
-    return !instances.empty();
-  }
+  /// True when the expression reads the row's summary set (any summary
+  /// function, `$.getSize()` included): it must run where the set is
+  /// attached.
+  virtual bool IsSummaryBased() const { return false; }
 
   /// Evaluates as a predicate; non-boolean truthiness is an error,
   /// NULL is false (SQL semantics).
@@ -150,6 +149,9 @@ class CompareExpr : public Expression {
     left_->CollectInstances(out);
     right_->CollectInstances(out);
   }
+  bool IsSummaryBased() const override {
+    return left_->IsSummaryBased() || right_->IsSummaryBased();
+  }
   Status Bind(const NameBinder& binder) override {
     INSIGHT_RETURN_NOT_OK(left_->Bind(binder));
     return right_->Bind(binder);
@@ -189,6 +191,9 @@ class LogicalExpr : public Expression {
     left_->CollectInstances(out);
     right_->CollectInstances(out);
   }
+  bool IsSummaryBased() const override {
+    return left_->IsSummaryBased() || right_->IsSummaryBased();
+  }
   Status Bind(const NameBinder& binder) override {
     INSIGHT_RETURN_NOT_OK(left_->Bind(binder));
     return right_->Bind(binder);
@@ -222,6 +227,7 @@ class NotExpr : public Expression {
   void CollectInstances(std::vector<std::string>* out) const override {
     operand_->CollectInstances(out);
   }
+  bool IsSummaryBased() const override { return operand_->IsSummaryBased(); }
   Status Bind(const NameBinder& binder) override {
     return operand_->Bind(binder);
   }
@@ -246,6 +252,10 @@ class LikeExpr : public Expression {
   void CollectColumns(std::vector<std::string>* out) const override {
     operand_->CollectColumns(out);
   }
+  void CollectInstances(std::vector<std::string>* out) const override {
+    operand_->CollectInstances(out);
+  }
+  bool IsSummaryBased() const override { return operand_->IsSummaryBased(); }
   Status Bind(const NameBinder& binder) override {
     return operand_->Bind(binder);
   }
@@ -287,12 +297,15 @@ class SummaryFuncExpr : public Expression {
       : kind_(SummaryFuncKind::kLabelValue),
         instance_(std::move(instance)),
         label_(std::move(label)) {}
-  /// kContainsSingle / kContainsUnion.
+  /// kContainsSingle / kContainsUnion. Keywords match case-insensitively,
+  /// so they are folded to lower case once, here, not per evaluation.
   SummaryFuncExpr(SummaryFuncKind kind, std::string instance,
                   std::vector<std::string> keywords)
       : kind_(kind),
         instance_(std::move(instance)),
-        keywords_(std::move(keywords)) {}
+        keywords_(std::move(keywords)) {
+    for (std::string& keyword : keywords_) keyword = ToLower(keyword);
+  }
 
   /// Positional functions (kLabelName, kLabelValueAt, kSnippetAt,
   /// kGroupSizeAt, kRepresentative).
@@ -307,6 +320,7 @@ class SummaryFuncExpr : public Expression {
   void CollectInstances(std::vector<std::string>* out) const override {
     if (!instance_.empty()) out->push_back(instance_);
   }
+  bool IsSummaryBased() const override { return true; }
   Status Bind(const NameBinder& binder) override {
     if (qualifier_.empty()) return Status::OK();
     INSIGHT_ASSIGN_OR_RETURN(qualifier_, binder.Relation(qualifier_));

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -112,7 +113,7 @@ Status IndexNLJoinOp::OpenImpl() {
   outer_pos_ = 0;
   outer_valid_ = false;
   match_pos_ = 0;
-  matches_.clear();
+  matches_.Clear();
   return outer_->Open();
 }
 
@@ -130,39 +131,55 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
       INSIGHT_ASSIGN_OR_RETURN(
           Value key, outer_key_->Eval(outer_row_, outer_->schema()));
       join_key_ = EncodeIndexKey(key);
-      INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> hits,
-                               index->Lookup(join_key_));
-      matches_.assign(hits.begin(), hits.end());
-      match_pos_ = 0;
+      INSIGHT_RETURN_NOT_OK(FetchInner(index, inner_pos));
     }
     while (match_pos_ < matches_.size() && !batch->full()) {
-      const Oid inner_oid = matches_[match_pos_++];
-      // Column indexes keep entries for every stored version; fetch the
-      // version visible to this plan's snapshot, skip oids with none, and
-      // re-verify the indexed value against the visible version.
-      auto fetched = inner_->Get(inner_oid, snapshot());
-      if (!fetched.ok()) {
-        if (fetched.status().IsNotFound()) continue;
-        return fetched.status();
-      }
-      Tuple inner_tuple = std::move(fetched.ValueOrDie());
-      if (EncodeIndexKey(inner_tuple.at(inner_pos)) != join_key_) continue;
+      const Row& inner = matches_[match_pos_++];
       Row row;
-      row.data = Tuple::Concat(outer_row_.data, inner_tuple);
-      SummarySet inner_summaries;
-      if (propagate_inner_) {
-        INSIGHT_ASSIGN_OR_RETURN(
-            inner_summaries, inner_mgr_->GetSummaries(inner_oid, snapshot()));
-      }
+      row.data = Tuple::Concat(outer_row_.data, inner.data);
       INSIGHT_ASSIGN_OR_RETURN(
           row.summaries,
-          MergeSummaries(outer_row_.summaries, inner_summaries,
-                         outer_arity));
+          MergeSummaries(outer_row_.summaries, inner.summaries, outer_arity));
       batch->Push(std::move(row));
     }
     if (match_pos_ >= matches_.size()) outer_valid_ = false;
   }
   return !batch->empty();
+}
+
+Status IndexNLJoinOp::FetchInner(const BTree* index, size_t inner_pos) {
+  matches_.Clear();
+  match_pos_ = 0;
+  INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> hits,
+                           index->Lookup(join_key_));
+  // One GetMany walk over the hits in OID order; rows keep hit order.
+  std::vector<size_t> order(hits.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return hits[a] < hits[b]; });
+  std::vector<Oid> oids;
+  oids.reserve(hits.size());
+  for (size_t i : order) oids.push_back(static_cast<Oid>(hits[i]));
+  INSIGHT_ASSIGN_OR_RETURN(auto tuples, inner_->GetMany(oids, snapshot()));
+  std::vector<std::optional<Tuple>> by_hit(hits.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    by_hit[order[k]] = std::move(tuples[k]);
+  }
+  for (size_t i = 0; i < hits.size(); ++i) {
+    // Column indexes keep entries for every stored version: skip oids
+    // with no version visible to this snapshot, and re-verify the indexed
+    // value against the visible version.
+    if (!by_hit[i].has_value() ||
+        EncodeIndexKey(by_hit[i]->at(inner_pos)) != join_key_) {
+      continue;
+    }
+    matches_.Push(Row{static_cast<Oid>(hits[i]), std::move(*by_hit[i]),
+                    SummarySet()});
+  }
+  if (propagate_inner_) {
+    INSIGHT_RETURN_NOT_OK(inner_mgr_->AttachSummaries(&matches_, snapshot()));
+  }
+  return Status::OK();
 }
 
 std::string IndexNLJoinOp::Describe() const {
@@ -300,13 +317,11 @@ SummaryJoinOp::SummaryJoinOp(OpPtr left, OpPtr right,
 }
 
 SummaryJoinOp::SummaryJoinOp(OpPtr left, Table* right_table,
-                             SummaryManager* right_mgr,
                              const SummaryBTree* right_index,
                              std::string label_instance, std::string label,
                              bool propagate_right)
     : left_(std::move(left)),
       right_table_(right_table),
-      right_mgr_(right_mgr),
       right_index_(right_index),
       label_instance_(std::move(label_instance)),
       label_(std::move(label)),
@@ -344,6 +359,8 @@ Result<bool> SummaryJoinOp::NextBatchImpl(RowBatch* batch) {
       right_pos_ = 0;
       hits_.clear();
       hit_pos_ = 0;
+      fetched_.Clear();
+      fetched_pos_ = 0;
       if (right_ == nullptr) {
         // Probe: right tuples whose label count equals the left tuple's.
         const SummaryObject* obj =
@@ -401,26 +418,29 @@ Status SummaryJoinOp::JoinNestedLoop(RowBatch* batch) {
 }
 
 Status SummaryJoinOp::JoinIndex(RowBatch* batch) {
-  while (hit_pos_ < hits_.size() && !batch->full()) {
-    const SummaryIndexHit& hit = hits_[hit_pos_++];
-    Oid right_oid = kInvalidOid;
-    INSIGHT_ASSIGN_OR_RETURN(
-        Tuple right_tuple,
-        right_index_->FetchDataTuple(hit, &right_oid, snapshot()));
-    Row row;
-    row.data = Tuple::Concat(current_left_.data, right_tuple);
-    SummarySet right_summaries;
-    if (propagate_right_) {
-      INSIGHT_ASSIGN_OR_RETURN(
-          right_summaries, right_mgr_->GetSummaries(right_oid, snapshot()));
+  while (!batch->full()) {
+    if (fetched_pos_ >= fetched_.size()) {
+      // The next run of hits, resolved with one SummaryBTree::FetchRows.
+      if (hit_pos_ >= hits_.size()) break;
+      const size_t n = std::min(batch_capacity(), hits_.size() - hit_pos_);
+      fetched_.Clear();
+      fetched_pos_ = 0;
+      INSIGHT_RETURN_NOT_OK(right_index_->FetchRows(
+          std::span<const SummaryIndexHit>(hits_).subspan(hit_pos_, n),
+          propagate_right_, snapshot(), &fetched_));
+      hit_pos_ += n;
     }
+    const Row& right = fetched_[fetched_pos_++];
+    Row row;
+    row.data = Tuple::Concat(current_left_.data, right.data);
     INSIGHT_ASSIGN_OR_RETURN(
         row.summaries,
-        MergeSummaries(current_left_.summaries, right_summaries,
-                       left_arity_));
+        MergeSummaries(current_left_.summaries, right.summaries, left_arity_));
     batch->Push(std::move(row));
   }
-  if (hit_pos_ >= hits_.size()) left_valid_ = false;
+  if (hit_pos_ >= hits_.size() && fetched_pos_ >= fetched_.size()) {
+    left_valid_ = false;
+  }
   return Status::OK();
 }
 

@@ -311,8 +311,11 @@ class BaselineIndexScanOp : public ScanOp {
 
 /// Keyword-index scan: intersects the posting lists of the keywords over
 /// a Snippet instance's inverted index and emits the matching tuples.
-/// Exact for containsUnion predicates; a candidate superset for
-/// containsSingle (the optimizer re-applies the predicate as a residual).
+/// The posting lists hold the words of every stored summary version, so
+/// at a given snapshot the result is a candidate superset for both
+/// containsUnion and containsSingle (the optimizer re-applies the
+/// predicate as a residual); it never misses a match, because the lists
+/// are built with the same TokenizeWords words ContainsWord matches.
 class KeywordIndexScanOp : public ScanOp {
  public:
   KeywordIndexScanOp(const SnippetKeywordIndex* index,
@@ -457,6 +460,35 @@ class SummaryFilterOp : public PhysicalOperator {
   ObjectPredicate predicate_;
 };
 
+// ---------- Late propagation ----------
+
+/// Summary propagation as a 1:1 batch transform: attaches each row's
+/// summary set (by its OID) with one SummaryManager::AttachSummaries call
+/// per batch, at the plan's snapshot. The optimizer lowers propagating
+/// access paths bare and places this operator as late as the plan allows
+/// — above data filters, LIMIT and data-keyed sorts, directly below the
+/// first operator that reads or rewrites summary sets — so no set is
+/// fetched for a row the query drops.
+class AttachSummariesOp : public PhysicalOperator {
+ public:
+  AttachSummariesOp(OpPtr child, SummaryManager* mgr);
+
+  Status OpenImpl() override;
+  void Close() override { child_->Close(); }
+  const Schema& schema() const override { return child_->schema(); }
+  std::string Describe() const override;
+  std::vector<PhysicalOperator*> children() const override {
+    return {child_.get()};
+  }
+
+ protected:
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
+
+ private:
+  OpPtr child_;
+  SummaryManager* mgr_;
+};
+
 // ---------- Projection ----------
 
 /// Projection pi: keeps the named columns and eliminates the projected-out
@@ -547,6 +579,11 @@ class IndexNLJoinOp : public PhysicalOperator {
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
+  /// Loads the current outer row's inner matches into `matches_`: one
+  /// Table::GetMany walk for the index hits, then (when propagating) one
+  /// AttachSummaries call for their summary sets.
+  Status FetchInner(const BTree* index, size_t inner_pos);
+
   OpPtr outer_;
   Table* inner_;
   std::string inner_rel_;  // Exposed name; empty: the table's own.
@@ -559,7 +596,7 @@ class IndexNLJoinOp : public PhysicalOperator {
   size_t outer_pos_ = 0;
   Row outer_row_;
   bool outer_valid_ = false;
-  std::vector<Oid> matches_;
+  RowBatch matches_;  // The current outer row's visible inner matches.
   size_t match_pos_ = 0;
   std::string join_key_;  // Encoded probe key; re-checked per version.
 };
@@ -634,7 +671,7 @@ class SummaryJoinOp : public PhysicalOperator {
   /// Index strategy: `label_instance`/`label` describe the equality
   /// "left.inst.label = right.inst.label" probe against the right table's
   /// Summary-BTree.
-  SummaryJoinOp(OpPtr left, Table* right_table, SummaryManager* right_mgr,
+  SummaryJoinOp(OpPtr left, Table* right_table,
                 const SummaryBTree* right_index, std::string label_instance,
                 std::string label, bool propagate_right);
 
@@ -672,13 +709,14 @@ class SummaryJoinOp : public PhysicalOperator {
   size_t right_pos_ = 0;
   // Index strategy state.
   Table* right_table_ = nullptr;
-  SummaryManager* right_mgr_ = nullptr;
   const SummaryBTree* right_index_ = nullptr;
   std::string label_instance_;
   std::string label_;
   bool propagate_right_ = true;
   std::vector<SummaryIndexHit> hits_;
-  size_t hit_pos_ = 0;
+  size_t hit_pos_ = 0;  // Next hit to fetch.
+  RowBatch fetched_;    // The fetched run of hits, rows in hit order.
+  size_t fetched_pos_ = 0;
   size_t left_arity_ = 0;
 };
 

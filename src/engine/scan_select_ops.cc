@@ -551,6 +551,27 @@ std::string SummaryFilterOp::Describe() const {
   return "SummaryFilter[F](" + predicate_.ToString() + ")";
 }
 
+// ---------- AttachSummariesOp ----------
+
+AttachSummariesOp::AttachSummariesOp(OpPtr child, SummaryManager* mgr)
+    : child_(std::move(child)), mgr_(mgr) {}
+
+Status AttachSummariesOp::OpenImpl() {
+  ResetExec();
+  return child_->Open();
+}
+
+Result<bool> AttachSummariesOp::NextBatchImpl(RowBatch* batch) {
+  INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
+  if (!has) return false;
+  INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
+  return true;
+}
+
+std::string AttachSummariesOp::Describe() const {
+  return "AttachSummaries(" + mgr_->base()->name() + ", propagate)";
+}
+
 // ---------- Projection ----------
 
 ProjectOp::ProjectOp(OpPtr child, std::vector<std::string> columns,

@@ -52,6 +52,13 @@ bool IsLeafLabel(const RelationInfo& info, const std::string& instance,
   return false;
 }
 
+// Whether a scan of `info` attaches summary sets: it propagates and the
+// relation has a linked instance (without one, every set is empty).
+bool Propagates(const LogicalNode& scan, const RelationInfo& info) {
+  return scan.propagate_summaries && info.mgr != nullptr &&
+         !info.mgr->instances().empty();
+}
+
 }  // namespace
 
 std::vector<ExprPtr> SplitConjuncts(const Expression* expr) {
@@ -655,11 +662,28 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   }
   INSIGHT_CHECK(cur->kind == LogicalKind::kScan);
   INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info, ctx_->Get(cur->table));
-  const bool propagate = cur->propagate_summaries && info->mgr != nullptr;
+  const bool propagate = Propagates(*cur, *info);
   const SketchPolicy policy = sketch_policy();
   const double table_rows = info->EstimatedRows(policy);
   const double table_pages =
       info->EstimatedPages(policy, table_rows * kTupleCpu);
+  // Summary sets attach late, after every data conjunct: each candidate
+  // pays propagation only for the rows that survive them.
+  double data_selectivity = 1.0;
+  for (const ExprPtr& conjunct : data_conjuncts) {
+    double s = FallbackSelectivity(conjunct.get());
+    if (auto pred = MatchColumnPredicate(conjunct.get())) {
+      if (const auto ref = FindBaseColumn(*cur, pred->column)) {
+        s = info->ColumnSelectivity(policy, ref->column, pred->op,
+                                    pred->constant, s);
+      }
+    }
+    data_selectivity *= s;
+  }
+  // Propagation cost of an access path yielding `rows` candidates.
+  auto attach_cost = [&](double rows) {
+    return propagate ? rows * data_selectivity * kPropagationIo : 0.0;
+  };
 
   struct Candidate {
     enum class Kind {
@@ -686,12 +710,11 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   }
 
   std::vector<Candidate> candidates;
-  candidates.push_back(
-      Candidate{Candidate::Kind::kSeq,
-                seq_keep_fraction *
-                    (table_pages + table_rows * kTupleCpu +
-                     (propagate ? table_rows * kPropagationIo : 0.0)),
-                0, std::nullopt});
+  candidates.push_back(Candidate{
+      Candidate::Kind::kSeq,
+      seq_keep_fraction * (table_pages + table_rows * kTupleCpu) +
+          attach_cost(table_rows),
+      0, std::nullopt});
 
   if (options_.use_data_indexes) {
     for (size_t i = 0; i < data_conjuncts.size(); ++i) {
@@ -704,8 +727,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       const double hits = table_rows * selectivity;
       candidates.push_back(Candidate{
           Candidate::Kind::kDataIndex,
-          kIndexDescent + hits * kDataIndexHitIo +
-              (propagate ? hits * kPropagationIo : 0.0),
+          kIndexDescent + hits * kDataIndexHitIo + attach_cost(table_rows),
           i, std::nullopt});
     }
   }
@@ -720,14 +742,16 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         options_.use_summary_indexes ? info->SummaryIndexFor(pred->instance)
                                      : nullptr;
     if (sbt != nullptr) {
-      const double hit_io =
-          sbt->pointer_mode() == SummaryBTree::PointerMode::kBackward
-              ? kBackwardHitIo
-              : kConventionalHitIo;
+      // Conventional pointers read each hit's storage row anyway, so that
+      // scan attaches every hit itself; backward pointers attach late.
+      const bool backward =
+          sbt->pointer_mode() == SummaryBTree::PointerMode::kBackward;
       candidates.push_back(Candidate{
           Candidate::Kind::kSummaryIndex,
-          kIndexDescent + hits * hit_io +
-              (propagate ? hits * kPropagationIo : 0.0),
+          kIndexDescent + hits * (backward ? kBackwardHitIo
+                                           : kConventionalHitIo) +
+              (backward ? attach_cost(hits)
+                        : (propagate ? hits * kPropagationIo : 0.0)),
           i, PhysOrder{pred->instance, pred->label}});
     }
     const BaselineClassifierIndex* baseline =
@@ -758,8 +782,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       candidates.push_back(Candidate{
           Candidate::Kind::kKeywordIndex,
           kIndexDescent * static_cast<double>(func->keywords().size()) +
-              hits * kDataIndexHitIo +
-              (propagate ? hits * kPropagationIo : 0.0),
+              hits * kDataIndexHitIo + attach_cost(hits),
           i, std::nullopt});
     }
   }
@@ -771,6 +794,11 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
 
   OpPtr op;
   std::optional<PhysOrder> order = best->order;
+  // Whether the rows need summary sets, and whether the chosen path
+  // attaches them itself; otherwise it runs bare and the sets attach late
+  // (above the data residual).
+  bool attach = propagate;
+  bool self_attach = false;
   switch (best->kind) {
     case Candidate::Kind::kSeq: {
       ExecutionContext* exec = ctx_->exec_context();
@@ -778,45 +806,30 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       if (allow_parallel_ && workers > 1 &&
           table_rows >= options_.parallel_row_threshold) {
         // Morsel-parallel scan: N partitions share one morsel dispenser,
-        // residual selections are cloned into every partition so the
-        // filtering runs on the workers, and the Gather merges the
-        // partition streams at its barrier.
+        // residual selections and the attach are cloned into every
+        // partition so the filtering and propagation run on the workers,
+        // and the Gather merges the partition streams at its barrier.
         auto morsels = std::make_shared<MorselSource>(
             info->table->heap_pages(), options_.morsel_pages);
         std::vector<OpPtr> partitions;
         partitions.reserve(workers);
         for (size_t w = 0; w < workers; ++w) {
-          auto scan = std::make_unique<ParallelScanOp>(exec, info->table,
-                                                       propagate, morsels);
+          auto scan = std::make_unique<ParallelScanOp>(
+              exec, info->table, /*propagate=*/false, morsels);
           scan->SetZonePredicate(zone_pred);  // Copy: one per partition.
           scan->Qualify(cur->alias);
-          OpPtr part = std::move(scan);
-          if (!data_conjuncts.empty()) {
-            std::vector<ExprPtr> cloned;
-            cloned.reserve(data_conjuncts.size());
-            for (const ExprPtr& conjunct : data_conjuncts) {
-              cloned.push_back(conjunct->Clone());
-            }
-            part = std::make_unique<SelectOp>(
-                std::move(part), CombineConjuncts(std::move(cloned)));
-          }
-          if (!summary_conjuncts.empty()) {
-            std::vector<ExprPtr> cloned;
-            cloned.reserve(summary_conjuncts.size());
-            for (const ExprPtr& conjunct : summary_conjuncts) {
-              cloned.push_back(conjunct->Clone());
-            }
-            part = std::make_unique<SummarySelectOp>(
-                std::move(part), CombineConjuncts(std::move(cloned)));
-          }
+          Lowered part{std::move(scan), std::nullopt,
+                       propagate ? info->mgr : nullptr};
+          WrapResiduals(data_conjuncts, summary_conjuncts, &part);
           partitions.push_back(
-              std::make_unique<ExchangeOp>(std::move(part), w));
+              std::make_unique<ExchangeOp>(Materialize(&part), w));
         }
         op = std::make_unique<GatherOp>(std::move(partitions), morsels);
         // Cross-partition order is nondeterministic: no interesting order.
-        return Lowered{std::move(op), std::nullopt};
+        return Lowered{std::move(op), std::nullopt, nullptr};
       }
-      auto scan = std::make_unique<SeqScanOp>(exec, info->table, propagate);
+      auto scan = std::make_unique<SeqScanOp>(exec, info->table,
+                                              /*propagate=*/false);
       scan->SetZonePredicate(std::move(zone_pred));
       op = std::move(scan);
       break;
@@ -852,7 +865,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       }
       op = std::make_unique<IndexScanOp>(ctx_->exec_context(), info->table,
                                          column, lower, lower_inc, upper,
-                                         upper_inc, propagate);
+                                         upper_inc, /*propagate=*/false);
       data_conjuncts.erase(data_conjuncts.begin() +
                            static_cast<long>(best->conjunct));
       break;
@@ -860,9 +873,12 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     case Candidate::Kind::kSummaryIndex: {
       auto pred =
           *MatchIndexablePredicate(summary_conjuncts[best->conjunct].get());
+      const SummaryBTree* sbt = info->SummaryIndexFor(pred.instance);
+      self_attach =
+          sbt->pointer_mode() == SummaryBTree::PointerMode::kConventional;
       op = std::make_unique<SummaryIndexScanOp>(
-          ctx_->exec_context(), info->SummaryIndexFor(pred.instance),
-          ProbeFor(pred), info->table->name(), propagate);
+          ctx_->exec_context(), sbt, ProbeFor(pred), info->table->name(),
+          propagate && self_attach);
       summary_conjuncts.erase(summary_conjuncts.begin() +
                               static_cast<long>(best->conjunct));
       break;
@@ -870,6 +886,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     case Candidate::Kind::kBaselineIndex: {
       auto pred =
           *MatchIndexablePredicate(summary_conjuncts[best->conjunct].get());
+      self_attach = true;
       op = std::make_unique<BaselineIndexScanOp>(
           info->BaselineIndexFor(pred.instance), ProbeFor(pred), info->mgr,
           propagate, /*reconstruct_summaries=*/false);
@@ -880,17 +897,14 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     case Candidate::Kind::kKeywordIndex: {
       const auto* func = dynamic_cast<const SummaryFuncExpr*>(
           summary_conjuncts[best->conjunct].get());
-      const bool exact = func->kind() == SummaryFuncKind::kContainsUnion;
       op = std::make_unique<KeywordIndexScanOp>(
           ctx_->exec_context(), info->KeywordIndexFor(func->instance()),
-          func->keywords(), info->table->name(), propagate || !exact);
-      if (exact) {
-        // containsUnion == posting-list intersection: no residual.
-        summary_conjuncts.erase(summary_conjuncts.begin() +
-                                static_cast<long>(best->conjunct));
-      }
-      // containsSingle keeps its conjunct as a residual re-check (the
-      // scan over-approximates), so it stays in summary_conjuncts.
+          func->keywords(), info->table->name(), /*propagate=*/false);
+      // The posting lists hold every version's words, whatever the
+      // snapshot, so they over-approximate both functions: the conjunct
+      // stays in summary_conjuncts as a residual re-check, whose S reads
+      // the summary sets even when the scan does not propagate.
+      attach = true;
       break;
     }
   }
@@ -898,21 +912,52 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   // Every candidate is a ScanOp; it emits the FROM entry's `rel.col`.
   static_cast<ScanOp*>(op.get())->Qualify(cur->alias);
 
-  // Residuals: data selection first (Rule 1 lets us order freely), then
-  // the summary selection. Both preserve the interesting order (Rules
-  // 3-4).
-  if (!data_conjuncts.empty()) {
-    op = std::make_unique<SelectOp>(std::move(op),
-                                    CombineConjuncts(std::move(data_conjuncts)));
-  }
-  if (!summary_conjuncts.empty()) {
-    op = std::make_unique<SummarySelectOp>(
-        std::move(op), CombineConjuncts(std::move(summary_conjuncts)));
-  }
+  Lowered out{std::move(op), order,
+              attach && !self_attach ? info->mgr : nullptr};
+  WrapResiduals(data_conjuncts, summary_conjuncts, &out);
   // The access-path root is where table statistics turned into an
   // estimate; misestimates observed at runtime feed back to this table.
-  op->set_feedback_table(cur->table);
-  return Lowered{std::move(op), order};
+  out.op->set_feedback_table(cur->table);
+  return out;
+}
+
+void Optimizer::WrapResiduals(const std::vector<ExprPtr>& data_conjuncts,
+                              const std::vector<ExprPtr>& summary_conjuncts,
+                              Lowered* lowered) {
+  // Data selection first (Rule 1 lets us order freely), then the attach,
+  // then the summary selection. All preserve the interesting order (Rules
+  // 3-4).
+  auto combined = [](const std::vector<ExprPtr>& conjuncts) {
+    std::vector<ExprPtr> cloned;
+    cloned.reserve(conjuncts.size());
+    for (const ExprPtr& conjunct : conjuncts) {
+      cloned.push_back(conjunct->Clone());
+    }
+    return CombineConjuncts(std::move(cloned));
+  };
+  if (!data_conjuncts.empty()) {
+    lowered->op = std::make_unique<SelectOp>(std::move(lowered->op),
+                                             combined(data_conjuncts));
+  }
+  if (!summary_conjuncts.empty()) {
+    lowered->op = std::make_unique<SummarySelectOp>(
+        Materialize(lowered), combined(summary_conjuncts));
+  }
+}
+
+OpPtr Optimizer::Materialize(Lowered* lowered) {
+  OpPtr op = std::move(lowered->op);
+  if (lowered->pending_attach == nullptr) return op;
+  auto attach = std::make_unique<AttachSummariesOp>(std::move(op),
+                                                    lowered->pending_attach);
+  lowered->pending_attach = nullptr;
+  // 1:1: the attach emits exactly what its input does.
+  PhysicalOperator* input = attach->children()[0];
+  if (input->has_estimate()) {
+    attach->set_estimated_rows(input->estimated_rows());
+    attach->set_estimate_source(input->estimate_source());
+  }
+  return attach;
 }
 
 EstimateSource Optimizer::EstimateSourceFor(const LogicalNode& node) const {
@@ -976,14 +1021,16 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
         cur = cur->children[0].get();
       }
       if (cur->kind == LogicalKind::kScan) return LowerAccessPath(node);
-      INSIGHT_ASSIGN_OR_RETURN(Lowered child, LowerRec(*node.children[0]));
-      Lowered out;
-      out.order = child.order;  // Rules 3-4: selections preserve order.
+      // Rules 3-4: selections preserve order. A data selection passes a
+      // pending attach through; one that reads summary sets forces it.
+      INSIGHT_ASSIGN_OR_RETURN(Lowered out, LowerRec(*node.children[0]));
+      OpPtr child = node.predicate->IsSummaryBased() ? Materialize(&out)
+                                                     : std::move(out.op);
       if (node.kind == LogicalKind::kSelect) {
-        out.op = std::make_unique<SelectOp>(std::move(child.op),
+        out.op = std::make_unique<SelectOp>(std::move(child),
                                             node.predicate->Clone());
       } else {
-        out.op = std::make_unique<SummarySelectOp>(std::move(child.op),
+        out.op = std::make_unique<SummarySelectOp>(std::move(child),
                                                    node.predicate->Clone());
       }
       return out;
@@ -992,7 +1039,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       INSIGHT_ASSIGN_OR_RETURN(Lowered child, LowerRec(*node.children[0]));
       Lowered out;
       out.order = child.order;
-      out.op = std::make_unique<SummaryFilterOp>(std::move(child.op),
+      out.op = std::make_unique<SummaryFilterOp>(Materialize(&child),
                                                  node.object_predicate);
       return out;
     }
@@ -1001,7 +1048,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       Lowered out;
       // Projection may eliminate annotation effects, perturbing label
       // counts: conservatively drop the interesting order.
-      out.op = std::make_unique<ProjectOp>(std::move(child.op), node.columns,
+      out.op = std::make_unique<ProjectOp>(Materialize(&child), node.columns,
                                            ctx_->MakeResolver());
       return out;
     }
@@ -1061,9 +1108,9 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       out.order = order;
       if (index_join) {
         auto join = std::make_unique<IndexNLJoinOp>(
-            std::move(left.op), inner->info->table, inner->column,
+            Materialize(&left), inner->info->table, inner->column,
             Col(keys->left_column), inner->info->mgr,
-            right_node->propagate_summaries);
+            Propagates(*right_node, *inner->info));
         join->QualifyInner(right_node->alias);
         out.op = std::move(join);
         // Residual conjuncts beyond the equi key become a post-select.
@@ -1076,12 +1123,12 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
         // preserved, so the Rule 5 analysis above still applies).
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
         out.op = std::make_unique<HashJoinOp>(
-            std::move(left.op), std::move(right.op), keys->left_column,
+            Materialize(&left), Materialize(&right), keys->left_column,
             keys->right_column, CombineConjuncts(std::move(residual)));
       } else {
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
-        out.op = std::make_unique<NestedLoopJoinOp>(std::move(left.op),
-                                                    std::move(right.op),
+        out.op = std::make_unique<NestedLoopJoinOp>(Materialize(&left),
+                                                    Materialize(&right),
                                                     node.predicate->Clone());
       }
       return out;
@@ -1132,14 +1179,14 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       out.order = order;
       if (index_join) {
         auto join = std::make_unique<SummaryJoinOp>(
-            std::move(left.op), right_info->table, right_info->mgr,
-            right_index, instance, label, right_node->propagate_summaries);
+            Materialize(&left), right_info->table, right_index, instance,
+            label, right_node->propagate_summaries);
         join->QualifyInner(right_node->alias);
         out.op = std::move(join);
       } else {
         INSIGHT_ASSIGN_OR_RETURN(Lowered right, LowerRec(*node.children[1]));
         out.op = std::make_unique<SummaryJoinOp>(
-            std::move(left.op), std::move(right.op), pred.Clone());
+            Materialize(&left), Materialize(&right), pred.Clone());
       }
       return out;
     }
@@ -1167,13 +1214,20 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
           if (index != nullptr && complete) {
             ClassifierProbe probe;
             probe.label = func->label();
+            // As in LowerAccessPath: conventional pointers attach in the
+            // scan, backward pointers attach late.
+            const bool propagate = Propagates(*node.children[0], *info);
+            const bool conventional = index->pointer_mode() ==
+                                      SummaryBTree::PointerMode::kConventional;
             auto scan = std::make_unique<SummaryIndexScanOp>(
                 ctx_->exec_context(), index, probe, info->table->name(),
-                node.children[0]->propagate_summaries);
+                propagate && conventional);
             scan->Qualify(node.children[0]->alias);
             Lowered out;
             out.op = std::move(scan);
             out.order = PhysOrder{func->instance(), func->label()};
+            out.pending_attach =
+                propagate && !conventional ? info->mgr : nullptr;
             return out;
           }
         }
@@ -1196,13 +1250,19 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
           return child;  // Sort eliminated.
         }
       }
+      // A data-keyed sort carries a pending attach up (Row::oid survives
+      // a spill); a summary-keyed one (O) forces it.
       std::vector<SortKey> keys;
+      bool summary_keyed = false;
       for (const SortKey& key : node.sort_keys) {
         keys.push_back(SortKey{key.expr->Clone(), key.descending});
+        summary_keyed = summary_keyed || key.expr->IsSummaryBased();
       }
       Lowered out;
+      out.pending_attach = summary_keyed ? nullptr : child.pending_attach;
+      OpPtr input = summary_keyed ? Materialize(&child) : std::move(child.op);
       out.op = std::make_unique<SortOp>(
-          ctx_->exec_context(), std::move(child.op), std::move(keys),
+          ctx_->exec_context(), std::move(input), std::move(keys),
           options_.sort_mode, options_.sort_memory_budget);
       return out;
     }
@@ -1216,14 +1276,14 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       }
       Lowered out;
       out.op = std::make_unique<HashAggregateOp>(
-          std::move(child.op), node.group_columns, std::move(aggs),
+          Materialize(&child), node.group_columns, std::move(aggs),
           ctx_->MakeResolver());
       return out;
     }
     case LogicalKind::kDistinct: {
       INSIGHT_ASSIGN_OR_RETURN(Lowered child, LowerRec(*node.children[0]));
       Lowered out;
-      out.op = std::make_unique<DistinctOp>(std::move(child.op));
+      out.op = std::make_unique<DistinctOp>(Materialize(&child));
       return out;
     }
     case LogicalKind::kLimit: {
@@ -1244,6 +1304,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       }
       Lowered out;
       out.order = child.order;
+      out.pending_attach = child.pending_attach;  // LIMIT first, then attach.
       out.op = std::make_unique<LimitOp>(std::move(child.op), node.limit);
       return out;
     }
@@ -1253,11 +1314,13 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
 
 Result<OpPtr> Optimizer::Lower(const LogicalNode& plan) {
   INSIGHT_ASSIGN_OR_RETURN(Lowered lowered, LowerRec(plan));
+  // The plan root forces whatever attach is still pending.
+  OpPtr root = Materialize(&lowered);
   // Thread the runtime context through every operator: non-scan operators
   // are built with plain constructors, so the tree walk is what hands them
   // the batch-size knob and storage handles.
-  lowered.op->AttachContext(ctx_->exec_context());
-  return std::move(lowered.op);
+  root->AttachContext(ctx_->exec_context());
+  return root;
 }
 
 Result<OpPtr> Optimizer::Optimize(LogicalPtr plan) {

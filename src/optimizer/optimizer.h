@@ -94,10 +94,19 @@ class Optimizer {
     std::string instance;
     std::string label;
   };
+  /// A lowered subplan. `pending_attach` is set when the subplan's rows
+  /// still lack their summary sets: its access path ran bare, and the
+  /// attach rides up through operators that neither read nor rewrite
+  /// summary sets (data Select, Limit, data-keyed Sort) until a consumer
+  /// forces it (late materialization).
   struct Lowered {
     OpPtr op;
     std::optional<PhysOrder> order;
+    SummaryManager* pending_attach = nullptr;
   };
+  /// Places `lowered`'s pending attach, if any, directly above its
+  /// operator; returns the (possibly wrapped) operator.
+  static OpPtr Materialize(Lowered* lowered);
 
   // Rewrite helpers (one pass; PushDowns runs to fixpoint).
   Result<bool> PushDownOnce(LogicalNode* node);
@@ -131,6 +140,11 @@ class Optimizer {
   /// scan: picks SeqScan / IndexScan / SummaryIndexScan / BaselineIndexScan
   /// by estimated cost and wraps residual predicates.
   Result<Lowered> LowerAccessPath(const LogicalNode& node);
+  /// Wraps an access path in its residual data selection, then (forcing
+  /// any pending attach) its residual summary selection.
+  static void WrapResiduals(const std::vector<ExprPtr>& data_conjuncts,
+                            const std::vector<ExprPtr>& summary_conjuncts,
+                            Lowered* lowered);
 
   /// The sketch-tier consultation policy derived from the options.
   SketchPolicy sketch_policy() const {

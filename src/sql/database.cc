@@ -1,6 +1,9 @@
 #include "sql/database.h"
 
 #include <dirent.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -622,6 +625,15 @@ Status Database::Checkpoint() {
     // derived state, so a failure here does not void the checkpoint.
     result = MaintainZoneMaps();
   }
+#if defined(__GLIBC__)
+  // The snapshot held the database's whole logical image three times (op
+  // list, encoded payload, framed log buffer), all freed at once. glibc
+  // keeps blocks that large in the heap (its trim threshold follows the
+  // largest block freed), so the resident set would carry every
+  // checkpoint's peak, by an amount that depends on where the blocks
+  // happened to land. Checkpoints are rare; hand the memory back.
+  ::malloc_trim(0);
+#endif
   return result;
 }
 

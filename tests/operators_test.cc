@@ -281,9 +281,8 @@ TEST(SummaryJoinTest, IndexStrategyEqualityProbe) {
       &right_db.storage, &right_db.pool, right_db.mgr.get(), "ClassBird1",
       SummaryBTree::Options{});
 
-  SummaryJoinOp join(left_db.Scan(true), right_db.birds,
-                     right_db.mgr.get(), right_index.get(), "ClassBird1",
-                     "Disease", true);
+  SummaryJoinOp join(left_db.Scan(true), right_db.birds, right_index.get(),
+                     "ClassBird1", "Disease", true);
   auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
   // Left bird1 (count 3) matches right bird3 (count 3); left bird2
@@ -594,6 +593,21 @@ OpPtr SplitGather(TestDb& db) {
 
 const PlanCase kPlanCases[] = {
     {"SeqScan", [](TestDb& db) { return db.Scan(true); }},
+    // Late propagation: the attach above a data filter and a LIMIT over a
+    // bare scan, as the optimizer places it.
+    {"AttachOverSelect",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<AttachSummariesOp>(
+           std::make_unique<SelectOp>(
+               db.Scan(false),
+               Cmp(Col("weight"), CompareOp::kLt, Lit(Value::Double(4.0)))),
+           db.mgr.get());
+     }},
+    {"AttachOverLimit",
+     [](TestDb& db) -> OpPtr {
+       return std::make_unique<AttachSummariesOp>(
+           std::make_unique<LimitOp>(db.Scan(false), 12), db.mgr.get());
+     }},
     {"IndexScan",
      [](TestDb& db) -> OpPtr {
        db.birds->CreateColumnIndex("weight").ok();
@@ -711,7 +725,7 @@ const PlanCase kPlanCases[] = {
     {"SummaryJoinIndex",
      [](TestDb& db) -> OpPtr {
        return std::make_unique<SummaryJoinOp>(
-           db.Scan(true), db.birds, db.mgr.get(), db.ClassIndex(),
+           db.Scan(true), db.birds, db.ClassIndex(),
            "ClassBird1", "Disease", true);
      }},
     {"Gather", [](TestDb& db) { return SplitGather(db); }},

@@ -196,7 +196,54 @@ TEST_F(OptimizerTest, AccessPathFallsBackToSeqScanWithoutIndex) {
   EXPECT_NE(tree.find("SummarySelect"), std::string::npos) << tree;
 }
 
+// Propagation is priced at the rows that reach the late attach, not at
+// the table's rows: behind a selective data conjunct the scan attaches
+// about one set and beats a Summary-BTree probe, while the same probe on
+// its own still wins (a scan would attach all 30 sets).
+TEST_F(OptimizerTest, PropagationPricedAtRowsReachingTheAttach) {
+  auto disease_gt_8 = [] {
+    return Cmp(LabelValue("ClassBird1", "Disease"), CompareOp::kGt,
+               Lit(Value::Int(8)));
+  };
+  Optimizer opt(ctx.get(), OptimizerOptions{});
+  auto alone = opt.Optimize(LSummarySelect(LScan("Birds"), disease_gt_8()));
+  ASSERT_TRUE(alone.ok());
+  const std::string alone_tree = (*alone)->ExplainTree();
+  EXPECT_NE(alone_tree.find("SummaryIndexScan"), std::string::npos)
+      << alone_tree;
+
+  LogicalPtr plan = LSummarySelect(
+      LSelect(LScan("Birds"),
+              Cmp(Col("name"), CompareOp::kEq, Lit(Value::String("bird3")))),
+      disease_gt_8());
+  auto op = opt.Optimize(plan->Clone());
+  ASSERT_TRUE(op.ok());
+  const std::string tree = (*op)->ExplainTree();
+  EXPECT_EQ(tree.find("SummaryIndexScan"), std::string::npos) << tree;
+  const size_t ssel = tree.find("SummarySelect[S]");
+  const size_t attach = tree.find("AttachSummaries(Birds, propagate)");
+  const size_t select = tree.find("Select[\xcf\x83]");
+  const size_t scan = tree.find("SeqScan(Birds)\n");
+  ASSERT_NE(scan, std::string::npos) << tree;
+  EXPECT_LT(ssel, attach) << tree;
+  EXPECT_LT(attach, select) << tree;
+  EXPECT_LT(select, scan) << tree;
+  ExpectSameResults(*plan);
+}
+
 TEST_F(OptimizerTest, ResidualPredicatesStayAboveIndexScan) {
+  // Summary sets attach after the data filter, so on the 30-row fixture
+  // the scan beats the index (PropagationPricedAtRowsReachingTheAttach);
+  // 600 un-annotated rows make the Disease probe selective enough to pay.
+  for (int i = 30; i < 630; ++i) {
+    ASSERT_TRUE(db.birds
+                    ->Insert(Tuple({Value::String("bird" + std::to_string(i)),
+                                    Value::String("family" +
+                                                  std::to_string(i % 4)),
+                                    Value::Double(1.0 + i * 0.25)}))
+                    .ok());
+  }
+  ASSERT_TRUE(ctx->Analyze("Birds").ok());
   LogicalPtr plan = LSummarySelect(
       LSelect(LScan("Birds"), Like(Col("family"), "family1")),
       Cmp(LabelValue("ClassBird1", "Disease"), CompareOp::kGt,

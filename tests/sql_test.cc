@@ -357,6 +357,20 @@ TEST_F(DatabaseTest, DeleteTupleCleansUp) {
 }
 
 TEST_F(DatabaseTest, CreateDataIndexAndUseIt) {
+  // Summary sets attach after the data filter, so a scan of the 12-row
+  // fixture (one page) is cheaper than any index descent; at 4,012 rows
+  // the point probe pays off. The added weights alternate below and above
+  // 3.0, so no page's zone map can rule the probe out.
+  for (int start = 100; start < 4100; start += 250) {
+    std::string sql = "INSERT INTO Birds VALUES ";
+    for (int i = start; i < start + 250; ++i) {
+      const std::string weight =
+          i % 2 == 0 ? std::to_string(i) + ".5" : "0." + std::to_string(i);
+      sql += (i > start ? ", ('bird" : "('bird") + std::to_string(i) +
+             "', 'family0', " + weight + ")";
+    }
+    db.Execute(sql).ValueOrDie();
+  }
   db.Execute("CREATE INDEX ON Birds (weight)").ValueOrDie();
   db.Execute("ANALYZE Birds").ValueOrDie();
   auto plan = db.Explain("SELECT name FROM Birds WHERE weight = 3.0");
