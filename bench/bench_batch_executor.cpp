@@ -39,7 +39,7 @@ ExprPtr WeightPredicate() {
 }
 
 OpPtr BuildPlan(Table* table) {
-  auto scan = std::make_unique<SeqScanOp>(table, nullptr, false);
+  auto scan = std::make_unique<SeqScanOp>(table);
   return std::make_unique<SelectOp>(std::move(scan), WeightPredicate());
 }
 
@@ -50,8 +50,7 @@ OpPtr BuildParallelPlan(Table* table, size_t workers) {
   std::vector<OpPtr> partitions;
   partitions.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    OpPtr part =
-        std::make_unique<ParallelScanOp>(table, nullptr, false, morsels);
+    OpPtr part = std::make_unique<ParallelScanOp>(table, morsels);
     part = std::make_unique<SelectOp>(std::move(part), WeightPredicate());
     partitions.push_back(std::make_unique<ExchangeOp>(std::move(part), w));
   }
@@ -236,7 +235,7 @@ int main(int argc, char** argv) {
 
     // One plan per arm: selective / full, each pruned / unpruned.
     auto build = [&](int64_t bound, bool prune, SeqScanOp** scan_out) {
-      auto scan = std::make_unique<SeqScanOp>(events, nullptr, false);
+      auto scan = std::make_unique<SeqScanOp>(events);
       if (prune) {
         ZoneProbe probe;
         probe.kind = ZoneProbe::Kind::kColumn;

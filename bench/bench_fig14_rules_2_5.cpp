@@ -22,7 +22,7 @@ namespace {
 
 LogicalPtr BuildExample4Plan(int64_t threshold) {
   LogicalPtr join =
-      LJoin(LScan("Birds"), LScan("Synonyms", /*propagate=*/false),
+      LJoin(LScan("Birds"), LScan("Synonyms"),
             Cmp(Col("common_name"), CompareOp::kEq, Col("bird_name")));
   LogicalPtr select = LSummarySelect(
       std::move(join), Cmp(LabelValue("ClassBird1", "Disease"),

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
           ContainsUnion("TextSummary1", {"wingspan", "station"});
       LogicalPtr sjoin =
           LSummaryJoin(LScan("Birds"), LScan("Reports"), std::move(pred));
-      return LJoin(std::move(sjoin), LScan("BirdsT", false),
+      return LJoin(std::move(sjoin), LScan("BirdsT"),
                    Cmp(Col("id"), CompareOp::kEq, Col("tid")));
     };
 

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   // client sorts. ---
   {
     const double basic_ms = MedianMillis(config.query_repeats, [&] {
-      SeqScanOp scan(birds, mgr, true);
+      AttachSummariesOp scan(std::make_unique<SeqScanOp>(birds), mgr);
       std::vector<Row> rows = CollectRows(&scan).ValueOrDie();
       std::stable_sort(rows.begin(), rows.end(),
                        [](const Row& a, const Row& b) {
@@ -99,8 +99,10 @@ int main(int argc, char** argv) {
     Table* birds2 = *db.GetTable("BirdsV2");
     const double basic_ms = MedianMillis(config.query_repeats, [&] {
       // Engine does the data join; the summary predicate is manual.
-      auto left = std::make_unique<SeqScanOp>(birds, mgr, true);
-      auto right = std::make_unique<SeqScanOp>(birds2, mgr2, true);
+      auto left = std::make_unique<AttachSummariesOp>(
+          std::make_unique<SeqScanOp>(birds), mgr);
+      auto right = std::make_unique<AttachSummariesOp>(
+          std::make_unique<SeqScanOp>(birds2), mgr2);
       // Basic InsightNotes merges summaries in the join, after which the
       // per-side counts are gone — the student had to re-query each side
       // tuple-by-tuple. Emulate with per-pair summary lookups.
@@ -143,7 +145,7 @@ int main(int argc, char** argv) {
     const int64_t threshold =
         PickThresholdConstant(&db, "Birds", "ClassBird1", "Disease", 0.02);
     const double basic_ms = MedianMillis(config.query_repeats, [&] {
-      SeqScanOp scan(birds, mgr, true);
+      AttachSummariesOp scan(std::make_unique<SeqScanOp>(birds), mgr);
       std::vector<Row> rows = CollectRows(&scan).ValueOrDie();
       size_t kept = 0;
       for (const Row& row : rows) {

@@ -2,8 +2,6 @@
 #define INSIGHTNOTES_ENGINE_EXECUTION_CONTEXT_H_
 
 #include <cstddef>
-#include <map>
-#include <string>
 
 #include "engine/row_batch.h"
 #include "txn/txn.h"
@@ -12,15 +10,13 @@ namespace insight {
 
 class BufferPool;
 class StorageManager;
-class SummaryManager;
 class TaskScheduler;
 
 /// Shared runtime state threaded through a physical plan: the storage
-/// handles, the per-table summary managers, and the batch-size knob.
-/// Operators resolve their wiring here instead of each constructor
-/// re-plumbing `BufferPool*` / `StorageManager*` / `SummaryManager*`
-/// parameters, and the batch executor reads its capacity from here so one
-/// knob tunes a whole plan.
+/// handles, the MVCC snapshot and the batch-size knob. Operators resolve
+/// their wiring here instead of each constructor re-plumbing
+/// `BufferPool*` / `StorageManager*` parameters, and the batch executor
+/// reads its capacity from here so one knob tunes a whole plan.
 ///
 /// The parallelism knob sets the number of morsel workers the optimizer
 /// plans for (1 = serial; the default). Parallel plans execute on
@@ -53,14 +49,6 @@ class ExecutionContext {
   TaskScheduler* scheduler() const { return scheduler_; }
   void set_scheduler(TaskScheduler* scheduler) { scheduler_ = scheduler; }
 
-  /// Registers / replaces the summary manager of `table`.
-  void RegisterManager(const std::string& table, SummaryManager* mgr);
-  void UnregisterManager(const std::string& table);
-
-  /// The summary manager of `table` (case-insensitive); null when the
-  /// relation is plain.
-  SummaryManager* ManagerFor(const std::string& table) const;
-
   /// MVCC snapshot every scan/probe in the plan reads at. The executor
   /// stamps a per-query copy of the context with the session's snapshot
   /// (the transaction's, or latest-committed for autocommit reads).
@@ -74,7 +62,6 @@ class ExecutionContext {
   size_t parallelism_ = 1;
   TaskScheduler* scheduler_ = nullptr;
   Snapshot snapshot_ = Snapshot::Latest();
-  std::map<std::string, SummaryManager*> managers_;  // Lower-cased keys.
 };
 
 }  // namespace insight

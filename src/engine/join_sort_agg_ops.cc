@@ -93,13 +93,12 @@ std::string NestedLoopJoinOp::Describe() const {
 
 IndexNLJoinOp::IndexNLJoinOp(OpPtr outer, Table* inner,
                              std::string inner_column, ExprPtr outer_key,
-                             SummaryManager* inner_mgr, bool propagate_inner)
+                             SummaryManager* inner_mgr)
     : outer_(std::move(outer)),
       inner_(inner),
       inner_column_(std::move(inner_column)),
       outer_key_(std::move(outer_key)),
-      inner_mgr_(inner_mgr),
-      propagate_inner_(propagate_inner && inner_mgr != nullptr) {
+      inner_mgr_(inner_mgr) {
   schema_ = Schema::Concat(outer_->schema(), inner_->schema());
 }
 
@@ -130,6 +129,10 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
       if (!outer_valid_) break;
       INSIGHT_ASSIGN_OR_RETURN(
           Value key, outer_key_->Eval(outer_row_, outer_->schema()));
+      if (key.is_null()) {  // Equals no row, though the index keys NULL.
+        outer_valid_ = false;
+        continue;
+      }
       join_key_ = EncodeIndexKey(key);
       INSIGHT_RETURN_NOT_OK(FetchInner(index, inner_pos));
     }
@@ -176,7 +179,7 @@ Status IndexNLJoinOp::FetchInner(const BTree* index, size_t inner_pos) {
     matches_.Push(Row{static_cast<Oid>(hits[i]), std::move(*by_hit[i]),
                     SummarySet()});
   }
-  if (propagate_inner_) {
+  if (inner_mgr_ != nullptr) {
     INSIGHT_RETURN_NOT_OK(inner_mgr_->AttachSummaries(&matches_, snapshot()));
   }
   return Status::OK();

@@ -157,13 +157,14 @@ Result<std::vector<Row>> CollectRows(PhysicalOperator* root);
 
 /// Heap-scan loop shared by SeqScanOp and ParallelScanOp: moves the live
 /// tuples of `it` into `batch` as bare rows until the batch fills. True
-/// once `it` runs dry. A propagating scan then attaches the whole batch's
-/// summary sets with one SummaryManager::AttachSummaries call.
+/// once `it` runs dry.
 bool ScanHeapInto(Table::Iterator* it, RowBatch* batch);
 
 /// Base of the access paths over one stored relation. A scan emits the
 /// relation's columns under their base names, or as `rel.col` once the
-/// optimizer names it after its FROM entry.
+/// optimizer names it after its FROM entry. SeqScanOp, ParallelScanOp,
+/// IndexScanOp and KeywordIndexScanOp emit bare rows (empty summary sets);
+/// an AttachSummariesOp above them attaches the sets.
 class ScanOp : public PhysicalOperator {
  public:
   const Schema& schema() const override {
@@ -182,13 +183,10 @@ class ScanOp : public PhysicalOperator {
   std::optional<Schema> qualified_;
 };
 
-/// Full heap scan of a user relation; propagates summary objects when a
-/// SummaryManager is supplied.
+/// Full heap scan of a user relation.
 class SeqScanOp : public ScanOp {
  public:
-  SeqScanOp(Table* table, SummaryManager* mgr, bool propagate);
-  /// Context form: resolves the table's SummaryManager from `ctx`.
-  SeqScanOp(ExecutionContext* ctx, Table* table, bool propagate);
+  explicit SeqScanOp(Table* table) : table_(table) {}
 
   Status OpenImpl() override;
   std::string Describe() const override;
@@ -205,25 +203,18 @@ class SeqScanOp : public ScanOp {
 
  private:
   Table* table_;
-  SummaryManager* mgr_;
-  bool propagate_;
   std::optional<Table::Iterator> it_;
   ZonePredicate zone_pred_;
   uint64_t pages_skipped_ = 0;
 };
 
 /// Data-column B-Tree index scan with an optional [lower, upper] value
-/// range (either bound may be absent).
+/// range (either bound may be absent, but not both).
 class IndexScanOp : public ScanOp {
  public:
   IndexScanOp(Table* table, std::string column, std::optional<Value> lower,
               bool lower_inclusive, std::optional<Value> upper,
-              bool upper_inclusive, SummaryManager* mgr, bool propagate);
-  /// Context form: resolves the table's SummaryManager from `ctx`.
-  IndexScanOp(ExecutionContext* ctx, Table* table, std::string column,
-              std::optional<Value> lower, bool lower_inclusive,
-              std::optional<Value> upper, bool upper_inclusive,
-              bool propagate);
+              bool upper_inclusive);
 
   Status OpenImpl() override;
   std::string Describe() const override;
@@ -245,8 +236,6 @@ class IndexScanOp : public ScanOp {
   bool lower_inclusive_;
   std::optional<Value> upper_;
   bool upper_inclusive_;
-  SummaryManager* mgr_;
-  bool propagate_;
   std::vector<Oid> oids_;
   size_t pos_ = 0;
   size_t col_pos_ = 0;
@@ -256,15 +245,13 @@ class IndexScanOp : public ScanOp {
 
 /// Summary-BTree index scan: evaluates a classifier probe and emits the
 /// matching data tuples in ascending label-count order — the interesting
-/// order Rules 3-6 exploit.
+/// order Rules 3-6 exploit. With `propagate` it attaches the summary sets
+/// itself (SummaryBTree::FetchRows): the conventional-pointer arm of Fig.
+/// 13 reads them from the storage rows its pointers land on.
 class SummaryIndexScanOp : public ScanOp {
  public:
   SummaryIndexScanOp(const SummaryBTree* index, ClassifierProbe probe,
                      SummaryManager* mgr, bool propagate);
-  /// Context form: resolves `table`'s SummaryManager from `ctx`.
-  SummaryIndexScanOp(ExecutionContext* ctx, const SummaryBTree* index,
-                     ClassifierProbe probe, const std::string& table,
-                     bool propagate);
 
   Status OpenImpl() override;
   std::string Describe() const override;
@@ -318,26 +305,20 @@ class BaselineIndexScanOp : public ScanOp {
 /// are built with the same TokenizeWords words ContainsWord matches.
 class KeywordIndexScanOp : public ScanOp {
  public:
-  KeywordIndexScanOp(const SnippetKeywordIndex* index,
-                     std::vector<std::string> keywords, SummaryManager* mgr,
-                     bool propagate);
-  /// Context form: resolves `table`'s SummaryManager from `ctx`.
-  KeywordIndexScanOp(ExecutionContext* ctx, const SnippetKeywordIndex* index,
-                     std::vector<std::string> keywords,
-                     const std::string& table, bool propagate);
+  KeywordIndexScanOp(Table* table, const SnippetKeywordIndex* index,
+                     std::vector<std::string> keywords);
 
   Status OpenImpl() override;
   std::string Describe() const override;
 
  protected:
-  const Schema& BaseSchema() const override;
+  const Schema& BaseSchema() const override { return table_->schema(); }
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
+  Table* table_;
   const SnippetKeywordIndex* index_;
   std::vector<std::string> keywords_;
-  SummaryManager* mgr_;
-  bool propagate_;
   std::vector<Oid> oids_;
   size_t pos_ = 0;
 };
@@ -555,12 +536,12 @@ class NestedLoopJoinOp : public PhysicalOperator {
 
 /// Index nested-loop join: probes the inner table's column index with the
 /// outer key expression (equi-join). Preserves the outer order — the
-/// property Rules 5-6 need.
+/// property Rules 5-6 need. The inner rows carry their summary sets when
+/// `inner_mgr` is given (null: empty sets).
 class IndexNLJoinOp : public PhysicalOperator {
  public:
   IndexNLJoinOp(OpPtr outer, Table* inner, std::string inner_column,
-                ExprPtr outer_key, SummaryManager* inner_mgr,
-                bool propagate_inner);
+                ExprPtr outer_key, SummaryManager* inner_mgr);
 
   Status OpenImpl() override;
   void Close() override { outer_->Close(); }
@@ -580,8 +561,8 @@ class IndexNLJoinOp : public PhysicalOperator {
 
  private:
   /// Loads the current outer row's inner matches into `matches_`: one
-  /// Table::GetMany walk for the index hits, then (when propagating) one
-  /// AttachSummaries call for their summary sets.
+  /// Table::GetMany walk for the index hits, then (with an inner manager)
+  /// one AttachSummaries call for their summary sets.
   Status FetchInner(const BTree* index, size_t inner_pos);
 
   OpPtr outer_;
@@ -589,8 +570,7 @@ class IndexNLJoinOp : public PhysicalOperator {
   std::string inner_rel_;  // Exposed name; empty: the table's own.
   std::string inner_column_;
   ExprPtr outer_key_;
-  SummaryManager* inner_mgr_;
-  bool propagate_inner_;
+  SummaryManager* inner_mgr_;  // Null: inner rows carry no summary sets.
   Schema schema_;
   RowBatch outer_input_;
   size_t outer_pos_ = 0;

@@ -7,22 +7,10 @@ namespace insight {
 
 // ---------- ParallelScanOp ----------
 
-ParallelScanOp::ParallelScanOp(Table* table, SummaryManager* mgr,
-                               bool propagate,
+ParallelScanOp::ParallelScanOp(Table* table,
                                std::shared_ptr<MorselSource> morsels)
-    : table_(table),
-      mgr_(mgr),
-      propagate_(propagate && mgr != nullptr),
-      morsels_(std::move(morsels)) {
+    : table_(table), morsels_(std::move(morsels)) {
   INSIGHT_CHECK(morsels_ != nullptr) << "parallel scan without morsels";
-}
-
-ParallelScanOp::ParallelScanOp(ExecutionContext* ctx, Table* table,
-                               bool propagate,
-                               std::shared_ptr<MorselSource> morsels)
-    : ParallelScanOp(table, ctx->ManagerFor(table->name()), propagate,
-                     std::move(morsels)) {
-  exec_ctx_ = ctx;
 }
 
 Status ParallelScanOp::OpenImpl() {
@@ -49,9 +37,6 @@ Result<bool> ParallelScanOp::NextBatchImpl(RowBatch* batch) {
     }
     if (ScanHeapInto(&*it_, batch)) it_.reset();
   }
-  if (propagate_) {
-    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
-  }
   return !batch->empty();
 }
 
@@ -61,8 +46,7 @@ std::string ParallelScanOp::AnalyzeAnnotation() const {
 
 std::string ParallelScanOp::Describe() const {
   return "ParallelScan(" + table_->name() + ", morsel=" +
-         std::to_string(morsels_->morsel_pages()) + "p" +
-         (propagate_ ? ", propagate" : "") + ")";
+         std::to_string(morsels_->morsel_pages()) + "p)";
 }
 
 // ---------- ExchangeOp ----------

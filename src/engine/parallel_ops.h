@@ -60,14 +60,10 @@ class MorselSource {
 
 /// One worker partition of a parallel heap scan: repeatedly claims a
 /// page-range morsel from the shared source and emits the live tuples of
-/// that range. Summary objects propagate exactly like SeqScanOp.
+/// that range as bare rows, like SeqScanOp.
 class ParallelScanOp : public ScanOp {
  public:
-  ParallelScanOp(Table* table, SummaryManager* mgr, bool propagate,
-                 std::shared_ptr<MorselSource> morsels);
-  /// Context form: resolves the table's SummaryManager from `ctx`.
-  ParallelScanOp(ExecutionContext* ctx, Table* table, bool propagate,
-                 std::shared_ptr<MorselSource> morsels);
+  ParallelScanOp(Table* table, std::shared_ptr<MorselSource> morsels);
 
   Status OpenImpl() override;
   std::string Describe() const override;
@@ -85,8 +81,6 @@ class ParallelScanOp : public ScanOp {
   void OpenMorsel(PageId begin, PageId end);
 
   Table* table_;
-  SummaryManager* mgr_;
-  bool propagate_;
   std::shared_ptr<MorselSource> morsels_;
   std::optional<Table::Iterator> it_;  // Current morsel's iterator.
   ZonePredicate zone_pred_;

@@ -123,14 +123,6 @@ bool ScanHeapInto(Table::Iterator* it, RowBatch* batch) {
   return false;
 }
 
-SeqScanOp::SeqScanOp(Table* table, SummaryManager* mgr, bool propagate)
-    : table_(table), mgr_(mgr), propagate_(propagate && mgr != nullptr) {}
-
-SeqScanOp::SeqScanOp(ExecutionContext* ctx, Table* table, bool propagate)
-    : SeqScanOp(table, ctx->ManagerFor(table->name()), propagate) {
-  exec_ctx_ = ctx;
-}
-
 Status SeqScanOp::OpenImpl() {
   ResetExec();
   pages_skipped_ = 0;
@@ -143,9 +135,6 @@ Status SeqScanOp::OpenImpl() {
 
 Result<bool> SeqScanOp::NextBatchImpl(RowBatch* batch) {
   ScanHeapInto(&*it_, batch);
-  if (propagate_) {
-    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
-  }
   return !batch->empty();
 }
 
@@ -154,34 +143,20 @@ std::string SeqScanOp::AnalyzeAnnotation() const {
 }
 
 std::string SeqScanOp::Describe() const {
-  return "SeqScan(" + table_->name() +
-         (propagate_ ? ", propagate" : "") + ")";
+  return "SeqScan(" + table_->name() + ")";
 }
 
 // ---------- IndexScanOp ----------
 
 IndexScanOp::IndexScanOp(Table* table, std::string column,
                          std::optional<Value> lower, bool lower_inclusive,
-                         std::optional<Value> upper, bool upper_inclusive,
-                         SummaryManager* mgr, bool propagate)
+                         std::optional<Value> upper, bool upper_inclusive)
     : table_(table),
       column_(std::move(column)),
       lower_(std::move(lower)),
       lower_inclusive_(lower_inclusive),
       upper_(std::move(upper)),
-      upper_inclusive_(upper_inclusive),
-      mgr_(mgr),
-      propagate_(propagate && mgr != nullptr) {}
-
-IndexScanOp::IndexScanOp(ExecutionContext* ctx, Table* table,
-                         std::string column, std::optional<Value> lower,
-                         bool lower_inclusive, std::optional<Value> upper,
-                         bool upper_inclusive, bool propagate)
-    : IndexScanOp(table, std::move(column), std::move(lower),
-                  lower_inclusive, std::move(upper), upper_inclusive,
-                  ctx->ManagerFor(table->name()), propagate) {
-  exec_ctx_ = ctx;
-}
+      upper_inclusive_(upper_inclusive) {}
 
 Status IndexScanOp::OpenImpl() {
   ResetExec();
@@ -191,6 +166,10 @@ Status IndexScanOp::OpenImpl() {
   if (index == nullptr) {
     return Status::InvalidArgument("no index on " + table_->name() + "." +
                                    column_);
+  }
+  if (!lower_.has_value() && !upper_.has_value()) {
+    return Status::InvalidArgument("index scan of " + table_->name() + "." +
+                                   column_ + " has no bound");
   }
   INSIGHT_ASSIGN_OR_RETURN(col_pos_, table_->schema().IndexOf(column_));
   // Type-class sentinels when a bound is missing.
@@ -241,9 +220,6 @@ Result<bool> IndexScanOp::NextBatchImpl(RowBatch* batch) {
     row.oid = oid;
     batch->Push(std::move(row));
   }
-  if (propagate_) {
-    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
-  }
   return !batch->empty();
 }
 
@@ -257,7 +233,6 @@ std::string IndexScanOp::Describe() const {
     out += upper_inclusive_ ? ", <= " : ", < ";
     out += upper_->ToString();
   }
-  if (propagate_) out += ", propagate";
   return out + ")";
 }
 
@@ -268,16 +243,6 @@ SummaryIndexScanOp::SummaryIndexScanOp(const SummaryBTree* index,
                                        SummaryManager* mgr, bool propagate)
     : index_(index), probe_(std::move(probe)), mgr_(mgr),
       propagate_(propagate) {}
-
-SummaryIndexScanOp::SummaryIndexScanOp(ExecutionContext* ctx,
-                                       const SummaryBTree* index,
-                                       ClassifierProbe probe,
-                                       const std::string& table,
-                                       bool propagate)
-    : SummaryIndexScanOp(index, std::move(probe), ctx->ManagerFor(table),
-                         propagate) {
-  exec_ctx_ = ctx;
-}
 
 const Schema& SummaryIndexScanOp::BaseSchema() const {
   return mgr_->base()->schema();
@@ -371,27 +336,10 @@ std::string BaselineIndexScanOp::Describe() const {
 
 // ---------- KeywordIndexScanOp ----------
 
-KeywordIndexScanOp::KeywordIndexScanOp(const SnippetKeywordIndex* index,
-                                       std::vector<std::string> keywords,
-                                       SummaryManager* mgr, bool propagate)
-    : index_(index),
-      keywords_(std::move(keywords)),
-      mgr_(mgr),
-      propagate_(propagate) {}
-
-KeywordIndexScanOp::KeywordIndexScanOp(ExecutionContext* ctx,
+KeywordIndexScanOp::KeywordIndexScanOp(Table* table,
                                        const SnippetKeywordIndex* index,
-                                       std::vector<std::string> keywords,
-                                       const std::string& table,
-                                       bool propagate)
-    : KeywordIndexScanOp(index, std::move(keywords), ctx->ManagerFor(table),
-                         propagate) {
-  exec_ctx_ = ctx;
-}
-
-const Schema& KeywordIndexScanOp::BaseSchema() const {
-  return mgr_->base()->schema();
-}
+                                       std::vector<std::string> keywords)
+    : table_(table), index_(index), keywords_(std::move(keywords)) {}
 
 Status KeywordIndexScanOp::OpenImpl() {
   ResetExec();
@@ -407,8 +355,7 @@ Result<bool> KeywordIndexScanOp::NextBatchImpl(RowBatch* batch) {
         pos_, std::min(batch->capacity() - batch->size(),
                        oids_.size() - pos_));
     pos_ += run.size();
-    INSIGHT_ASSIGN_OR_RETURN(auto tuples,
-                             mgr_->base()->GetMany(run, snapshot()));
+    INSIGHT_ASSIGN_OR_RETURN(auto tuples, table_->GetMany(run, snapshot()));
     for (size_t i = 0; i < run.size(); ++i) {
       if (!tuples[i].has_value()) continue;  // Not visible to us.
       Row row;
@@ -417,15 +364,11 @@ Result<bool> KeywordIndexScanOp::NextBatchImpl(RowBatch* batch) {
       batch->Push(std::move(row));
     }
   }
-  if (propagate_) {
-    INSIGHT_RETURN_NOT_OK(mgr_->AttachSummaries(batch, snapshot()));
-  }
   return !batch->empty();
 }
 
 std::string KeywordIndexScanOp::Describe() const {
-  return "KeywordIndexScan(" + Join(keywords_, ", ") +
-         (propagate_ ? ", propagate)" : ")");
+  return "KeywordIndexScan(" + Join(keywords_, ", ") + ")";
 }
 
 std::string VectorSourceOp::Describe() const {

@@ -37,7 +37,6 @@ LogicalPtr LogicalNode::Clone() const {
   node->kind = kind;
   node->table = table;
   node->alias = alias;
-  node->propagate_summaries = propagate_summaries;
   if (predicate != nullptr) node->predicate = predicate->Clone();
   node->object_predicate = object_predicate;
   node->columns = columns;
@@ -119,15 +118,14 @@ LogicalPtr MakeNode(LogicalKind kind) {
 }
 }  // namespace
 
-LogicalPtr LScan(std::string table, bool propagate) {
+LogicalPtr LScan(std::string table) {
   LogicalPtr node = MakeNode(LogicalKind::kScan);
   node->table = std::move(table);
-  node->propagate_summaries = propagate;
   return node;
 }
 
-LogicalPtr LScanAs(std::string table, std::string alias, bool propagate) {
-  LogicalPtr node = LScan(std::move(table), propagate);
+LogicalPtr LScanAs(std::string table, std::string alias) {
+  LogicalPtr node = LScan(std::move(table));
   node->alias = std::move(alias);
   return node;
 }

@@ -41,7 +41,6 @@ struct LogicalNode {
   // kScan.
   std::string table;
   std::string alias;  // Empty: columns keep their base names.
-  bool propagate_summaries = true;
 
   // kSelect / kSummarySelect predicates.
   ExprPtr predicate;
@@ -78,9 +77,9 @@ struct LogicalNode {
 
 // ---- Builders ----
 
-LogicalPtr LScan(std::string table, bool propagate = true);
-LogicalPtr LScanAs(std::string table, std::string alias,
-                   bool propagate = true);
+/// A scan propagates summary sets iff its relation has a linked instance.
+LogicalPtr LScan(std::string table);
+LogicalPtr LScanAs(std::string table, std::string alias);
 LogicalPtr LSelect(LogicalPtr child, ExprPtr predicate);
 LogicalPtr LSummarySelect(LogicalPtr child, ExprPtr predicate);
 LogicalPtr LSummaryFilter(LogicalPtr child, ObjectPredicate predicate);

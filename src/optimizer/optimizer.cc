@@ -52,11 +52,33 @@ bool IsLeafLabel(const RelationInfo& info, const std::string& instance,
   return false;
 }
 
-// Whether a scan of `info` attaches summary sets: it propagates and the
-// relation has a linked instance (without one, every set is empty).
-bool Propagates(const LogicalNode& scan, const RelationInfo& info) {
-  return scan.propagate_summaries && info.mgr != nullptr &&
-         !info.mgr->instances().empty();
+// Whether a scan of `info` attaches summary sets: the relation has a
+// linked instance (without one, every set is empty).
+bool Propagates(const RelationInfo& info) {
+  return info.mgr != nullptr && !info.mgr->instances().empty();
+}
+
+// "column <op> literal" data conjunct, either operand order ("5 > id" is
+// "id < 5").
+struct ColumnPredicate {
+  std::string column;
+  CompareOp op;
+  Value constant;
+};
+
+std::optional<ColumnPredicate> MatchColumnPredicate(const Expression* expr) {
+  const auto* cmp = dynamic_cast<const CompareExpr*>(expr);
+  if (cmp == nullptr) return std::nullopt;
+  const auto* col = dynamic_cast<const ColumnExpr*>(cmp->left());
+  const auto* lit = dynamic_cast<const LiteralExpr*>(cmp->right());
+  CompareOp op = cmp->op();
+  if (col == nullptr || lit == nullptr) {
+    col = dynamic_cast<const ColumnExpr*>(cmp->right());
+    lit = dynamic_cast<const LiteralExpr*>(cmp->left());
+    op = FlipOp(op);
+  }
+  if (col == nullptr || lit == nullptr) return std::nullopt;
+  return ColumnPredicate{col->name(), op, lit->value()};
 }
 
 }  // namespace
@@ -379,7 +401,7 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
       const double pages =
           info->EstimatedPages(policy, est.rows * kTupleCpu);
       est.cost = std::max(1.0, pages) + est.rows * kTupleCpu;
-      if (node.propagate_summaries && info->mgr != nullptr) {
+      if (Propagates(*info)) {
         est.cost +=
             est.rows * kPropagationIo * info->AnnotatedFraction(policy, 1.0);
       }
@@ -413,18 +435,12 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
               break;
             }
           }
-        } else if (const auto* cmp =
-                       dynamic_cast<const CompareExpr*>(conjunct.get())) {
-          const auto* col = dynamic_cast<const ColumnExpr*>(cmp->left());
-          const auto* lit = dynamic_cast<const LiteralExpr*>(cmp->right());
-          std::optional<BaseColumn> ref;
-          if (col != nullptr && lit != nullptr) {
-            ref = FindBaseColumn(*node.children[0], col->name());
-          }
+        } else if (auto pred = MatchColumnPredicate(conjunct.get())) {
+          const auto ref = FindBaseColumn(*node.children[0], pred->column);
           if (ref.has_value() && (ref->info->stats.has_value() ||
                                   ref->info->SketchTierActive(policy))) {
-            s = ref->info->ColumnSelectivity(policy, ref->column, cmp->op(),
-                                             lit->value(), s);
+            s = ref->info->ColumnSelectivity(policy, ref->column, pred->op,
+                                             pred->constant, s);
           }
         }
         selectivity *= s;
@@ -538,26 +554,11 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
 
 namespace {
 
-// "column <op> literal" data conjunct, for index-scan candidacy.
-struct ColumnPredicate {
-  std::string column;
-  CompareOp op;
-  Value constant;
-};
-
-std::optional<ColumnPredicate> MatchColumnPredicate(const Expression* expr) {
-  const auto* cmp = dynamic_cast<const CompareExpr*>(expr);
-  if (cmp == nullptr || cmp->op() == CompareOp::kNe) return std::nullopt;
-  const auto* col = dynamic_cast<const ColumnExpr*>(cmp->left());
-  const auto* lit = dynamic_cast<const LiteralExpr*>(cmp->right());
-  CompareOp op = cmp->op();
-  if (col == nullptr || lit == nullptr) {
-    col = dynamic_cast<const ColumnExpr*>(cmp->right());
-    lit = dynamic_cast<const LiteralExpr*>(cmp->left());
-    op = FlipOp(op);
-  }
-  if (col == nullptr || lit == nullptr) return std::nullopt;
-  return ColumnPredicate{col->name(), op, lit->value()};
+// A column predicate an index range or a zone map can answer: no `<>`,
+// and no NULL literal (a comparison with NULL holds for no row, while the
+// index and the zone maps would treat NULL as an ordinary key).
+bool RangeProbeable(const ColumnPredicate& pred) {
+  return pred.op != CompareOp::kNe && !pred.constant.is_null();
 }
 
 ClassifierProbe ProbeFor(const IndexablePredicate& pred) {
@@ -603,10 +604,10 @@ ZoneOp ZoneOpFor(CompareOp op) {
   }
 }
 
-// Collects every conjunct the page zone maps can refute: column-vs-literal
-// data conjuncts (kNe never prunes; NULL literals stay with the row
-// filter), plus labelValue conjuncts gated on classifier instances so a
-// skipped page cannot mask the type error a non-classifier probe raises.
+// Collects every conjunct the page zone maps can refute: range-probeable
+// column-vs-literal data conjuncts, plus labelValue conjuncts gated on
+// classifier instances so a skipped page cannot mask the type error a
+// non-classifier probe raises.
 // `schema` is what the scan emits; its ordinals are the heap's.
 ZonePredicate BuildZonePredicate(const RelationInfo& info, const Schema& schema,
                                  const std::vector<ExprPtr>& data_conjuncts,
@@ -614,7 +615,7 @@ ZonePredicate BuildZonePredicate(const RelationInfo& info, const Schema& schema,
   ZonePredicate pred;
   for (const ExprPtr& conjunct : data_conjuncts) {
     auto cp = MatchColumnPredicate(conjunct.get());
-    if (!cp.has_value() || cp->constant.is_null()) continue;
+    if (!cp.has_value() || !RangeProbeable(*cp)) continue;
     auto idx = schema.IndexOf(cp->column);
     if (!idx.ok()) continue;
     ZoneProbe probe;
@@ -662,7 +663,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   }
   INSIGHT_CHECK(cur->kind == LogicalKind::kScan);
   INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info, ctx_->Get(cur->table));
-  const bool propagate = Propagates(*cur, *info);
+  const bool propagate = Propagates(*info);
   const SketchPolicy policy = sketch_policy();
   const double table_rows = info->EstimatedRows(policy);
   const double table_pages =
@@ -719,7 +720,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   if (options_.use_data_indexes) {
     for (size_t i = 0; i < data_conjuncts.size(); ++i) {
       auto pred = MatchColumnPredicate(data_conjuncts[i].get());
-      if (!pred.has_value()) continue;
+      if (!pred.has_value() || !RangeProbeable(*pred)) continue;
       const auto ref = FindBaseColumn(*cur, pred->column);
       if (!ref || info->table->GetColumnIndex(ref->column) == nullptr) continue;
       const double selectivity = info->ColumnSelectivity(
@@ -794,10 +795,9 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
 
   OpPtr op;
   std::optional<PhysOrder> order = best->order;
-  // Whether the rows need summary sets, and whether the chosen path
-  // attaches them itself; otherwise it runs bare and the sets attach late
+  // Whether the chosen path attaches the summary sets itself; otherwise it
+  // runs bare and, when the relation propagates, the sets attach late
   // (above the data residual).
-  bool attach = propagate;
   bool self_attach = false;
   switch (best->kind) {
     case Candidate::Kind::kSeq: {
@@ -814,8 +814,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         std::vector<OpPtr> partitions;
         partitions.reserve(workers);
         for (size_t w = 0; w < workers; ++w) {
-          auto scan = std::make_unique<ParallelScanOp>(
-              exec, info->table, /*propagate=*/false, morsels);
+          auto scan = std::make_unique<ParallelScanOp>(info->table, morsels);
           scan->SetZonePredicate(zone_pred);  // Copy: one per partition.
           scan->Qualify(cur->alias);
           Lowered part{std::move(scan), std::nullopt,
@@ -828,8 +827,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         // Cross-partition order is nondeterministic: no interesting order.
         return Lowered{std::move(op), std::nullopt, nullptr};
       }
-      auto scan = std::make_unique<SeqScanOp>(exec, info->table,
-                                              /*propagate=*/false);
+      auto scan = std::make_unique<SeqScanOp>(info->table);
       scan->SetZonePredicate(std::move(zone_pred));
       op = std::move(scan);
       break;
@@ -863,9 +861,8 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         default:
           break;
       }
-      op = std::make_unique<IndexScanOp>(ctx_->exec_context(), info->table,
-                                         column, lower, lower_inc, upper,
-                                         upper_inc, /*propagate=*/false);
+      op = std::make_unique<IndexScanOp>(info->table, column, lower, lower_inc,
+                                         upper, upper_inc);
       data_conjuncts.erase(data_conjuncts.begin() +
                            static_cast<long>(best->conjunct));
       break;
@@ -876,9 +873,8 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       const SummaryBTree* sbt = info->SummaryIndexFor(pred.instance);
       self_attach =
           sbt->pointer_mode() == SummaryBTree::PointerMode::kConventional;
-      op = std::make_unique<SummaryIndexScanOp>(
-          ctx_->exec_context(), sbt, ProbeFor(pred), info->table->name(),
-          propagate && self_attach);
+      op = std::make_unique<SummaryIndexScanOp>(sbt, ProbeFor(pred), info->mgr,
+                                                propagate && self_attach);
       summary_conjuncts.erase(summary_conjuncts.begin() +
                               static_cast<long>(best->conjunct));
       break;
@@ -898,13 +894,13 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       const auto* func = dynamic_cast<const SummaryFuncExpr*>(
           summary_conjuncts[best->conjunct].get());
       op = std::make_unique<KeywordIndexScanOp>(
-          ctx_->exec_context(), info->KeywordIndexFor(func->instance()),
-          func->keywords(), info->table->name(), /*propagate=*/false);
+          info->table, info->KeywordIndexFor(func->instance()),
+          func->keywords());
       // The posting lists hold every version's words, whatever the
       // snapshot, so they over-approximate both functions: the conjunct
       // stays in summary_conjuncts as a residual re-check, whose S reads
-      // the summary sets even when the scan does not propagate.
-      attach = true;
+      // the late-attached summary sets (the index's instance is linked, so
+      // the relation propagates).
       break;
     }
   }
@@ -913,7 +909,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   static_cast<ScanOp*>(op.get())->Qualify(cur->alias);
 
   Lowered out{std::move(op), order,
-              attach && !self_attach ? info->mgr : nullptr};
+              propagate && !self_attach ? info->mgr : nullptr};
   WrapResiduals(data_conjuncts, summary_conjuncts, &out);
   // The access-path root is where table statistics turned into an
   // estimate; misestimates observed at runtime feed back to this table.
@@ -1109,8 +1105,8 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       if (index_join) {
         auto join = std::make_unique<IndexNLJoinOp>(
             Materialize(&left), inner->info->table, inner->column,
-            Col(keys->left_column), inner->info->mgr,
-            Propagates(*right_node, *inner->info));
+            Col(keys->left_column),
+            Propagates(*inner->info) ? inner->info->mgr : nullptr);
         join->QualifyInner(right_node->alias);
         out.op = std::move(join);
         // Residual conjuncts beyond the equi key become a post-select.
@@ -1180,7 +1176,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       if (index_join) {
         auto join = std::make_unique<SummaryJoinOp>(
             Materialize(&left), right_info->table, right_index, instance,
-            label, right_node->propagate_summaries);
+            label, Propagates(*right_info));
         join->QualifyInner(right_node->alias);
         out.op = std::move(join);
       } else {
@@ -1216,12 +1212,11 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
             probe.label = func->label();
             // As in LowerAccessPath: conventional pointers attach in the
             // scan, backward pointers attach late.
-            const bool propagate = Propagates(*node.children[0], *info);
+            const bool propagate = Propagates(*info);
             const bool conventional = index->pointer_mode() ==
                                       SummaryBTree::PointerMode::kConventional;
             auto scan = std::make_unique<SummaryIndexScanOp>(
-                ctx_->exec_context(), index, probe, info->table->name(),
-                propagate && conventional);
+                index, probe, info->mgr, propagate && conventional);
             scan->Qualify(node.children[0]->alias);
             Lowered out;
             out.op = std::move(scan);

@@ -174,7 +174,6 @@ Status QueryContext::RegisterRelation(Table* table, SummaryManager* mgr) {
   info.table = table;
   info.mgr = mgr;
   relations_[key] = std::move(info);
-  if (mgr != nullptr) exec_ctx_.RegisterManager(table->name(), mgr);
   return Status::OK();
 }
 

@@ -178,8 +178,8 @@ class QueryContext {
   StorageManager* storage() const { return storage_; }
   BufferPool* pool() const { return pool_; }
 
-  /// Runtime context handed to lowered physical plans. Tracks the same
-  /// summary managers as the relation registry, plus the batch-size knob.
+  /// Runtime context handed to lowered physical plans: the storage
+  /// handles plus the batch-size and parallelism knobs.
   ExecutionContext* exec_context() { return &exec_ctx_; }
 
  private:

@@ -135,11 +135,11 @@ TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
     ASSERT_TRUE(table->Insert(Tuple({Value::Double(v)})).ok());
   }
   for (CompareOp op : {CompareOp::kGe, CompareOp::kLt, CompareOp::kEq}) {
-    SeqScanOp scan(table, nullptr, false);
+    SeqScanOp scan(table);
     auto row_path =
         FilterOneAtATime(&scan, *Cmp(Col("x"), op, Lit(Value::Double(0.0))));
     ASSERT_TRUE(row_path.ok());
-    SelectOp plan(std::make_unique<SeqScanOp>(table, nullptr, false),
+    SelectOp plan(std::make_unique<SeqScanOp>(table),
                   Cmp(Col("x"), op, Lit(Value::Double(0.0))));
     auto batch_path = CollectBatched(&plan);
     ASSERT_TRUE(batch_path.ok());
@@ -149,7 +149,7 @@ TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
   // Value::Compare places NaN above every real and equal to itself, and
   // treats -0.0 == 0.0: "x >= 0.0" keeps NaN, both zeros, and 1.0.
   auto plan = std::make_unique<SelectOp>(
-      std::make_unique<SeqScanOp>(table, nullptr, false),
+      std::make_unique<SeqScanOp>(table),
       Cmp(Col("x"), CompareOp::kGe, Lit(Value::Double(0.0))));
   auto rows = CollectBatched(plan.get());
   ASSERT_TRUE(rows.ok());
@@ -247,8 +247,7 @@ TEST(LimitPushdownTest, GatherStopsDrainingOnceLimitSatisfied) {
   auto morsels = std::make_shared<MorselSource>(total_pages, 1);
   std::vector<OpPtr> partitions;
   for (size_t w = 0; w < 2; ++w) {
-    OpPtr part = std::make_unique<ParallelScanOp>(db.birds, nullptr, false,
-                                                  morsels);
+    OpPtr part = std::make_unique<ParallelScanOp>(db.birds, morsels);
     partitions.push_back(std::make_unique<ExchangeOp>(std::move(part), w));
   }
   auto gather =

@@ -61,8 +61,12 @@ class TestDb {
     }
   }
 
+  /// A scan of Birds; with `propagate`, an AttachSummariesOp above it
+  /// attaches the summary sets.
   OpPtr Scan(bool propagate = true) {
-    return std::make_unique<SeqScanOp>(birds, mgr.get(), propagate);
+    OpPtr scan = std::make_unique<SeqScanOp>(birds);
+    if (!propagate) return scan;
+    return std::make_unique<AttachSummariesOp>(std::move(scan), mgr.get());
   }
 
   // Secondary indexes over the linked instances, built on first use and

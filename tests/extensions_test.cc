@@ -37,14 +37,12 @@ class HashJoinTest : public ::testing::Test {
 TEST_F(HashJoinTest, MatchesNestedLoopResults) {
   db.Annotate(1, "disease", 2);
   auto nl_rows = [&] {
-    NestedLoopJoinOp join(
-        db.Scan(true), std::make_unique<SeqScanOp>(families, nullptr, false),
-        Cmp(Col("family"), CompareOp::kEq, Col("fam")));
+    NestedLoopJoinOp join(db.Scan(true), std::make_unique<SeqScanOp>(families),
+                          Cmp(Col("family"), CompareOp::kEq, Col("fam")));
     return CollectRows(&join).ValueOrDie();
   }();
   auto hash_rows = [&] {
-    HashJoinOp join(db.Scan(true),
-                    std::make_unique<SeqScanOp>(families, nullptr, false),
+    HashJoinOp join(db.Scan(true), std::make_unique<SeqScanOp>(families),
                     "family", "fam", nullptr);
     return CollectRows(&join).ValueOrDie();
   }();
@@ -61,8 +59,7 @@ TEST_F(HashJoinTest, MatchesNestedLoopResults) {
 }
 
 TEST_F(HashJoinTest, PreservesProbeSideOrder) {
-  HashJoinOp join(db.Scan(false),
-                  std::make_unique<SeqScanOp>(families, nullptr, false),
+  HashJoinOp join(db.Scan(false), std::make_unique<SeqScanOp>(families),
                   "family", "fam", nullptr);
   auto rows = CollectRows(&join).ValueOrDie();
   ASSERT_EQ(rows.size(), 12u);
@@ -72,8 +69,7 @@ TEST_F(HashJoinTest, PreservesProbeSideOrder) {
 }
 
 TEST_F(HashJoinTest, ResidualPredicateFilters) {
-  HashJoinOp join(db.Scan(false),
-                  std::make_unique<SeqScanOp>(families, nullptr, false),
+  HashJoinOp join(db.Scan(false), std::make_unique<SeqScanOp>(families),
                   "family", "fam",
                   Cmp(Col("region"), CompareOp::kEq,
                       Lit(Value::String("north"))));
@@ -86,8 +82,8 @@ TEST_F(HashJoinTest, NullKeysNeverJoin) {
       "Nully", Schema({{"k", ValueType::kString}}));
   nully->Insert(Tuple({Value::Null()})).status();
   nully->Insert(Tuple({Value::String("family1")})).status();
-  HashJoinOp join(std::make_unique<SeqScanOp>(nully, nullptr, false),
-                  std::make_unique<SeqScanOp>(families, nullptr, false),
+  HashJoinOp join(std::make_unique<SeqScanOp>(nully),
+                  std::make_unique<SeqScanOp>(families),
                   "k", "fam", nullptr);
   auto rows = CollectRows(&join).ValueOrDie();
   EXPECT_EQ(rows.size(), 1u);
@@ -98,7 +94,7 @@ TEST_F(HashJoinTest, OptimizerPicksHashJoinWithoutInnerIndex) {
   ctx.RegisterRelation(db.birds, db.mgr.get()).ok();
   ctx.RegisterRelation(families, nullptr).ok();
   Optimizer opt(&ctx, OptimizerOptions{});
-  LogicalPtr plan = LJoin(LScan("Birds"), LScan("Fam", false),
+  LogicalPtr plan = LJoin(LScan("Birds"), LScan("Fam"),
                           Cmp(Col("family"), CompareOp::kEq, Col("fam")));
   auto op = opt.Optimize(plan->Clone());
   ASSERT_TRUE(op.ok());
@@ -191,7 +187,10 @@ TEST_F(KeywordIndexTest, BulkBuildMatchesIncremental) {
 
 TEST_F(KeywordIndexTest, ScanOperatorFetchesTuples) {
   AddLong(3, "searchable snippet with osprey keyword.");
-  KeywordIndexScanOp scan(index.get(), {"osprey"}, db.mgr.get(), true);
+  AttachSummariesOp scan(std::make_unique<KeywordIndexScanOp>(
+                             db.birds, index.get(),
+                             std::vector<std::string>{"osprey"}),
+                         db.mgr.get());
   auto rows = CollectRows(&scan).ValueOrDie();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].oid, 3u);

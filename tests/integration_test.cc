@@ -49,7 +49,7 @@ LogicalPtr RandomPlan(Rng* rng) {
   }
   if (shape == 1) {
     // Join with the synonyms table.
-    plan = LJoin(std::move(plan), LScan("Synonyms", false),
+    plan = LJoin(std::move(plan), LScan("Synonyms"),
                  Cmp(Col("common_name"), CompareOp::kEq, Col("bird_name")));
   } else if (shape == 2) {
     // Summary filter.

@@ -3,7 +3,7 @@
 // the plan allows: above data filters, LIMIT and data-keyed sorts, below
 // the first operator that reads or rewrites summary sets. Every plan shape
 // here runs twice — once as the optimizer plans it, and once hand-built
-// with the attach inside the access path (the scans' own propagate flag) —
+// with the attach directly over the access path —
 // and the two must return identical row multisets with identical summary
 // sets, at the latest snapshot (with another transaction's versions
 // uncommitted), an older snapshot and the open writer's own snapshot.
@@ -178,12 +178,12 @@ SummaryJoinPredicate DiseaseEquality() {
   return pred;
 }
 
-// The early arm's access path: a sequential scan attaching inside itself.
+// The early arm's access path: a sequential scan with the attach directly
+// above it.
 OpPtr Scan(LateAttachState& s, const std::string& rel = "") {
-  auto scan = std::make_unique<SeqScanOp>(s.db.birds, s.db.mgr.get(),
-                                          /*propagate=*/true);
+  auto scan = std::make_unique<SeqScanOp>(s.db.birds);
   if (!rel.empty()) scan->Qualify(rel);
-  return scan;
+  return std::make_unique<AttachSummariesOp>(std::move(scan), s.db.mgr.get());
 }
 OpPtr Select(OpPtr child, ExprPtr pred) {
   return std::make_unique<SelectOp>(std::move(child), std::move(pred));
@@ -198,7 +198,7 @@ OpPtr Limit(OpPtr child, uint64_t n) {
 struct Shape {
   const char* name;
   std::function<LogicalPtr()> logical;
-  // The same query with the attach inside the access path.
+  // The same query with the attach directly over the access path.
   std::function<OpPtr(LateAttachState&, ExecutionContext*)> early;
   // The optimizer's plan must contain `plan_has` and place its attach
   // above the first line containing `attach_above` (both optional).
@@ -584,13 +584,16 @@ class LateAttachDifferentialTest : public ::testing::TestWithParam<Shape> {
       EXPECT_NE(attach, std::string::npos) << tree;
       EXPECT_LT(attach, tree.find(shape.attach_above)) << tree;
     }
-    // No bare scan claims to propagate; only the conventional-pointer
-    // index attaches inside itself.
-    EXPECT_EQ(tree.find("SeqScan(Birds, propagate"), std::string::npos)
-        << tree;
-    EXPECT_EQ(tree.find("ParallelScan(Birds, morsel=1p, propagate"),
-              std::string::npos)
-        << tree;
+    // Only the attach and the conventional-pointer index, which attaches
+    // inside itself, print `propagate`.
+    for (size_t pos = tree.find("propagate"); pos != std::string::npos;
+         pos = tree.find("propagate", pos + 1)) {
+      const size_t begin = tree.rfind('\n', pos) + 1;  // npos + 1 == 0.
+      const std::string line = tree.substr(begin, tree.find('\n', pos) - begin);
+      EXPECT_TRUE(line.find("AttachSummaries(") != std::string::npos ||
+                  line.find("conventional-ptrs") != std::string::npos)
+          << line;
+    }
     if (shape.workers > 1) {
       size_t attaches = 0;
       for (size_t pos = tree.find("AttachSummaries"); pos != std::string::npos;

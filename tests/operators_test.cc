@@ -38,7 +38,7 @@ TEST(IndexScanTest, RangeOverDataColumn) {
   TestDb db(20);
   ASSERT_TRUE(db.birds->CreateColumnIndex("weight").ok());
   IndexScanOp scan(db.birds, "weight", Value::Double(2.0), true,
-                   Value::Double(3.0), true, db.mgr.get(), false);
+                   Value::Double(3.0), true);
   auto rows = CollectRows(&scan);
   ASSERT_TRUE(rows.ok());
   for (const Row& row : *rows) {
@@ -52,8 +52,13 @@ TEST(IndexScanTest, RangeOverDataColumn) {
 TEST(IndexScanTest, MissingIndexIsError) {
   TestDb db(5);
   IndexScanOp scan(db.birds, "name", std::nullopt, true,
-                   std::nullopt, true, nullptr, false);
+                   std::nullopt, true);
   EXPECT_TRUE(scan.Open().IsInvalidArgument());
+  // An indexed column probed with neither bound.
+  ASSERT_TRUE(db.birds->CreateColumnIndex("weight").ok());
+  IndexScanOp unbounded(db.birds, "weight", std::nullopt, true, std::nullopt,
+                        true);
+  EXPECT_TRUE(unbounded.Open().IsInvalidArgument());
 }
 
 TEST(SelectTest, DataPredicate) {
@@ -187,7 +192,7 @@ TEST(NestedLoopJoinTest, JoinsOnDataAndMergesSummaries) {
                         Value::String(i % 2 == 0 ? "north" : "south")}))
         .status();
   }
-  auto right = std::make_unique<SeqScanOp>(families, nullptr, false);
+  auto right = std::make_unique<SeqScanOp>(families);
   NestedLoopJoinOp join(db.Scan(true), std::move(right),
                         Cmp(Col("family"), CompareOp::kEq, Col("fam")));
   auto rows = CollectRows(&join);
@@ -219,7 +224,7 @@ TEST(IndexNLJoinTest, ProbesInnerIndexAndPreservesOuterOrder) {
   }
   ASSERT_TRUE(families->CreateColumnIndex("fam").ok());
   IndexNLJoinOp join(db.Scan(false), families, "fam", Col("family"),
-                     nullptr, false);
+                     nullptr);
   auto rows = CollectRows(&join);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 8u);
@@ -518,14 +523,16 @@ TEST(PaperExample1Test, SelectProjectJoinPropagation) {
   // Query: Select r.a, r.b, s.z From R, S Where r.a = s.x And r.b = 2.
   // Plan per Figure 3: project early (keep join column), select, join,
   // final project.
-  auto r_scan = std::make_unique<SeqScanOp>(r_table, r_mgr.get(), true);
+  auto r_scan = std::make_unique<AttachSummariesOp>(
+      std::make_unique<SeqScanOp>(r_table), r_mgr.get());
   auto r_proj = std::make_unique<ProjectOp>(
       std::move(r_scan), std::vector<std::string>{"a", "b"},
       r_mgr->MakeResolver());
   auto r_sel = std::make_unique<SelectOp>(
       std::move(r_proj), Cmp(Col("b"), CompareOp::kEq, Lit(Value::Int(2))));
 
-  auto s_scan = std::make_unique<SeqScanOp>(s_table, s_mgr.get(), true);
+  auto s_scan = std::make_unique<AttachSummariesOp>(
+      std::make_unique<SeqScanOp>(s_table), s_mgr.get());
   auto s_proj = std::make_unique<ProjectOp>(
       std::move(s_scan), std::vector<std::string>{"x", "z"},
       s_mgr->MakeResolver());
@@ -611,9 +618,11 @@ const PlanCase kPlanCases[] = {
     {"IndexScan",
      [](TestDb& db) -> OpPtr {
        db.birds->CreateColumnIndex("weight").ok();
-       return std::make_unique<IndexScanOp>(
-           db.birds, "weight", Value::Double(1.5), true, Value::Double(5.0),
-           true, db.mgr.get(), true);
+       return std::make_unique<AttachSummariesOp>(
+           std::make_unique<IndexScanOp>(db.birds, "weight",
+                                         Value::Double(1.5), true,
+                                         Value::Double(5.0), true),
+           db.mgr.get());
      }},
     {"SummaryIndexScan",
      [](TestDb& db) -> OpPtr {
@@ -635,9 +644,11 @@ const PlanCase kPlanCases[] = {
      }},
     {"KeywordIndexScan",
      [](TestDb& db) -> OpPtr {
-       return std::make_unique<KeywordIndexScanOp>(
-           db.KeywordIndex(), std::vector<std::string>{"osprey"},
-           db.mgr.get(), true);
+       return std::make_unique<AttachSummariesOp>(
+           std::make_unique<KeywordIndexScanOp>(
+               db.birds, db.KeywordIndex(),
+               std::vector<std::string>{"osprey"}),
+           db.mgr.get());
      }},
     {"Select",
      [](TestDb& db) -> OpPtr {
@@ -711,7 +722,7 @@ const PlanCase kPlanCases[] = {
        db.birds->CreateColumnIndex("family").ok();
        return std::make_unique<IndexNLJoinOp>(db.Scan(true), db.birds,
                                               "family", Col("family"),
-                                              db.mgr.get(), true);
+                                              db.mgr.get());
      }},
     {"SummaryJoinNestedLoop",
      [](TestDb& db) -> OpPtr {

@@ -109,7 +109,7 @@ TEST_F(OptimizerTest, Rule2PushesSummarySelectBelowJoin) {
   // S(Birds join Synonyms) with a ClassBird1 predicate: the instance is
   // linked only to Birds, so S pushes onto the Birds side.
   LogicalPtr plan = LSummarySelect(
-      LJoin(LScan("Birds"), LScan("Synonyms", false),
+      LJoin(LScan("Birds"), LScan("Synonyms"),
             Cmp(Col("name"), CompareOp::kEq, Col("bird_name"))),
       Cmp(LabelValue("ClassBird1", "Disease"), CompareOp::kGt,
           Lit(Value::Int(5))));
@@ -124,7 +124,7 @@ TEST_F(OptimizerTest, Rule2PushesSummarySelectBelowJoin) {
 
 TEST_F(OptimizerTest, SigmaPushdownThroughJoin) {
   LogicalPtr plan = LSelect(
-      LJoin(LScan("Birds"), LScan("Synonyms", false),
+      LJoin(LScan("Birds"), LScan("Synonyms"),
             Cmp(Col("name"), CompareOp::kEq, Col("bird_name"))),
       Like(Col("synonym"), "syn1_%"));
   Optimizer opt(ctx.get(), OptimizerOptions{});
@@ -141,7 +141,7 @@ TEST_F(OptimizerTest, Rule8PushesStructuralFilterToBothSides) {
   ObjectPredicate pred;
   pred.type = SummaryType::kClassifier;
   LogicalPtr plan = LSummaryFilter(
-      LJoin(LScan("Birds"), LScan("Synonyms", false),
+      LJoin(LScan("Birds"), LScan("Synonyms"),
             Cmp(Col("name"), CompareOp::kEq, Col("bird_name"))),
       pred);
   Optimizer opt(ctx.get(), OptimizerOptions{});
@@ -156,7 +156,7 @@ TEST_F(OptimizerTest, Rule7PushesInstanceFilterToOwningSide) {
   ObjectPredicate pred;
   pred.instance_name = "ClassBird1";
   LogicalPtr plan = LSummaryFilter(
-      LJoin(LScan("Birds"), LScan("Synonyms", false),
+      LJoin(LScan("Birds"), LScan("Synonyms"),
             Cmp(Col("name"), CompareOp::kEq, Col("bird_name"))),
       pred);
   Optimizer opt(ctx.get(), OptimizerOptions{});
@@ -259,7 +259,7 @@ TEST_F(OptimizerTest, ResidualPredicatesStayAboveIndexScan) {
 
 TEST_F(OptimizerTest, IndexJoinChosenForIndexedInner) {
   LogicalPtr plan =
-      LJoin(LScan("Birds"), LScan("Synonyms", false),
+      LJoin(LScan("Birds"), LScan("Synonyms"),
             Cmp(Col("name"), CompareOp::kEq, Col("bird_name")));
   Optimizer opt(ctx.get(), OptimizerOptions{});
   auto op = opt.Optimize(plan->Clone());
@@ -321,7 +321,7 @@ TEST_F(OptimizerTest, Rule5OrderSurvivesJoinWithForeignInstance) {
       LJoin(LSummarySelect(LScan("Birds"),
                            Cmp(LabelValue("ClassBird1", "Disease"),
                                CompareOp::kGt, Lit(Value::Int(5)))),
-            LScan("Synonyms", false),
+            LScan("Synonyms"),
             Cmp(Col("name"), CompareOp::kEq, Col("bird_name"))),
       std::move(keys));
   Optimizer opt(ctx.get(), OptimizerOptions{});
@@ -343,7 +343,7 @@ TEST_F(OptimizerTest, Rule11SwitchesJoinOrder) {
   sjp.right_expr = LabelValue("ClassBird1", "Disease");
   LogicalPtr plan = LJoin(
       LSummaryJoin(LScan("Birds"), LScan("Birds"), sjp.Clone()),
-      LScan("Synonyms", false),
+      LScan("Synonyms"),
       Cmp(Col("name"), CompareOp::kEq, Col("bird_name")));
   Optimizer opt(ctx.get(), OptimizerOptions{});
   auto rewritten = opt.Rewrite(plan->Clone());
@@ -411,6 +411,19 @@ TEST_F(OptimizerTest, EstimatesReadBoundColumnsAndNeverDropBelowOneRow) {
   const double point =
       rows(LSelect(LScanAs("A", "x"), IntPred("x.id", CompareOp::kEq, 7)));
   EXPECT_DOUBLE_EQ(point, 1);
+  // A literal on the left reads the same statistics: `100 > id` is
+  // `id < 100`, `7 = x.id` is `x.id = 7`.
+  EXPECT_DOUBLE_EQ(rows(LSelect(LScan("A"), Cmp(Lit(Value::Int(100)), gt,
+                                                Col("id")))),
+                   bare);
+  EXPECT_DOUBLE_EQ(rows(LSelect(LScanAs("A", "x"),
+                                Cmp(Lit(Value::Int(7)), CompareOp::kEq,
+                                    Col("x.id")))),
+                   point);
+  EXPECT_DOUBLE_EQ(rows(LSelect(LScan("A"), Cmp(Lit(Value::Null()),
+                                                CompareOp::kEq, Col("id")))),
+                   rows(LSelect(LScan("A"), Cmp(Col("id"), CompareOp::kEq,
+                                                Lit(Value::Null())))));
 
   // The access path emits the alias's names and finds the one row.
   auto op = opt.Optimize(
@@ -442,7 +455,7 @@ TEST_F(OptimizerTest, EstimatesReadBoundColumnsAndNeverDropBelowOneRow) {
 TEST_F(OptimizerTest, EstimateJoinUsesDistinctCounts) {
   Optimizer opt(ctx.get(), OptimizerOptions{});
   LogicalPtr join =
-      LJoin(LScan("Birds"), LScan("Synonyms", false),
+      LJoin(LScan("Birds"), LScan("Synonyms"),
             Cmp(Col("name"), CompareOp::kEq, Col("bird_name")));
   auto est = opt.Estimate(*join);
   ASSERT_TRUE(est.ok());

@@ -1,6 +1,8 @@
 // Scan differential test: every propagating access path attaches its
-// summary sets a batch at a time (SummaryManager::AttachSummaries). Each
-// path runs with and without propagation at several MVCC snapshots and
+// summary sets a batch at a time (SummaryManager::AttachSummaries) — the
+// bare scans through an AttachSummariesOp above them, the Summary-BTree
+// and Baseline index scans inside themselves. Each path runs with and
+// without propagation at several MVCC snapshots and
 // batch capacities; the rows must match each other, and every attached
 // summary set must equal both the per-row GetSummaries reference and a
 // brute-force heap scan of the storage table at the same snapshot.
@@ -166,13 +168,20 @@ struct PathCase {
 
 void PrintTo(const PathCase& c, std::ostream* os) { *os << c.name; }
 
+// A bare access path, under an AttachSummariesOp when propagating.
+OpPtr Attached(ScanDifferentialState& s, bool propagate, OpPtr scan) {
+  if (!propagate) return scan;
+  return std::make_unique<AttachSummariesOp>(std::move(scan), s.db.mgr.get());
+}
+
+// Each partition attaches its own batches, as in optimizer plans.
 OpPtr Parallel(ScanDifferentialState& s, bool propagate, size_t workers) {
   auto morsels = std::make_shared<MorselSource>(s.db.birds->heap_pages(), 1);
   std::vector<OpPtr> partitions;
   for (size_t w = 0; w < workers; ++w) {
     partitions.push_back(std::make_unique<ExchangeOp>(
-        std::make_unique<ParallelScanOp>(s.db.birds, s.db.mgr.get(),
-                                         propagate, morsels),
+        Attached(s, propagate,
+                 std::make_unique<ParallelScanOp>(s.db.birds, morsels)),
         w));
   }
   return std::make_unique<GatherOp>(std::move(partitions), morsels);
@@ -187,7 +196,7 @@ ClassifierProbe AllDisease() {
 const PathCase kPaths[] = {
     {"SeqScan",
      [](ScanDifferentialState& s, bool p) -> OpPtr {
-       return std::make_unique<SeqScanOp>(s.db.birds, s.db.mgr.get(), p);
+       return Attached(s, p, std::make_unique<SeqScanOp>(s.db.birds));
      }},
     {"ParallelScan2",
      [](ScanDifferentialState& s, bool p) { return Parallel(s, p, 2); },
@@ -197,9 +206,10 @@ const PathCase kPaths[] = {
      false},
     {"IndexScan",
      [](ScanDifferentialState& s, bool p) -> OpPtr {
-       return std::make_unique<IndexScanOp>(
-           s.db.birds, "family", Value::String("family0"), true,
-           Value::String("family9"), true, s.db.mgr.get(), p);
+       return Attached(s, p,
+                       std::make_unique<IndexScanOp>(
+                           s.db.birds, "family", Value::String("family0"),
+                           true, Value::String("family9"), true));
      }},
     {"SummaryIndexScanBackward",
      [](ScanDifferentialState& s, bool p) -> OpPtr {
@@ -222,9 +232,10 @@ const PathCase kPaths[] = {
      true, true},
     {"KeywordIndexScan",
      [](ScanDifferentialState& s, bool p) -> OpPtr {
-       return std::make_unique<KeywordIndexScanOp>(
-           s.db.KeywordIndex(), std::vector<std::string>{"osprey"},
-           s.db.mgr.get(), p);
+       return Attached(s, p,
+                       std::make_unique<KeywordIndexScanOp>(
+                           s.db.birds, s.db.KeywordIndex(),
+                           std::vector<std::string>{"osprey"}));
      }},
 };
 

@@ -429,5 +429,60 @@ TEST_F(DatabaseTest, ErrorsSurfaceCleanly) {
   EXPECT_TRUE(db.Execute("gibberish").status().IsParseError());
 }
 
+// T(id INT, w DOUBLE, name TEXT): 3,000 rows and one all-NULL row, every
+// column indexed, analyzed.
+void CreateIndexedTableWithNullRow(Database* db) {
+  db->Execute("CREATE TABLE T (id INT, w DOUBLE, name TEXT)").ValueOrDie();
+  for (int start = 0; start < 3000; start += 500) {
+    std::string sql = "INSERT INTO T VALUES ";
+    for (int i = start; i < start + 500; ++i) {
+      sql += (i > start ? ", (" : "(") + std::to_string(i) + ", " +
+             std::to_string(i) + ".5, 'row" + std::to_string(i) + "')";
+    }
+    db->Execute(sql).ValueOrDie();
+  }
+  db->Execute("INSERT INTO T VALUES (NULL, NULL, NULL)").ValueOrDie();
+  for (const char* column : {"id", "w", "name"}) {
+    db->Execute(std::string("CREATE INDEX ON T (") + column + ")")
+        .ValueOrDie();
+  }
+  db->Execute("ANALYZE T").ValueOrDie();
+}
+
+// `col = NULL` holds for no row in SQL, also when an index on the column
+// could answer the probe (the index keys NULL like any other value).
+TEST(DataIndexNullTest, EqualsNullMatchesNoRowAndPlansNoIndexScan) {
+  Database db;
+  CreateIndexedTableWithNullRow(&db);
+  for (const char* where : {"id = NULL", "NULL = id", "w = NULL",
+                            "NULL = w"}) {
+    const std::string sql = std::string("SELECT name FROM T WHERE ") + where;
+    auto plan = db.Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->find("IndexScan"), std::string::npos) << where << "\n"
+                                                          << *plan;
+    auto result = db.Execute(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->rows.size(), 0u) << where;
+  }
+}
+
+// Likewise a NULL outer key probing the inner side's index joins nothing.
+TEST(DataIndexNullTest, IndexJoinNeverMatchesNullKeys) {
+  Database db;
+  CreateIndexedTableWithNullRow(&db);
+  db.Execute("CREATE TABLE A (k INT, tag TEXT)").ValueOrDie();
+  db.Execute("INSERT INTO A VALUES (NULL, 'anull'), (1, 'a1')").ValueOrDie();
+  db.Execute("ANALYZE A").ValueOrDie();
+  const std::string join = "SELECT tag, name FROM A, T WHERE A.k = T.id";
+  auto plan = db.Explain(join);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("IndexNLJoin"), std::string::npos) << *plan;
+  auto result = db.Execute(join);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u) << result->ToString();
+  EXPECT_EQ(result->rows[0].at(0).AsString(), "a1");
+}
+
 }  // namespace
 }  // namespace insight

@@ -159,7 +159,7 @@ class TableZoneTest : public ::testing::Test {
 
   std::vector<int64_t> RunScan(bool prune, int64_t bound,
                                uint64_t* pages_skipped) {
-    auto scan = std::make_unique<SeqScanOp>(table, nullptr, false);
+    auto scan = std::make_unique<SeqScanOp>(table);
     SeqScanOp* raw = scan.get();
     if (prune) {
       raw->SetZonePredicate(
@@ -194,7 +194,7 @@ TEST_F(TableZoneTest, PrunedScanMatchesUnprunedAndSkipsPages) {
 }
 
 TEST_F(TableZoneTest, AnalyzeAnnotationReportsPagesSkipped) {
-  auto scan = std::make_unique<SeqScanOp>(table, nullptr, false);
+  auto scan = std::make_unique<SeqScanOp>(table);
   scan->SetZonePredicate(
       Pred(ColumnProbe(0, ZoneOp::kGe, Value::Int(kRows - 10))));
   ASSERT_TRUE(CollectRows(scan.get()).ok());
