@@ -16,6 +16,7 @@
 #include "mining/naive_bayes.h"
 #include "storage/heap_file.h"
 #include "summary/summary_algebra.h"
+#include "wal/wal_record.h"
 #include "workload/birds_workload.h"
 
 namespace insight {
@@ -220,6 +221,19 @@ void BM_SummaryObjectSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SummaryObjectSerialize);
+
+// CRC32 over one buffer: every WAL record, replication frame and
+// checkpoint snapshot pays it. Arg = bytes (a small record, a page, a
+// large snapshot chunk); bytes_per_second is the kernel's throughput.
+void BM_Crc32(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  Rng rng(7);
+  std::string data(len, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(0, 255));
+  for (auto _ : state) benchmark::DoNotOptimize(Crc32(data));
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(len));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace insight

@@ -1,10 +1,13 @@
 #ifndef INSIGHTNOTES_BENCH_BENCH_UTIL_H_
 #define INSIGHTNOTES_BENCH_BENCH_UTIL_H_
 
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -69,6 +72,17 @@ inline BenchConfig ParseArgs(int argc, char** argv) {
     }
   }
   return config;
+}
+
+/// The host a BENCH_*.json was measured on, as one JSON object: hardware
+/// threads, machine and kernel release (uname).
+inline std::string HostJson() {
+  utsname uts{};
+  ::uname(&uts);
+  return "{\"hardware_threads\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"machine\": \"" + uts.machine + "\", \"kernel\": \"" +
+         uts.release + "\"}";
 }
 
 inline void PrintHeader(const char* figure, const char* paper_expectation,

@@ -7,14 +7,20 @@
 //   2. Recovery time against log size: replaying logs of growing length
 //      through Database::Open, with and without a checkpoint covering
 //      most of the log.
+//   3. Log size under automatic checkpoints: each checkpoint replaces the
+//      log, so after several of them the file holds one snapshot plus
+//      the tail written since.
 //
 // Expectation: group commit amortizes the fsync, so per-insert overhead
 // approaches the append-only floor as the batch grows (< 2x the no-WAL
 // baseline by batch 64 on a local filesystem). Recovery time is linear
-// in the replayed tail, and a checkpoint cuts it to the tail length.
+// in the replayed tail, and a checkpoint cuts it to the snapshot plus
+// the tail: two records plus the tail are replayed.
 //
 // Emits BENCH_wal.json. With --smoke the process exits nonzero when a
-// recovered database loses rows — a cheap end-to-end durability gate.
+// recovered database loses rows, or when the log after several automatic
+// checkpoints exceeds twice the last snapshot plus the tail — cheap
+// end-to-end durability and log-retention gates.
 
 #include <unistd.h>
 
@@ -181,6 +187,61 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- 3. Log size under automatic checkpoints ----
+
+  uint64_t auto_log_bytes = 0;
+  uint64_t auto_snapshot_bytes = 0;
+  uint64_t auto_tail_bytes = 0;
+  {
+    constexpr size_t kEvery = 250;
+    const size_t ops = kEvery * 6 + kEvery / 2;  // Six checkpoints + tail.
+    const std::string dir = FreshDir("autockpt");
+    Database::Options options;
+    options.wal_sync = Database::WalSyncMode::kGroupCommit;
+    options.checkpoint_every_ops = kEvery;
+    {
+      auto db = Database::Open(dir, options).ValueOrDie();
+      db->CreateTable("Birds", BirdsSchema()).ValueOrDie();
+      for (size_t i = 0; i < ops; ++i) {
+        db->Insert("Birds", MakeBird(i)).ValueOrDie();
+      }
+      INSIGHT_CHECK(db->WalSync().ok());
+      // Framed sizes: the last snapshot record, and everything after it
+      // but its end marker.
+      bool after_snapshot = false;
+      for (const WalRecord& rec : db->wal()->ReadAll().ValueOrDie()) {
+        const uint64_t framed = 8 + 9 + rec.payload.size();
+        if (rec.type == WalRecordType::kCheckpointBegin) {
+          auto_snapshot_bytes = framed;
+          auto_tail_bytes = 0;
+          after_snapshot = true;
+        } else if (after_snapshot &&
+                   rec.type != WalRecordType::kCheckpointEnd) {
+          auto_tail_bytes += framed;
+        }
+      }
+    }
+    auto_log_bytes = std::filesystem::file_size(dir + "/wal.log");
+    std::filesystem::remove_all(dir);
+    const bool bounded =
+        auto_snapshot_bytes > 0 &&
+        auto_log_bytes <= 2 * auto_snapshot_bytes + auto_tail_bytes;
+    std::printf("--- log after %zu ops, checkpoint every %zu: %.2f KB "
+                "(last snapshot %.2f KB, tail %.2f KB)%s\n",
+                ops, kEvery, auto_log_bytes / 1024.0,
+                auto_snapshot_bytes / 1024.0, auto_tail_bytes / 1024.0,
+                bounded ? "" : "  FAIL");
+    if (!bounded) {
+      std::fprintf(stderr,
+                   "FAIL: log of %llu bytes exceeds twice the last snapshot "
+                   "(%llu) plus the tail (%llu)\n",
+                   static_cast<unsigned long long>(auto_log_bytes),
+                   static_cast<unsigned long long>(auto_snapshot_bytes),
+                   static_cast<unsigned long long>(auto_tail_bytes));
+      smoke_failed = true;
+    }
+  }
+
   // ---- JSON artifact ----
 
   FILE* json = std::fopen("BENCH_wal.json", "w");
@@ -213,7 +274,14 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(point.log_bytes),
                    point.records_seen, point.open_ms);
     }
-    std::fprintf(json, "\n  ]\n}\n");
+    std::fprintf(json,
+                 "\n  ],\n  \"auto_checkpoint_log\": {\"log_bytes\": %llu, "
+                 "\"last_snapshot_bytes\": %llu, \"tail_bytes\": %llu},\n"
+                 "  \"host\": %s\n}\n",
+                 static_cast<unsigned long long>(auto_log_bytes),
+                 static_cast<unsigned long long>(auto_snapshot_bytes),
+                 static_cast<unsigned long long>(auto_tail_bytes),
+                 HostJson().c_str());
     std::fclose(json);
     std::printf("wrote BENCH_wal.json\n");
   }

@@ -1,6 +1,8 @@
 #include "annotation/annotation_store.h"
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 
 #include "common/logging.h"
 #include "index/key_codec.h"
@@ -116,6 +118,32 @@ Status AnnotationStore::AddWithId(
 
 Status AnnotationStore::ForEachAnnotation(
     const std::function<Status(const Annotation&)>& fn) const {
+  // One sequential pass over the links, grouped by annotation and, within
+  // one, in link-OID order: the order the ann_id index lists them in.
+  struct Link {
+    AnnId ann_id;
+    Oid link_oid;
+    Oid tuple_oid;
+    uint64_t mask;
+    bool operator<(const Link& o) const {
+      return ann_id != o.ann_id ? ann_id < o.ann_id : link_oid < o.link_oid;
+    }
+  };
+  std::vector<Link> links;
+  links.reserve(links_->num_rows());
+  {
+    Table::Iterator it = links_->Scan();
+    Oid link_oid;
+    Tuple link;
+    while (it.Next(&link_oid, &link)) {
+      links.push_back(Link{static_cast<AnnId>(link.at(0).AsInt()), link_oid,
+                           static_cast<Oid>(link.at(1).AsInt()),
+                           static_cast<uint64_t>(link.at(2).AsInt())});
+    }
+  }
+  std::sort(links.begin(), links.end());
+
+  // Merged with one pass over the texts, in their heap order.
   Table::Iterator it = annotations_->Scan();
   Oid ann_id;
   Tuple row;
@@ -123,10 +151,17 @@ Status AnnotationStore::ForEachAnnotation(
     Annotation ann;
     ann.id = ann_id;
     ann.text = row.at(0).AsString();
-    INSIGHT_ASSIGN_OR_RETURN(std::vector<Oid> tuples, TuplesFor(ann.id));
-    for (Oid oid : tuples) {
-      INSIGHT_ASSIGN_OR_RETURN(uint64_t mask, MaskFor(ann.id, oid));
-      ann.targets.push_back(AnnotationTarget{oid, mask});
+    auto link = std::lower_bound(
+        links.begin(), links.end(), ann_id,
+        [](const Link& l, AnnId id) { return l.ann_id < id; });
+    for (; link != links.end() && link->ann_id == ann_id; ++link) {
+      // A tuple linked twice keeps its first link's mask.
+      const bool seen = std::any_of(
+          ann.targets.begin(), ann.targets.end(),
+          [&](const AnnotationTarget& t) { return t.oid == link->tuple_oid; });
+      if (!seen) {
+        ann.targets.push_back(AnnotationTarget{link->tuple_oid, link->mask});
+      }
     }
     INSIGHT_RETURN_NOT_OK(fn(ann));
   }
@@ -145,45 +180,35 @@ Result<std::vector<Annotation>> AnnotationStore::ForTuple(
   INSIGHT_ASSIGN_OR_RETURN(
       std::vector<uint64_t> link_oids,
       by_tuple->Lookup(EncodeIndexKey(Value::Int(static_cast<int64_t>(oid)))));
+  // One key's postings are in payload order: ascending, as GetMany wants.
+  const std::vector<Oid> link_keys(link_oids.begin(), link_oids.end());
+  INSIGHT_ASSIGN_OR_RETURN(auto links, links_->GetMany(link_keys, snap));
   std::vector<Annotation> out;
-  out.reserve(link_oids.size());
-  for (uint64_t link_oid : link_oids) {
-    auto link_or = links_->Get(link_oid, snap);
-    if (!link_or.ok()) {
-      if (link_or.status().IsNotFound()) continue;  // Invisible version.
-      return link_or.status();
-    }
-    const Tuple& link = link_or.ValueOrDie();
-    if (static_cast<Oid>(link.at(1).AsInt()) != oid) continue;
+  out.reserve(links.size());
+  for (const std::optional<Tuple>& link : links) {
+    if (!link.has_value()) continue;  // Invisible version.
+    if (static_cast<Oid>(link->at(1).AsInt()) != oid) continue;
     Annotation ann;
-    ann.id = static_cast<AnnId>(link.at(0).AsInt());
-    INSIGHT_ASSIGN_OR_RETURN(ann.text, GetText(ann.id, snap));
+    ann.id = static_cast<AnnId>(link->at(0).AsInt());
     ann.targets.push_back(AnnotationTarget{
-        oid, static_cast<uint64_t>(link.at(2).AsInt())});
+        oid, static_cast<uint64_t>(link->at(2).AsInt())});
     out.push_back(std::move(ann));
   }
-  return out;
-}
-
-Result<uint64_t> AnnotationStore::MaskFor(AnnId id, Oid oid,
-                                          const Snapshot& snap) const {
-  const BTree* by_ann = links_->GetColumnIndex("ann_id");
-  INSIGHT_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> link_oids,
-      by_ann->Lookup(EncodeIndexKey(Value::Int(static_cast<int64_t>(id)))));
-  for (uint64_t link_oid : link_oids) {
-    auto link_or = links_->Get(link_oid, snap);
-    if (!link_or.ok()) {
-      if (link_or.status().IsNotFound()) continue;
-      return link_or.status();
+  // Texts in one batch too, probed in id order.
+  std::vector<Oid> ids;
+  ids.reserve(out.size());
+  for (const Annotation& ann : out) ids.push_back(ann.id);
+  std::sort(ids.begin(), ids.end());
+  INSIGHT_ASSIGN_OR_RETURN(auto texts, annotations_->GetMany(ids, snap));
+  for (Annotation& ann : out) {
+    const size_t i = static_cast<size_t>(
+        std::lower_bound(ids.begin(), ids.end(), ann.id) - ids.begin());
+    if (!texts[i].has_value()) {
+      return Status::NotFound("oid " + std::to_string(ann.id));
     }
-    const Tuple& link = link_or.ValueOrDie();
-    if (static_cast<AnnId>(link.at(0).AsInt()) != id) continue;
-    if (static_cast<Oid>(link.at(1).AsInt()) == oid) {
-      return static_cast<uint64_t>(link.at(2).AsInt());
-    }
+    ann.text = texts[i]->at(0).AsString();
   }
-  return 0ULL;
+  return out;
 }
 
 Result<std::vector<Oid>> AnnotationStore::TuplesFor(

@@ -71,8 +71,11 @@ class AnnotationStore {
   Status AddWithId(AnnId id, const std::string& text,
                    const std::vector<AnnotationTarget>& targets);
 
-  /// Enumerates every stored annotation in the annotations table's heap
-  /// order (checkpoint snapshots serialize through this).
+  /// Enumerates every annotation of the latest committed state in the
+  /// annotations table's heap order, each with its distinct target tuples
+  /// in link order and the mask of each tuple's first link (checkpoint
+  /// snapshots serialize through this). One sequential scan of the links
+  /// and one of the texts; the links are held in memory meanwhile.
   Status ForEachAnnotation(
       const std::function<Status(const Annotation&)>& fn) const;
 
@@ -80,14 +83,10 @@ class AnnotationStore {
                               const Snapshot& snap = Snapshot::Latest()) const;
 
   /// All annotations attached (fully or partially) to a tuple — the
-  /// zoom-in path. Sees the versions visible to `snap`.
+  /// zoom-in path. Sees the versions visible to `snap`. Reads the links
+  /// and then the texts with one batched probe each.
   Result<std::vector<Annotation>> ForTuple(
       Oid oid, const Snapshot& snap = Snapshot::Latest()) const;
-
-  /// The column mask with which annotation `id` is attached to `oid`
-  /// (0 when not attached).
-  Result<uint64_t> MaskFor(AnnId id, Oid oid,
-                           const Snapshot& snap = Snapshot::Latest()) const;
 
   /// Distinct tuples annotation `id` is attached to.
   Result<std::vector<Oid>> TuplesFor(

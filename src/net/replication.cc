@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -28,11 +29,22 @@ Status ReplicationManager::Start() {
     return Status::InvalidArgument(
         "replication needs a journaled database (Open a directory)");
   }
-  std::lock_guard<std::mutex> lk(mu_);
-  if (started_) return Status::OK();
-  started_ = true;
-  stop_ = false;
-  thread_ = std::thread([this] { ShipLoop(); });
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (started_) return Status::OK();
+    started_ = true;
+    stop_ = false;
+    thread_ = std::thread([this] { ShipLoop(); });
+  }
+  // Checkpoints keep every record a subscriber has not acknowledged.
+  db_->SetLogRetention([this] {
+    std::lock_guard<std::mutex> lk(mu_);
+    Lsn floor = std::numeric_limits<Lsn>::max();
+    for (const auto& [session, sub] : subs_) {
+      floor = std::min<Lsn>(floor, sub.acked + 1);
+    }
+    return floor;
+  });
   return Status::OK();
 }
 
@@ -43,6 +55,7 @@ void ReplicationManager::Stop() {
     started_ = false;
     stop_ = true;
   }
+  db_->SetLogRetention(nullptr);
   cv_.notify_all();
   thread_.join();
 }
@@ -114,8 +127,9 @@ void ReplicationManager::ShipLoop() {
       Result<std::vector<WalRecord>> batch = db_->wal()->ReadDurableFrom(
           &sub.cursor, options_.max_batch_records, options_.max_batch_bytes);
       if (!batch.ok()) {
-        // A cursor that cannot read the durable prefix will never
-        // recover; drop the subscriber (its reconnect re-subscribes).
+        // A cursor that cannot read the durable log (or whose next
+        // record a checkpoint dropped) will never recover; drop the
+        // subscriber (its reconnect re-subscribes or learns it is gone).
         INSIGHT_LOG(Error) << "replication tail read failed: "
                            << batch.status().ToString();
         Session* s = session;

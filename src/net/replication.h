@@ -53,7 +53,10 @@ class ReplicationManager {
 
   /// Registers `session` to receive the log from `start_lsn` on. Fails
   /// with OutOfRange when the LSN is past the durable end + 1 (the
-  /// subscriber's log is not a prefix of ours — it is not our replica).
+  /// subscriber's log is not a prefix of ours — it is not our replica),
+  /// or when a checkpoint already dropped it from the log (the message
+  /// names the first retained LSN; the subscriber must be re-seeded).
+  /// Until it acknowledges them, checkpoints keep the records it needs.
   Status Subscribe(Session* session, uint64_t start_lsn);
 
   /// Drops the subscriber; must complete before the session is

@@ -44,7 +44,7 @@ Status InsightServer::Start() {
   }
 
   // Every journaled node can serve subscribers: a replica's log is a
-  // byte-equal prefix of its primary's, so chained replication and
+  // byte-equal window of its primary's, so chained replication and
   // promote-then-serve both come for free. Started before any I/O
   // thread can accept a connection, since sessions read repl_ unlocked.
   if (db_->wal() != nullptr) {

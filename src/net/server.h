@@ -79,8 +79,8 @@ class InsightServer : public SessionHost {
   void SetReplicaFeed(ReplicaFeed* feed) { feed_ = feed; }
 
   /// The primary-side shipper (nullptr for in-memory databases). Every
-  /// journaled node ships — a replica's log is a prefix of its
-  /// primary's, so chaining works unmodified.
+  /// journaled node ships — a replica's log is a byte-equal window of
+  /// its primary's, so chaining works unmodified.
   ReplicationManager* replication() { return repl_.get(); }
 
   // SessionHost:

@@ -274,6 +274,14 @@ EngineMetrics& EngineMetrics::Get() {
     m->wal_durable_lag =
         r.GetGauge("insight_wal_durable_lag",
                    "Appended-but-not-durable records (last - durable LSN)");
+    m->wal_log_bytes = r.GetGauge("insight_wal_log_bytes",
+                                  "Bytes of the log file on disk");
+    m->checkpoint_micros = r.GetHistogram(
+        "insight_checkpoint_micros",
+        {1000, 2500, 5000, 10000, 15000, 20000, 30000, 40000, 60000, 80000,
+         100000, 250000, 500000, 1000000},
+        "Checkpoint latency in microseconds (snapshot, page flush, log "
+        "swap)");
     m->scheduler_submits = r.GetCounter("insight_scheduler_submits_total",
                                         "Tasks submitted to the scheduler");
     m->scheduler_steals =

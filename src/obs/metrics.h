@@ -182,6 +182,8 @@ struct EngineMetrics {
   Histogram* wal_group_commit_records;  // Records made durable per fsync.
   Histogram* wal_sync_micros;           // Leader write+fsync latency.
   Gauge* wal_durable_lag;               // last_lsn - durable_lsn.
+  Gauge* wal_log_bytes;                 // Size of the log file on disk.
+  Histogram* checkpoint_micros;         // Whole-checkpoint latency.
   // Task scheduler.
   Counter* scheduler_submits;
   Counter* scheduler_steals;

@@ -7,11 +7,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <set>
 
+#include "common/serde.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "wal/crash_point.h"
@@ -31,11 +34,19 @@ void Database::InstallWalHooks() {
   TransactionManager::WalHooks hooks;
   hooks.begin = [this](const Transaction& txn) -> Status {
     if (!WalEnabled()) return Status::OK();
-    return wal_->Append(WalRecordType::kTxnBegin, WalTxnBegin{txn.id()}.Encode())
-        .status();
+    // Under the write gate, like every other append: a checkpoint must
+    // see each open transaction's begin LSN (the log keeps the records
+    // from there on), and the log refuses appends while it is replaced.
+    std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
+    INSIGHT_ASSIGN_OR_RETURN(
+        Lsn lsn, wal_->Append(WalRecordType::kTxnBegin,
+                              WalTxnBegin{txn.id()}.Encode()));
+    open_txn_begin_lsns_[txn.id()] = lsn;
+    return Status::OK();
   };
   hooks.commit = [this](const Transaction& txn, Ts) -> Status {
     if (!WalEnabled()) return Status::OK();
+    open_txn_begin_lsns_.erase(txn.id());
     INSIGHT_ASSIGN_OR_RETURN(
         Lsn lsn, wal_->Append(WalRecordType::kTxnCommit,
                               WalTxnCommit{txn.id()}.Encode()));
@@ -57,6 +68,7 @@ void Database::InstallWalHooks() {
     // crash here must recover to the same no-effects state (the kTxnOps
     // are in the log but no commit record ever will be).
     INSIGHT_CRASH_POINT("txn_abort_mid");
+    open_txn_begin_lsns_.erase(txn.id());
     return wal_->Append(WalRecordType::kTxnAbort, WalTxnAbort{txn.id()}.Encode())
         .status();
   };
@@ -67,7 +79,8 @@ namespace {
 
 constexpr const char* kWalFileName = "wal.log";
 
-/// Removes every regular file in `dir` except the log. Page files are
+/// Removes every regular file in `dir` except the log (a replacement log
+/// a crashed checkpoint left behind goes too). Page files are
 /// derived state: the catalog that maps them to tables is logical (it
 /// lives in the log), so a restart rebuilds them from replay. Leftover
 /// files from the previous incarnation would otherwise collide with the
@@ -492,6 +505,10 @@ Status Database::Analyze(const std::string& table) {
 
 Status Database::LogOp(WalRecordType type, std::string payload) {
   if (!WalEnabled()) return Status::OK();
+  // Every append runs under the write gate (statements already hold it;
+  // this covers the programmatic API): a checkpoint replacing the log
+  // file refuses appends meanwhile.
+  std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
   if (Transaction* txn = CurrentTxn()) {
     // Transactional op: wrapped so recovery can tie it to its commit
     // record. No per-op force — durability comes from the commit record —
@@ -527,23 +544,30 @@ Status Database::WalSync() {
   return wal_->Sync();
 }
 
-Result<WalSnapshot> Database::BuildSnapshot() {
-  WalSnapshot snap;
-  snap.next_ann_id = PeekNextAnnId();
+Status Database::BuildSnapshot(LogManager::RewriteWriter* out) {
+  std::string bytes;
+  PutU64(&bytes, PeekNextAnnId());
+  INSIGHT_RETURN_NOT_OK(out->AppendPayload(bytes));
+  auto emit = [&](WalRecordType type, std::string_view payload) {
+    bytes.clear();
+    PutSnapshotOp(&bytes, type, payload);
+    return out->AppendPayload(bytes);
+  };
 
   // Instance definitions first: links reference them.
   for (const auto& [name, payload] : instance_def_payloads_) {
-    snap.ops.emplace_back(WalRecordType::kDefineInstance, payload);
+    INSIGHT_RETURN_NOT_OK(emit(WalRecordType::kDefineInstance, payload));
   }
 
   for (const auto& [key, rel] : relations_) {
     Table* table = rel.mgr->base();
     const std::string& name = table->name();
-    snap.ops.emplace_back(WalRecordType::kCreateTable,
-                          WalCreateTable{name, table->schema()}.Encode());
+    INSIGHT_RETURN_NOT_OK(
+        emit(WalRecordType::kCreateTable,
+             WalCreateTable{name, table->schema()}.Encode()));
     for (const std::string& column : table->IndexedColumns()) {
-      snap.ops.emplace_back(WalRecordType::kCreateIndex,
-                            WalCreateIndex{name, column}.Encode());
+      INSIGHT_RETURN_NOT_OK(emit(WalRecordType::kCreateIndex,
+                                 WalCreateIndex{name, column}.Encode()));
     }
     // Links before data: with the instances in place, restoring the
     // annotations below re-runs summarization and rebuilds summary
@@ -553,9 +577,9 @@ Result<WalSnapshot> Database::BuildSnapshot() {
       const std::string inst_key = ToLower(inst.name());
       const bool indexable = rel.indexes.count(inst_key) > 0 ||
                              rel.keyword_indexes.count(inst_key) > 0;
-      snap.ops.emplace_back(
-          WalRecordType::kLinkInstance,
-          WalLinkInstance{name, inst.name(), indexable}.Encode());
+      INSIGHT_RETURN_NOT_OK(
+          emit(WalRecordType::kLinkInstance,
+               WalLinkInstance{name, inst.name(), indexable}.Encode()));
     }
     // Latest-committed snapshot: open transactions' uncommitted versions
     // carry txn stamps and are excluded; if they commit, their wrapped
@@ -564,8 +588,8 @@ Result<WalSnapshot> Database::BuildSnapshot() {
     Oid oid;
     Tuple tuple;
     while (it.Next(&oid, &tuple)) {
-      snap.ops.emplace_back(WalRecordType::kInsert,
-                            WalInsert{name, oid, tuple}.Encode());
+      INSIGHT_RETURN_NOT_OK(emit(WalRecordType::kInsert,
+                                 WalInsert{name, oid, tuple}.Encode()));
     }
     INSIGHT_RETURN_NOT_OK(
         rel.store->ForEachAnnotation([&](const Annotation& ann) {
@@ -576,62 +600,85 @@ Result<WalSnapshot> Database::BuildSnapshot() {
           for (const AnnotationTarget& t : ann.targets) {
             rec.targets.emplace_back(t.oid, t.column_mask);
           }
-          snap.ops.emplace_back(WalRecordType::kAnnotate, rec.Encode());
-          return Status::OK();
+          return emit(WalRecordType::kAnnotate, rec.Encode());
         }));
   }
   // Sketch image last: every table it names exists by now, and restoring
   // it after the inserts/annotations replayed above overwrites their
   // incremental updates with the exact checkpointed state (idempotent).
-  snap.ops.emplace_back(WalRecordType::kStatsSketch,
-                        WalStatsSketch{stats_registry_.Serialize()}.Encode());
-  return snap;
+  return emit(WalRecordType::kStatsSketch,
+              WalStatsSketch{stats_registry_.Serialize()}.Encode());
+}
+
+Lsn Database::LogRetentionFloor(Lsn txn_floor) const {
+  return log_retention_ ? std::min(txn_floor, log_retention_()) : txn_floor;
+}
+
+void Database::SetLogRetention(std::function<Lsn()> floor) {
+  std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
+  log_retention_ = std::move(floor);
 }
 
 Status Database::Checkpoint() {
   if (wal_ == nullptr) {
     return Status::InvalidArgument("checkpoint needs an attached WAL");
   }
+  if (role() == Role::kReplica) {
+    // Its log mirrors the primary's LSNs: it checkpoints when a shipped
+    // kCheckpointEnd arrives (ApplyReplicated), never on its own.
+    return Status::InvalidArgument("a replica cannot checkpoint on its own");
+  }
   // Quiesce writers (recursive, so a writer-triggered auto-checkpoint
-  // re-enters): no statement is mid-apply while state is serialized.
+  // re-enters): no statement is mid-apply while state is serialized, and
+  // no record is appended while the log file is replaced.
   std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
   if (in_checkpoint_) return Status::OK();
   in_checkpoint_ = true;
-  Status result = [&]() -> Status {
-    INSIGHT_ASSIGN_OR_RETURN(WalSnapshot snap, BuildSnapshot());
-    INSIGHT_ASSIGN_OR_RETURN(
-        Lsn begin, wal_->Append(WalRecordType::kCheckpointBegin,
-                                snap.Encode()));
-    INSIGHT_CRASH_POINT("checkpoint_begin");
-    INSIGHT_RETURN_NOT_OK(wal_->Commit(begin));
-    // Data pages next. Order matters: the snapshot is durable before any
-    // page that might depend on post-checkpoint state is written, and
-    // CheckpointEnd is logged only after the pages are synced.
-    INSIGHT_RETURN_NOT_OK(pool_.FlushAll());
-    INSIGHT_RETURN_NOT_OK(storage_.SyncAll());
-    INSIGHT_CRASH_POINT("checkpoint_after_flush");
-    INSIGHT_ASSIGN_OR_RETURN(
-        Lsn end, wal_->Append(WalRecordType::kCheckpointEnd,
-                              WalCheckpointEnd{begin}.Encode()));
-    INSIGHT_RETURN_NOT_OK(wal_->Commit(end));
-    INSIGHT_CRASH_POINT("checkpoint_end");
-    return Status::OK();
-  }();
+  const auto start = std::chrono::steady_clock::now();
+  const Lsn begin = wal_->next_lsn();
+  Lsn txn_floor = begin;
+  for (const auto& [txn_id, lsn] : open_txn_begin_lsns_) {
+    txn_floor = std::min(txn_floor, lsn);
+  }
+  // The new log keeps what recovery needs past this checkpoint (records
+  // of transactions open across it) and what subscribed replicas have
+  // not acknowledged, then the snapshot, streamed in as it is built.
+  Status result = wal_->Rewrite(
+      LogRetentionFloor(txn_floor),
+      [&](LogManager::RewriteWriter* out) -> Status {
+        INSIGHT_RETURN_NOT_OK(
+            out->BeginRecord(WalRecordType::kCheckpointBegin));
+        INSIGHT_RETURN_NOT_OK(BuildSnapshot(out));
+        INSIGHT_RETURN_NOT_OK(out->EndRecord());
+        INSIGHT_CRASH_POINT("checkpoint_begin");
+        // Page files are derived state (Open deletes them); flushing here
+        // turns the dirty frames a checkpoint window accumulated into
+        // clean ones while writers are quiesced anyway.
+        INSIGHT_RETURN_NOT_OK(pool_.FlushAll());
+        INSIGHT_RETURN_NOT_OK(storage_.SyncAll());
+        INSIGHT_CRASH_POINT("checkpoint_after_flush");
+        return out->Append(WalRecordType::kCheckpointEnd,
+                           WalCheckpointEnd{begin, txn_floor}.Encode());
+      });
   in_checkpoint_ = false;
   if (result.ok()) {
+    INSIGHT_CRASH_POINT("checkpoint_end");
     ops_since_checkpoint_ = 0;
+    EngineMetrics::Get().checkpoint_micros->Observe(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
     // Writers are still quiesced: a natural window to tighten any zone
     // maps loosened by deletes/aborts since the last checkpoint. Purely
     // derived state, so a failure here does not void the checkpoint.
     result = MaintainZoneMaps();
   }
 #if defined(__GLIBC__)
-  // The snapshot held the database's whole logical image three times (op
-  // list, encoded payload, framed log buffer), all freed at once. glibc
-  // keeps blocks that large in the heap (its trim threshold follows the
-  // largest block freed), so the resident set would carry every
-  // checkpoint's peak, by an amount that depends on where the blocks
-  // happened to land. Checkpoints are rare; hand the memory back.
+  // The snapshot streams through a bounded buffer, but building it still
+  // allocates and frees a burst of small blocks (the link list, one
+  // encoded op per row and annotation). glibc keeps freed heap it could
+  // return, so the resident set would carry each checkpoint's peak by an
+  // amount that depends on where its blocks landed. Hand it back.
   ::malloc_trim(0);
 #endif
   return result;
@@ -690,11 +737,20 @@ Status Database::ApplyReplicated(const WalRecord& rec) {
         std::to_string(rec.lsn) + ", local log expects " +
         std::to_string(expected));
   }
-  // Verbatim append keeps the local log a byte-equal prefix of the
+  // Verbatim append keeps the local log a byte-equal window of the
   // primary's, so restart recovery and later promotion need no special
   // cases. WAL-before-data still holds: pages dirtied by the apply below
   // are stamped with this LSN and force the log on flush.
   INSIGHT_RETURN_NOT_OK(wal_->Append(rec.type, rec.payload).status());
+  if (rec.type == WalRecordType::kCheckpointEnd) {
+    // The primary sealed a checkpoint: drop the log prefix it supersedes
+    // the same way the primary did, keeping what this node's own
+    // subscribers have not acknowledged.
+    INSIGHT_ASSIGN_OR_RETURN(WalCheckpointEnd end,
+                             WalCheckpointEnd::Decode(rec.payload));
+    std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
+    return wal_->Rewrite(LogRetentionFloor(end.txn_floor_lsn), nullptr);
+  }
   pool_.SetCurrentLsn(rec.lsn);
   std::vector<StreamingReplay::Unit> units;
   INSIGHT_RETURN_NOT_OK(streaming_replay_.Feed(rec, &units));

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -189,14 +190,22 @@ class Database : public ReplayTarget {
 
   // ---- Durability ----
 
-  /// Fuzzy checkpoint: logs a logical snapshot of the whole database
-  /// (CheckpointBegin), flushes and syncs the data pages, then seals it
-  /// with CheckpointEnd. Recovery restores the latest sealed snapshot and
-  /// replays only the log tail after it. Runs under the write gate so no
-  /// writer is mid-statement; open transactions are fine (the snapshot
-  /// holds committed state only, and their ops replay from the log if
-  /// they commit). No-op error when WAL is off.
+  /// Fuzzy checkpoint: replaces the log with a fresh file that holds the
+  /// records still needed (those of transactions open across the
+  /// checkpoint and those a subscribed replica has not acknowledged),
+  /// then a logical snapshot of the whole database (CheckpointBegin,
+  /// streamed in as it is built), then CheckpointEnd; the data pages are
+  /// flushed and synced in between. Recovery restores the latest sealed
+  /// snapshot and replays only the log tail after it. Runs under the
+  /// write gate so no writer is mid-statement; open transactions are fine
+  /// (the snapshot holds committed state only, and their ops replay from
+  /// the log if they commit). Error when WAL is off or on a replica.
   Status Checkpoint();
+
+  /// Registers the oldest LSN a reader outside the database (a
+  /// replication shipper) still needs; checkpoints keep the log from
+  /// there on. An empty function clears it.
+  void SetLogRetention(std::function<Lsn()> floor);
 
   /// Re-derives stale page zone maps on every table (the widen-only write
   /// path loosens bounds; this is the tightening half). Checkpoint runs it
@@ -239,9 +248,10 @@ class Database : public ReplayTarget {
 
   /// Applies one shipped WAL record: appends it to the local log
   /// verbatim (records must arrive dense at the local next_lsn, so the
-  /// replica's log stays a byte-equal prefix of the primary's) and, when
+  /// replica's log stays a byte-equal window of the primary's) and, when
   /// the record seals an apply unit, applies it inside a local MVCC
-  /// transaction so concurrent readers observe the commit atomically.
+  /// transaction so concurrent readers observe the commit atomically. A
+  /// kCheckpointEnd also drops the local log prefix it supersedes.
   /// Durability and applied-LSN publication are batched by the caller
   /// (WalSync + AdvanceAppliedLsn).
   Status ApplyReplicated(const WalRecord& rec);
@@ -348,8 +358,13 @@ class Database : public ReplayTarget {
     if (WalEnabled()) pool_.SetCurrentLsn(wal_->next_lsn());
   }
 
-  /// Serializes the full logical state as a checkpoint snapshot.
-  Result<WalSnapshot> BuildSnapshot();
+  /// Streams the full logical state into `out`'s open record as a
+  /// WalSnapshot payload.
+  Status BuildSnapshot(LogManager::RewriteWriter* out);
+
+  /// The LSN a log rewrite keeps from: `txn_floor` (what recovery needs)
+  /// or the registered retention floor, whichever is older.
+  Lsn LogRetentionFloor(Lsn txn_floor) const;
 
   Status DeleteTupleImpl(const std::string& table, Oid oid);
 
@@ -366,6 +381,10 @@ class Database : public ReplayTarget {
   bool replaying_ = false;
   std::atomic<uint64_t> ops_since_checkpoint_{0};
   bool in_checkpoint_ = false;
+  /// kTxnBegin LSN of every open transaction, by id, and the retention
+  /// floor SetLogRetention registered. Both guarded by the write gate.
+  std::map<uint64_t, Lsn> open_txn_begin_lsns_;
+  std::function<Lsn()> log_retention_;
   RecoveryManager::Stats recovery_stats_;
   /// WalInstanceDef payloads of instances defined through the typed
   /// Define{Classifier,Snippet,Cluster} API, re-emitted into checkpoint

@@ -51,8 +51,13 @@ const std::vector<std::string>& RegisteredCrashPoints() {
       "wal_sync_after_fsync",     // Batch durable, waiters not yet released.
       "bufferpool_flush_page",    // Checkpoint page writeback, per page.
       "pagestore_sync",           // Data-file fsync during checkpoint.
-      "checkpoint_begin",         // Snapshot record appended, not yet synced.
+      "checkpoint_begin",         // Snapshot record written to the
+                                  // replacement log, not yet synced.
       "checkpoint_after_flush",   // Pages flushed, end record not written.
+      "log_rewrite_before_rename",  // Replacement log fsynced, the old log
+                                    // still in place.
+      "log_rewrite_after_rename",   // Replacement log renamed over the old
+                                    // one, directory not yet fsynced.
       "checkpoint_end",           // Checkpoint sealed and durable.
       "sbtree_maintenance",       // Summary-BTree upkeep mid-flight.
       "txn_commit_appended",      // Commit record buffered, not yet durable:

@@ -1,6 +1,8 @@
 #include "wal/wal_record.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 #include "common/serde.h"
 
@@ -46,22 +48,59 @@ const char* WalRecordTypeToString(WalRecordType type) {
   return "Unknown";
 }
 
-uint32_t Crc32(std::string_view data, uint32_t seed) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> table{};
+namespace {
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial: kCrcTables[0]
+/// is the classic bytewise table, and kCrcTables[k][b] is the CRC of byte
+/// b followed by k zero bytes, so eight table lookups fold eight input
+/// bytes at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& Crc32Tables() {
+  static const CrcTables kTables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      table[i] = c;
+      t[0][i] = c;
     }
-    return table;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+      }
+    }
+    return t;
   }();
+  return kTables;
+}
+
+}  // namespace
+
+uint32_t Crc32(std::string_view data, uint32_t seed) {
+  const CrcTables& t = Crc32Tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (unsigned char byte : data) {
-    crc = kTable[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  while (n >= 8) {
+    // Little-endian loads: the first four bytes fold into the running
+    // CRC, the next four are plain data.
+    uint32_t lo, hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    if constexpr (std::endian::native == std::endian::big) {
+      lo = __builtin_bswap32(lo);
+      hi = __builtin_bswap32(hi);
+    }
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    p += 8;
+    n -= 8;
   }
+  while (n-- > 0) crc = t[0][(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 
@@ -306,13 +345,16 @@ Result<WalCreateIndex> WalCreateIndex::Decode(std::string_view payload) {
 std::string WalCheckpointEnd::Encode() const {
   std::string out;
   PutU64(&out, begin_lsn);
+  PutU64(&out, txn_floor_lsn);
   return out;
 }
 
 Result<WalCheckpointEnd> WalCheckpointEnd::Decode(std::string_view payload) {
   SerdeReader reader(payload);
   WalCheckpointEnd rec;
-  if (!reader.ReadU64(&rec.begin_lsn)) return CorruptPayload("CheckpointEnd");
+  if (!reader.ReadU64(&rec.begin_lsn) || !reader.ReadU64(&rec.txn_floor_lsn)) {
+    return CorruptPayload("CheckpointEnd");
+  }
   return rec;
 }
 
@@ -391,25 +433,26 @@ Result<WalStatsSketch> WalStatsSketch::Decode(std::string_view payload) {
   return rec;
 }
 
+void PutSnapshotOp(std::string* dst, WalRecordType type,
+                   std::string_view payload) {
+  PutU8(dst, static_cast<uint8_t>(type));
+  PutString(dst, payload);
+}
+
 std::string WalSnapshot::Encode() const {
   std::string out;
   PutU64(&out, next_ann_id);
-  PutU32(&out, static_cast<uint32_t>(ops.size()));
-  for (const auto& [type, payload] : ops) {
-    PutU8(&out, static_cast<uint8_t>(type));
-    PutString(&out, payload);
-  }
+  for (const auto& [type, payload] : ops) PutSnapshotOp(&out, type, payload);
   return out;
 }
 
 Result<WalSnapshot> WalSnapshot::Decode(std::string_view payload) {
   SerdeReader reader(payload);
   WalSnapshot snap;
-  uint32_t n;
-  if (!reader.ReadU64(&snap.next_ann_id) || !reader.ReadU32(&n)) {
+  if (!reader.ReadU64(&snap.next_ann_id)) {
     return CorruptPayload("Snapshot header");
   }
-  for (uint32_t i = 0; i < n; ++i) {
+  while (!reader.AtEnd()) {
     uint8_t type;
     std::string op;
     if (!reader.ReadU8(&type) || !reader.ReadString(&op)) {

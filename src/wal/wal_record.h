@@ -36,7 +36,7 @@ enum class WalRecordType : uint8_t {
   kRemoveAnnotation = 8,
   kCreateIndex = 9,
   kCheckpointBegin = 10,  // Payload: WalSnapshot.
-  kCheckpointEnd = 11,    // Payload: LSN of the matching begin record.
+  kCheckpointEnd = 11,    // Payload: WalCheckpointEnd.
   // Multi-statement transactions. Statements inside an explicit txn log
   // as kTxnOp wrappers (txn id + the inner record they would have been);
   // the commit record is the txn's durability point. Recovery replays a
@@ -162,6 +162,11 @@ struct WalCreateIndex {
 
 struct WalCheckpointEnd {
   Lsn begin_lsn = kInvalidLsn;
+  /// Oldest record recovery still needs past this checkpoint: begin_lsn,
+  /// or the kTxnBegin of the oldest transaction open across it (its ops
+  /// replay from the log if it commits later). A log may drop every
+  /// record below it once this record is durable.
+  Lsn txn_floor_lsn = kInvalidLsn;
 
   std::string Encode() const;
   static Result<WalCheckpointEnd> Decode(std::string_view payload);
@@ -217,6 +222,10 @@ struct WalStatsSketch {
 /// a sequence of embedded (type, payload) ops that replay through the
 /// exact same dispatch as ordinary records. Restoring a snapshot is
 /// therefore the same code as replaying a log — one replay path to trust.
+///
+/// Layout: u64 next_ann_id, then one PutSnapshotOp per op up to the end
+/// of the payload. There is no op count up front, so a checkpoint streams
+/// ops into the log as it produces them.
 struct WalSnapshot {
   uint64_t next_ann_id = 1;  // Global annotation-id floor.
   std::vector<std::pair<WalRecordType, std::string>> ops;
@@ -224,6 +233,11 @@ struct WalSnapshot {
   std::string Encode() const;
   static Result<WalSnapshot> Decode(std::string_view payload);
 };
+
+/// Appends one embedded snapshot op: u8 type, then the length-prefixed
+/// payload.
+void PutSnapshotOp(std::string* dst, WalRecordType type,
+                   std::string_view payload);
 
 }  // namespace insight
 

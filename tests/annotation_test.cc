@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "annotation/annotation_store.h"
 #include "index/catalog.h"
 #include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
+#include "txn/transaction_manager.h"
 
 namespace insight {
 namespace {
@@ -67,16 +70,85 @@ TEST_F(AnnotationStoreTest, ZoomInForTuple) {
   EXPECT_TRUE(anns->empty());
 }
 
-TEST_F(AnnotationStoreTest, MaskForAndTuplesFor) {
+/// Every annotation ForEachAnnotation yields, by id.
+std::map<AnnId, Annotation> AllAnnotations(const AnnotationStore& store) {
+  std::map<AnnId, Annotation> out;
+  EXPECT_TRUE(store
+                  .ForEachAnnotation([&](const Annotation& ann) {
+                    out[ann.id] = ann;
+                    return Status::OK();
+                  })
+                  .ok());
+  return out;
+}
+
+TEST_F(AnnotationStoreTest, ForEachAnnotationMasksAndTargets) {
   AnnId id = *store_->Add("multi-cell", {{1, CellMask(0) | CellMask(2)},
                                          {3, CellMask(1)}});
-  EXPECT_EQ(*store_->MaskFor(id, 1), CellMask(0) | CellMask(2));
-  EXPECT_EQ(*store_->MaskFor(id, 3), CellMask(1));
-  EXPECT_EQ(*store_->MaskFor(id, 2), 0u);
+  // Linked twice to tuple 2: one target, the first link's mask.
+  AnnId twice = *store_->Add("twice", {{2, CellMask(3)},
+                                       {4, CellMask(0)},
+                                       {2, CellMask(1)}});
+  AnnId removed = *store_->Add("removed", {{1, CellMask(0)}});
+  ASSERT_TRUE(store_->Delete(removed).ok());
+  // An open writer's annotation is not committed state.
+  TransactionManager txns;
+  Transaction* writer = *txns.Begin();
+  AnnId uncommitted;
+  {
+    TxnScope scope(writer);
+    uncommitted = *store_->Add("uncommitted", {{3, CellMask(2)}});
+  }
+
+  const std::map<AnnId, Annotation> all = AllAnnotations(*store_);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all.count(removed), 0u);
+  EXPECT_EQ(all.count(uncommitted), 0u);
+
+  const Annotation& multi = all.at(id);
+  EXPECT_EQ(multi.text, "multi-cell");
+  ASSERT_EQ(multi.targets.size(), 2u);
+  EXPECT_EQ(multi.targets[0].oid, 1u);
+  EXPECT_EQ(multi.targets[0].column_mask, CellMask(0) | CellMask(2));
+  EXPECT_EQ(multi.targets[1].oid, 3u);
+  EXPECT_EQ(multi.targets[1].column_mask, CellMask(1));
+
+  const Annotation& dup = all.at(twice);
+  ASSERT_EQ(dup.targets.size(), 2u);
+  EXPECT_EQ(dup.targets[0].oid, 2u);
+  EXPECT_EQ(dup.targets[0].column_mask, CellMask(3));
+  EXPECT_EQ(dup.targets[1].oid, 4u);
+  EXPECT_EQ(dup.targets[1].column_mask, CellMask(0));
 
   auto tuples = store_->TuplesFor(id);
   ASSERT_TRUE(tuples.ok());
   EXPECT_EQ(tuples->size(), 2u);
+  ASSERT_TRUE(txns.Abort(writer->id()).ok());
+}
+
+TEST_F(AnnotationStoreTest, ZoomInKeepsLinkOrderAndSnapshot) {
+  AnnId first = *store_->Add("first", {{1, CellMask(0)}});
+  AnnId second = *store_->Add("second", {{2, CellMask(0)}, {1, CellMask(1)}});
+  TransactionManager txns;
+  Transaction* writer = *txns.Begin();
+  {
+    TxnScope scope(writer);
+    store_->Add("uncommitted", {{1, CellMask(2)}}).status();
+  }
+  auto anns = store_->ForTuple(1);
+  ASSERT_TRUE(anns.ok());
+  ASSERT_EQ(anns->size(), 2u);
+  EXPECT_EQ((*anns)[0].id, first);
+  EXPECT_EQ((*anns)[0].text, "first");
+  EXPECT_EQ((*anns)[1].id, second);
+  EXPECT_EQ((*anns)[1].text, "second");
+  EXPECT_EQ((*anns)[1].targets[0].column_mask, CellMask(1));
+  // The writer sees its own annotation too, after the committed ones.
+  auto own = store_->ForTuple(1, writer->snapshot());
+  ASSERT_TRUE(own.ok());
+  ASSERT_EQ(own->size(), 3u);
+  EXPECT_EQ((*own)[2].text, "uncommitted");
+  ASSERT_TRUE(txns.Abort(writer->id()).ok());
 }
 
 TEST_F(AnnotationStoreTest, DeleteRemovesTextAndLinks) {

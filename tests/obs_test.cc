@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -216,6 +217,29 @@ TEST_F(ObsTest, WalFsyncCountMatchesSyncMode) {
     EXPECT_EQ(m.wal_fsyncs->value(), 1u);
     EXPECT_EQ(m.wal_durable_lag->value(), 0);
   }
+}
+
+TEST_F(ObsTest, CheckpointLatencyAndLogSizeMove) {
+  EngineMetrics& m = EngineMetrics::Get();
+  const std::string dir = TempPath("ckpt");
+  auto db = Database::Open(dir).ValueOrDie();
+  FillBirds(db.get(), 300);
+  ASSERT_TRUE(db->WalSync().ok());
+  const int64_t before = m.wal_log_bytes->value();
+  EXPECT_GT(before, 0);
+  EXPECT_EQ(m.checkpoint_micros->count(), 0u);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  EXPECT_EQ(m.checkpoint_micros->count(), 1u);
+  EXPECT_GT(m.checkpoint_micros->sum(), 0.0);
+  // The gauge follows the replaced file, not the bytes ever appended.
+  const int64_t after = m.wal_log_bytes->value();
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, static_cast<int64_t>(db->wal()->size_bytes()));
+  const std::string json = db->DumpMetricsJson();
+  EXPECT_NE(json.find("insight_checkpoint_micros"), std::string::npos);
+  EXPECT_NE(json.find("insight_wal_log_bytes"), std::string::npos);
+  db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ObsTest, SchedulerCountersCountEveryTask) {

@@ -243,6 +243,49 @@ TEST(RecoveryTest, CheckpointPlusTailReplay) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(RecoveryTest, CheckpointReplacesTheLog) {
+  const std::string dir = MakeTempDir("replace");
+  const std::string log = dir + "/wal.log";
+  {
+    auto db = Database::Open(dir).ValueOrDie();
+    ASSERT_TRUE(db->CreateTable("Birds", BirdsSchema()).ok());
+    ASSERT_TRUE(DefineBirdClassifier(db.get()).ok());
+    ASSERT_TRUE(db->LinkInstance("Birds", "ClassBird1", true).ok());
+    uint64_t last_checkpointed_bytes = 0;
+    for (int round = 0; round < 5; ++round) {
+      for (int i = 0; i < 40; ++i) {
+        const Oid oid = *db->Insert(
+            "Birds", MakeBird("b" + std::to_string(round * 40 + i), "f", 1));
+        ASSERT_TRUE(db->Annotate("Birds", "diseaseword note",
+                                 {{oid, CellMask(0)}})
+                        .ok());
+      }
+      ASSERT_TRUE(db->WalSync().ok());
+      ASSERT_TRUE(db->Checkpoint().ok());
+      // Two records replace the log: the snapshot and its end marker. No
+      // earlier snapshot and none of this round's ops stay behind.
+      auto records = db->wal()->ReadAll().ValueOrDie();
+      ASSERT_EQ(records.size(), 2u) << "round " << round;
+      EXPECT_EQ(records[0].type, WalRecordType::kCheckpointBegin);
+      EXPECT_EQ(records[1].type, WalRecordType::kCheckpointEnd);
+      const uint64_t bytes = std::filesystem::file_size(log);
+      EXPECT_EQ(bytes, db->wal()->size_bytes());
+      EXPECT_EQ(bytes, records[0].payload.size() + records[1].payload.size() +
+                           2 * (8 + 9));
+      EXPECT_GT(bytes, last_checkpointed_bytes) << "round " << round;
+      last_checkpointed_bytes = bytes;
+    }
+    ASSERT_TRUE(db->Insert("Birds", MakeBird("tail", "f", 1)).ok());
+  }
+  EXPECT_FALSE(std::filesystem::exists(log + ".tmp"));
+  auto db = Database::Open(dir).ValueOrDie();
+  EXPECT_EQ(db->recovery_stats().records_seen, 3u);
+  EXPECT_EQ(db->recovery_stats().records_applied, 2u);  // End + insert.
+  EXPECT_EQ((*db->GetTable("Birds"))->num_rows(), 201u);
+  ExpectIndexMatchesFreshRebuild(db.get(), "replaced log");
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RecoveryTest, AutomaticCheckpointTriggersOnOpBudget) {
   const std::string dir = MakeTempDir("autockpt");
   Database::Options options;

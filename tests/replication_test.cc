@@ -319,6 +319,7 @@ class Cluster {
   }
 
   uint16_t port(size_t i) const { return nodes_[i]->server->port(); }
+  InsightServer* server(size_t i) { return nodes_[i]->server.get(); }
   Database* db(size_t i) { return nodes_[i]->db.get(); }
   ReplicaFeed* feed(size_t i) { return nodes_[i]->feed.get(); }
 
@@ -448,6 +449,119 @@ TEST(ReplicationE2ETest, PromoteTurnsReplicaIntoWritablePrimary) {
   auto rows = (*replica)->Execute("SELECT n FROM t ORDER BY n");
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->rows.size(), 2u);
+}
+
+// ---------- Log truncation across checkpoints ----------
+
+/// Rows of `t` on `db`, sorted.
+std::vector<int64_t> SortedRows(Database* db) {
+  auto rows = db->Execute("SELECT n FROM t ORDER BY n");
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  std::vector<int64_t> out;
+  if (rows.ok()) {
+    for (const Tuple& row : rows->rows) out.push_back(row.at(0).AsInt());
+  }
+  return out;
+}
+
+TEST(ReplicationTruncationTest, LaggingReplicaConvergesAndItsLogStaysBounded) {
+  Cluster cluster("trunc_lag");
+  ASSERT_TRUE(cluster.AddPrimary().ok());
+  ASSERT_TRUE(cluster.AddReplicaOf(0).ok());
+  Database* primary = cluster.db(0);
+  ASSERT_TRUE(primary->Execute("CREATE TABLE t (n INT)").ok());
+  // Writes outrun the shipper (one batch of at most 256 records per
+  // 20 ms poll), so the replica falls behind by up to the whole burst,
+  // more than the 8,192-record backpressure window: at each checkpoint
+  // below the primary must keep what the replica has not acknowledged
+  // while dropping the rest.
+  bool retained_for_replica = false;
+  int64_t n = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 3000; ++i) {
+      ASSERT_TRUE(primary->Insert("t", Tuple({Value::Int(n++)})).ok());
+    }
+    ASSERT_TRUE(primary->WalSync().ok());
+    const Lsn begin = primary->wal()->next_lsn();
+    ASSERT_TRUE(primary->Checkpoint().ok());
+    if (primary->wal()->first_lsn() < begin) retained_for_replica = true;
+  }
+  ASSERT_TRUE(primary->Insert("t", Tuple({Value::Int(n++)})).ok());
+  ASSERT_TRUE(primary->WalSync().ok());
+  const Lsn end = primary->wal()->durable_lsn();
+  EXPECT_TRUE(retained_for_replica);
+  // Catching up ships ~12K records at one batch per poll: give sanitizer
+  // builds time.
+  for (int waits = 0; waits < 6 && !cluster.WaitForApply(1, end); ++waits) {
+  }
+  ASSERT_TRUE(cluster.WaitForApply(1, end))
+      << "applied " << cluster.db(1)->applied_lsn() << " of " << end
+      << "; feed error: " << cluster.feed(1)->last_error();
+
+  Database* replica = cluster.db(1);
+  EXPECT_EQ(SortedRows(replica), SortedRows(primary));
+  EXPECT_EQ(SortedRows(replica).size(), static_cast<size_t>(n));
+  // The replica dropped its prefix at each shipped checkpoint: its log is
+  // the last checkpoint plus the one-insert tail, byte-equal to the
+  // primary's from there on.
+  const Lsn last_begin = end - 2;
+  EXPECT_EQ(replica->wal()->first_lsn(), last_begin);
+  auto replica_records = replica->wal()->ReadAll().ValueOrDie();
+  ASSERT_EQ(replica_records.size(), 3u);
+  EXPECT_EQ(replica_records[0].type, WalRecordType::kCheckpointBegin);
+  auto primary_records = primary->wal()->ReadAll().ValueOrDie();
+  ASSERT_GE(primary_records.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    const WalRecord& want = primary_records[primary_records.size() - 3 + i];
+    EXPECT_EQ(replica_records[i].lsn, want.lsn);
+    EXPECT_EQ(replica_records[i].payload, want.payload);
+  }
+  // The applied replica is caught up, so the next checkpoint keeps
+  // nothing for it on the primary either.
+  ASSERT_TRUE(cluster.WaitForApply(1, end));
+  for (int tries = 0; tries < 200; ++tries) {
+    if (cluster.server(0)->replication()->min_acked_lsn() >= end) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const Lsn begin = primary->wal()->next_lsn();
+  ASSERT_TRUE(primary->Checkpoint().ok());
+  EXPECT_EQ(primary->wal()->first_lsn(), begin);
+}
+
+TEST(ReplicationTruncationTest, ReplicaBehindTheRetainedLogGetsOutOfRange) {
+  Cluster cluster("trunc_gone");
+  ASSERT_TRUE(cluster.AddPrimary().ok());
+  ASSERT_TRUE(cluster.AddReplicaOf(0).ok());
+  Database* primary = cluster.db(0);
+  ASSERT_TRUE(primary->Execute("CREATE TABLE t (n INT)").ok());
+  ASSERT_TRUE(primary->Execute("INSERT INTO t VALUES (1)").ok());
+  ASSERT_TRUE(cluster.WaitForApply(1, primary->wal()->durable_lsn()));
+
+  // Disconnected, the replica no longer pins the primary's log.
+  cluster.feed(1)->Stop();
+  for (int tries = 0;
+       tries < 500 && cluster.server(0)->replication()->subscriber_count() > 0;
+       ++tries) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(cluster.server(0)->replication()->subscriber_count(), 0u);
+  ASSERT_TRUE(primary->Execute("INSERT INTO t VALUES (2)").ok());
+  ASSERT_TRUE(primary->Checkpoint().ok());
+  const Lsn first = primary->wal()->first_lsn();
+  ASSERT_GT(first, cluster.db(1)->wal()->next_lsn());
+
+  ASSERT_TRUE(cluster.feed(1)->Start().ok());
+  const std::string want = "first retained LSN is " + std::to_string(first);
+  std::string error;
+  for (int tries = 0; tries < 500; ++tries) {
+    error = cluster.feed(1)->last_error();
+    if (error.find(want) != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(error.find("Out of range"), std::string::npos) << error;
+  EXPECT_NE(error.find(want), std::string::npos) << error;
+  // Its own state stays where it stopped.
+  EXPECT_EQ(SortedRows(cluster.db(1)), std::vector<int64_t>{1});
 }
 
 TEST(ReplicationE2ETest, PromotedReplicaPlansWithWarmSketches) {

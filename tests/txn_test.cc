@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -272,6 +273,72 @@ TEST(TxnDurabilityTest, ExplicitTransactionSurvivesReopen) {
   for (const Tuple& row : rows.rows) {
     EXPECT_NE(row.at(0).AsString(), "limbo");
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TxnDurabilityTest, OpenAcrossCheckpointCommitsAfterItAndSurvives) {
+  const std::string dir = MakeTempDir("across_ckpt");
+  Database::Options options;
+  options.backend = StorageManager::Backend::kFile;
+  options.directory = dir;
+  options.wal_sync = Database::WalSyncMode::kGroupCommit;
+  {
+    auto db = Database::Open(dir, options).ValueOrDie();
+    ASSERT_TRUE(
+        db->Execute("CREATE TABLE Birds (name TEXT, family TEXT)").ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(db->Execute("INSERT INTO Birds VALUES ('pre" +
+                              std::to_string(i) + "', 'f')")
+                      .ok());
+    }
+    uint64_t txn = 0;
+    ASSERT_TRUE(db->Execute("BEGIN", &txn).ok());
+    const Lsn txn_begin = db->wal()->last_lsn();
+    ASSERT_TRUE(
+        db->Execute("INSERT INTO Birds VALUES ('before', 'f')", &txn).ok());
+    uint64_t doomed = 0;
+    ASSERT_TRUE(db->Execute("BEGIN", &doomed).ok());
+    ASSERT_TRUE(
+        db->Execute("INSERT INTO Birds VALUES ('undone', 'f')", &doomed)
+            .ok());
+    // The checkpoint drops the log prefix but keeps the records of the
+    // transactions open across it, from the older one's begin on.
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_EQ(db->wal()->first_lsn(), txn_begin);
+    ASSERT_TRUE(
+        db->Execute("INSERT INTO Birds VALUES ('after', 'f')", &txn).ok());
+    ASSERT_TRUE(db->Execute("COMMIT", &txn).ok());
+    ASSERT_TRUE(db->Execute("ROLLBACK", &doomed).ok());
+    // The next checkpoint has nothing open to keep.
+    const Lsn begin = db->wal()->next_lsn();
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_EQ(db->wal()->first_lsn(), begin);
+  }
+  {
+    auto db = Database::Open(dir, options).ValueOrDie();
+    EXPECT_EQ(db->recovery_stats().records_seen, 2u);
+    auto rows = db->Execute("SELECT name FROM Birds").ValueOrDie();
+    ASSERT_EQ(rows.rows.size(), 22u);
+    // A transaction open across the checkpoint, committed before a crash.
+    uint64_t txn = 0;
+    ASSERT_TRUE(db->Execute("BEGIN", &txn).ok());
+    ASSERT_TRUE(
+        db->Execute("INSERT INTO Birds VALUES ('late1', 'f')", &txn).ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    ASSERT_TRUE(
+        db->Execute("INSERT INTO Birds VALUES ('late2', 'f')", &txn).ok());
+    ASSERT_TRUE(db->Execute("COMMIT", &txn).ok());
+  }
+  auto db = Database::Open(dir, options).ValueOrDie();
+  auto rows = db->Execute("SELECT name FROM Birds").ValueOrDie();
+  std::vector<std::string> names;
+  for (const Tuple& row : rows.rows) names.push_back(row.at(0).AsString());
+  EXPECT_EQ(names.size(), 24u);
+  for (const char* want : {"before", "after", "late1", "late2"}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), want), names.end())
+        << want;
+  }
+  EXPECT_EQ(std::find(names.begin(), names.end(), "undone"), names.end());
   std::filesystem::remove_all(dir);
 }
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,6 +113,48 @@ TEST(WalRecordCodecTest, MalformedPayloadIsCorruptionNotCrash) {
             StatusCode::kCorruption);
   EXPECT_EQ(WalCheckpointEnd::Decode("").status().code(),
             StatusCode::kCorruption);
+}
+
+// ---------- CRC32 ----------
+
+/// The textbook bytewise CRC32 (IEEE, reflected) the sliced kernel must
+/// reproduce.
+uint32_t BytewiseCrc32(std::string_view data, uint32_t seed) {
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownVectors) {
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
+            0x414FA339u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtAnyLengthAlignmentAndSeed) {
+  std::mt19937_64 rng(20151);
+  std::string buffer(4096 + 16, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t align = rng() % 16;
+    const size_t len = trial < 64 ? static_cast<size_t>(trial)
+                                  : static_cast<size_t>(rng() % 4096);
+    const std::string_view data(buffer.data() + align, len);
+    const uint32_t seed = trial % 3 == 0 ? 0u : static_cast<uint32_t>(rng());
+    ASSERT_EQ(Crc32(data, seed), BytewiseCrc32(data, seed))
+        << "len " << len << " align " << align << " seed " << seed;
+    // Chaining over any split equals one pass over the whole.
+    const size_t split = len == 0 ? 0 : rng() % (len + 1);
+    ASSERT_EQ(Crc32(data.substr(split), Crc32(data.substr(0, split), seed)),
+              Crc32(data, seed))
+        << "len " << len << " split " << split;
+  }
 }
 
 // ---------- LogManager ----------
@@ -228,6 +271,191 @@ TEST(LogManagerTest, ScanValidPrefixReportsValidEnd) {
   auto records = LogManager::ScanValidPrefix(image, &valid_end);
   EXPECT_EQ(records.size(), 1u);
   EXPECT_EQ(valid_end, intact);
+  std::filesystem::remove(path);
+}
+
+// ---------- LogManager::Rewrite ----------
+
+/// Appends `n` durable kNoop records "r<lsn>".
+void AppendNoops(LogManager* wal, int n) {
+  for (int i = 0; i < n; ++i) {
+    const Lsn lsn = wal->next_lsn();
+    ASSERT_TRUE(
+        wal->Append(WalRecordType::kNoop, "r" + std::to_string(lsn)).ok());
+  }
+  ASSERT_TRUE(wal->Sync().ok());
+}
+
+TEST(LogRewriteTest, KeepsTheWindowAndContinuesLsns) {
+  const std::string path = TempPath("rewrite");
+  {
+    auto wal = LogManager::Open(path).ValueOrDie();
+    AppendNoops(wal.get(), 10);
+    const std::string big(3u << 20, 'x');  // Spans several write chunks.
+    ASSERT_TRUE(wal->Rewrite(7, [&](LogManager::RewriteWriter* out) {
+                     EXPECT_EQ(out->next_lsn(), 11u);
+                     INSIGHT_RETURN_NOT_OK(
+                         out->BeginRecord(WalRecordType::kCheckpointBegin));
+                     for (size_t i = 0; i < big.size(); i += 1000) {
+                       INSIGHT_RETURN_NOT_OK(
+                           out->AppendPayload(std::string_view(big).substr(
+                               i, 1000)));
+                     }
+                     INSIGHT_RETURN_NOT_OK(out->EndRecord());
+                     return out->Append(WalRecordType::kNoop, "after");
+                   })
+                    .ok());
+    EXPECT_EQ(wal->first_lsn(), 7u);
+    EXPECT_EQ(wal->durable_lsn(), 12u);
+    EXPECT_EQ(std::filesystem::file_size(path), wal->size_bytes());
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    // Appends continue the sequence in the new file.
+    auto lsn = wal->Append(WalRecordType::kNoop, "r13");
+    ASSERT_TRUE(lsn.ok());
+    EXPECT_EQ(*lsn, 13u);
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  auto wal = LogManager::Open(path).ValueOrDie();
+  EXPECT_EQ(wal->first_lsn(), 7u);
+  EXPECT_EQ(wal->next_lsn(), 14u);
+  auto records = wal->ReadAll().ValueOrDie();
+  ASSERT_EQ(records.size(), 7u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].lsn, 7 + i);
+  }
+  EXPECT_EQ(records[0].payload, "r7");
+  EXPECT_EQ(records[4].type, WalRecordType::kCheckpointBegin);
+  EXPECT_EQ(records[4].payload, std::string(3u << 20, 'x'));
+  EXPECT_EQ(records[5].payload, "after");
+  EXPECT_EQ(records[6].payload, "r13");
+  std::filesystem::remove(path);
+}
+
+TEST(LogRewriteTest, KeepFromIsClampedAndAnEmptyResultRejected) {
+  const std::string path = TempPath("rewrite_clamp");
+  auto wal = LogManager::Open(path).ValueOrDie();
+  AppendNoops(wal.get(), 5);
+  // Nothing kept and nothing written would lose the LSN sequence.
+  EXPECT_TRUE(wal->Rewrite(100, nullptr).IsInvalidArgument());
+  EXPECT_EQ(wal->ReadAll().ValueOrDie().size(), 5u);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // Below the window clamps to the whole file.
+  ASSERT_TRUE(wal->Rewrite(0, nullptr).ok());
+  EXPECT_EQ(wal->first_lsn(), 1u);
+  EXPECT_EQ(wal->ReadAll().ValueOrDie().size(), 5u);
+  // Appends are refused while a rewrite runs.
+  ASSERT_TRUE(wal->Rewrite(4, [&](LogManager::RewriteWriter*) {
+                   EXPECT_FALSE(wal->Append(WalRecordType::kNoop, "x").ok());
+                   return Status::OK();
+                 })
+                  .ok());
+  EXPECT_EQ(wal->first_lsn(), 4u);
+  EXPECT_EQ(wal->next_lsn(), 6u);
+  std::filesystem::remove(path);
+}
+
+TEST(LogRewriteTest, FailedFillLeavesTheOldLog) {
+  const std::string path = TempPath("rewrite_fail");
+  auto wal = LogManager::Open(path).ValueOrDie();
+  AppendNoops(wal.get(), 3);
+  const Status st = wal->Rewrite(3, [](LogManager::RewriteWriter* out) {
+    INSIGHT_RETURN_NOT_OK(out->Append(WalRecordType::kNoop, "lost"));
+    return Status::IOError("injected");
+  });
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(wal->first_lsn(), 1u);
+  EXPECT_EQ(wal->next_lsn(), 4u);
+  EXPECT_EQ(wal->ReadAll().ValueOrDie().size(), 3u);
+  ASSERT_TRUE(wal->Append(WalRecordType::kNoop, "r4").ok());
+  ASSERT_TRUE(wal->Sync().ok());
+  EXPECT_EQ(wal->ReadAll().ValueOrDie().size(), 4u);
+  std::filesystem::remove(path);
+}
+
+TEST(LogRewriteTest, OpenDeletesALeftoverReplacement) {
+  const std::string path = TempPath("rewrite_leftover");
+  {
+    auto wal = LogManager::Open(path).ValueOrDie();
+    AppendNoops(wal.get(), 2);
+  }
+  AppendBytes(path + ".tmp", "half a replacement log");
+  auto wal = LogManager::Open(path).ValueOrDie();
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(wal->ReadAll().ValueOrDie().size(), 2u);
+  std::filesystem::remove(path);
+}
+
+TEST(LogRewriteTest, CursorsReseekByLsnAndReportTruncation) {
+  const std::string path = TempPath("rewrite_cursor");
+  auto wal = LogManager::Open(path).ValueOrDie();
+  AppendNoops(wal.get(), 10);
+  auto ahead = wal->SeekTo(8).ValueOrDie();
+  auto behind = wal->SeekTo(2).ValueOrDie();
+  ASSERT_EQ(wal->ReadDurableFrom(&ahead, 1, 1u << 20).ValueOrDie().size(),
+            1u);  // ahead now at 9.
+  ASSERT_TRUE(wal->Rewrite(6, [](LogManager::RewriteWriter* out) {
+                   return out->Append(WalRecordType::kNoop, "r11");
+                 })
+                  .ok());
+  // A cursor into the replaced file finds its next record by LSN.
+  auto rest = wal->ReadDurableFrom(&ahead, 100, 1u << 20).ValueOrDie();
+  ASSERT_EQ(rest.size(), 3u);
+  EXPECT_EQ(rest[0].lsn, 9u);
+  EXPECT_EQ(rest[0].payload, "r9");
+  EXPECT_EQ(rest[2].payload, "r11");
+  // One whose next record was dropped learns where the log now starts.
+  auto lost = wal->ReadDurableFrom(&behind, 100, 1u << 20);
+  ASSERT_TRUE(lost.status().IsOutOfRange());
+  EXPECT_NE(lost.status().ToString().find("first retained LSN is 6"),
+            std::string::npos)
+      << lost.status().ToString();
+  auto seek = wal->SeekTo(5);
+  ASSERT_TRUE(seek.status().IsOutOfRange());
+  EXPECT_NE(seek.status().ToString().find("first retained LSN is 6"),
+            std::string::npos);
+  auto from6 = wal->SeekTo(6).ValueOrDie();
+  EXPECT_EQ(wal->ReadDurableFrom(&from6, 100, 1u << 20).ValueOrDie().size(),
+            6u);
+  std::filesystem::remove(path);
+}
+
+TEST(LogRewriteTest, ReadersRunWhileTheFileIsReplaced) {
+  const std::string path = TempPath("rewrite_race");
+  auto wal = LogManager::Open(path).ValueOrDie();
+  AppendNoops(wal.get(), 50);
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    // Seeking to the first LSN races a rewrite that drops it: retry.
+    auto seek_first = [&] {
+      for (;;) {
+        auto cursor = wal->SeekTo(wal->first_lsn());
+        if (cursor.ok()) return *cursor;
+        if (!cursor.status().IsOutOfRange()) failures.fetch_add(1);
+      }
+    };
+    LogManager::TailCursor cursor = seek_first();
+    while (!stop.load()) {
+      auto batch = wal->ReadDurableFrom(&cursor, 7, 1u << 20);
+      if (batch.ok()) {
+        for (const WalRecord& r : *batch) {
+          if (r.payload != "r" + std::to_string(r.lsn)) failures.fetch_add(1);
+        }
+        continue;
+      }
+      if (!batch.status().IsOutOfRange()) failures.fetch_add(1);
+      cursor = seek_first();
+    }
+  });
+  for (int round = 0; round < 40; ++round) {
+    AppendNoops(wal.get(), 5);
+    ASSERT_TRUE(wal->Rewrite(wal->next_lsn() - 20, nullptr).ok());
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wal->ReadAll().ValueOrDie().size(), 20u);
   std::filesystem::remove(path);
 }
 
