@@ -506,15 +506,20 @@ bool SortOp::Less(const KeyedRow& a, const KeyedRow& b) const {
   return false;
 }
 
+bool SortOp::Before(const KeyedRow& a, const KeyedRow& b) const {
+  if (Less(a, b)) return true;
+  return !Less(b, a) && a.seq < b.seq;
+}
+
 namespace {
 std::atomic<uint64_t> g_spill_counter{1};
 }  // namespace
 
 Status SortOp::SpillRun(std::vector<KeyedRow>* run) {
-  std::stable_sort(run->begin(), run->end(),
-                   [this](const KeyedRow& a, const KeyedRow& b) {
-                     return Less(a, b);
-                   });
+  std::sort(run->begin(), run->end(),
+            [this](const KeyedRow& a, const KeyedRow& b) {
+              return Before(a, b);
+            });
   INSIGHT_ASSIGN_OR_RETURN(
       FileId file,
       storage_->CreateFile("tmp.sort." +
@@ -552,7 +557,14 @@ Status SortOp::OpenImpl() {
       (storage_ == nullptr || pool_ == nullptr)) {
     return Status::InvalidArgument("external sort needs storage + pool");
   }
+  // Under a limit, `buffer` is a max-heap (by Before) of the best rows so
+  // far: a row that does not precede a full heap's top can never be among
+  // the first limit_ rows, since every row in the heap precedes it.
+  auto before = [this](const KeyedRow& a, const KeyedRow& b) {
+    return Before(a, b);
+  };
   size_t bytes = 0;
+  uint64_t seq = 0;
   std::vector<KeyedRow> buffer;
   RowBatch input;
   input.set_capacity(batch_capacity());
@@ -560,13 +572,22 @@ Status SortOp::OpenImpl() {
     INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&input));
     if (!has) break;
     for (Row& row : input) {
+      INSIGHT_ASSIGN_OR_RETURN(KeyedRow keyed, Decorate(std::move(row)));
+      keyed.seq = seq++;
       if (mode_ == Mode::kExternal) {
         std::string tmp;
-        row.Serialize(&tmp);
-        bytes += tmp.size();
+        keyed.row.Serialize(&tmp);
+        keyed.bytes = tmp.size();
       }
-      INSIGHT_ASSIGN_OR_RETURN(KeyedRow keyed, Decorate(std::move(row)));
+      if (limit_ > 0 && buffer.size() == limit_) {
+        if (!Before(keyed, buffer.front())) continue;
+        std::pop_heap(buffer.begin(), buffer.end(), before);
+        bytes -= buffer.back().bytes;
+        buffer.pop_back();
+      }
+      bytes += keyed.bytes;
       buffer.push_back(std::move(keyed));
+      if (limit_ > 0) std::push_heap(buffer.begin(), buffer.end(), before);
       if (mode_ == Mode::kExternal && bytes > memory_budget_) {
         INSIGHT_RETURN_NOT_OK(SpillRun(&buffer));
         bytes = 0;
@@ -576,10 +597,7 @@ Status SortOp::OpenImpl() {
   child_->Close();
 
   if (mode_ == Mode::kMemory || runs_.empty()) {
-    std::stable_sort(buffer.begin(), buffer.end(),
-                     [this](const KeyedRow& a, const KeyedRow& b) {
-                       return Less(a, b);
-                     });
+    std::sort(buffer.begin(), buffer.end(), before);
     sorted_ = std::move(buffer);
     return Status::OK();
   }
@@ -599,8 +617,9 @@ Result<bool> SortOp::NextBatchImpl(RowBatch* batch) {
     }
     return !batch->empty();
   }
-  while (!batch->full()) {
-    // K-way merge step: emit the smallest live head, then refill it.
+  while (!batch->full() && (limit_ == 0 || pos_ < limit_)) {
+    // K-way merge step: emit the smallest live head (the earliest run's
+    // among equal keys, which keeps the sort stable), then refill it.
     size_t best = runs_.size();
     for (size_t i = 0; i < runs_.size(); ++i) {
       if (!runs_[i].head.has_value()) continue;
@@ -610,6 +629,7 @@ Result<bool> SortOp::NextBatchImpl(RowBatch* batch) {
     }
     if (best == runs_.size()) break;
     batch->Push(std::move(runs_[best].head->row));
+    ++pos_;
     INSIGHT_RETURN_NOT_OK(runs_[best].Advance(*this));
   }
   return !batch->empty();

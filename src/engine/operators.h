@@ -244,17 +244,23 @@ class IndexScanOp : public ScanOp {
 };
 
 /// Summary-BTree index scan: evaluates a classifier probe and emits the
-/// matching data tuples in ascending label-count order — the interesting
-/// order Rules 3-6 exploit. With `propagate` it attaches the summary sets
-/// itself (SummaryBTree::FetchRows): the conventional-pointer arm of Fig.
-/// 13 reads them from the storage rows its pointers land on.
+/// matching data tuples in label-count order — the interesting order
+/// Rules 3-6 exploit. Ascending by default; `descending` emits the count
+/// groups from highest to lowest, each group still in index payload order
+/// (heap order for backward pointers). With `propagate` it attaches the
+/// summary sets itself (SummaryBTree::FetchRows): the conventional-pointer
+/// arm of Fig. 13 reads them from the storage rows its pointers land on.
 class SummaryIndexScanOp : public ScanOp {
  public:
   SummaryIndexScanOp(const SummaryBTree* index, ClassifierProbe probe,
-                     SummaryManager* mgr, bool propagate);
+                     SummaryManager* mgr, bool propagate,
+                     bool descending = false);
 
   Status OpenImpl() override;
   std::string Describe() const override;
+  /// LIMIT pushdown: fetch (and attach) only the first `limit` hits in
+  /// scan order (0 = no limit). Every hit is one row, so this is exact.
+  void set_limit(uint64_t limit) { limit_ = limit; }
 
  protected:
   const Schema& BaseSchema() const override;
@@ -265,6 +271,8 @@ class SummaryIndexScanOp : public ScanOp {
   ClassifierProbe probe_;
   SummaryManager* mgr_;
   bool propagate_;
+  bool descending_;
+  uint64_t limit_ = 0;
   std::vector<SummaryIndexHit> hits_;
   size_t pos_ = 0;
 };
@@ -713,7 +721,10 @@ struct SortKey {
 /// k-way-merges them (the Disk arm of Fig. 14). Each row's keys are
 /// evaluated once, as it arrives (or as a spilled row is read back), so
 /// comparisons never evaluate and a key that fails to evaluate fails the
-/// statement whatever the input size.
+/// statement whatever the input size. The sort is stable: ties keep their
+/// arrival order. Under a LIMIT k (set_limit) it keeps a bounded k-row
+/// heap instead of the whole input, and emits exactly the first k rows of
+/// the unbounded sort.
 class SortOp : public PhysicalOperator {
  public:
   enum class Mode { kMemory, kExternal };
@@ -736,20 +747,26 @@ class SortOp : public PhysicalOperator {
 
   bool summary_based() const;
   uint64_t runs_spilled() const { return runs_spilled_; }
+  /// LIMIT pushdown: emit only the first `limit` rows (0 = no limit), and
+  /// hold at most that many while sorting (per spilled run in kExternal).
+  void set_limit(uint64_t limit) { limit_ = limit; }
 
  protected:
   Result<bool> NextBatchImpl(RowBatch* batch) override;
 
  private:
-  /// A row decorated with its evaluated sort keys.
+  /// A row decorated with its evaluated sort keys and arrival position.
   struct KeyedRow {
     std::vector<Value> keys;
     Row row;
+    uint64_t seq = 0;    // Arrival position: breaks ties (stability).
+    size_t bytes = 0;    // Serialized size (kExternal budget accounting).
   };
   Result<KeyedRow> Decorate(Row row) const;
-  /// Key order (DESC keys reversed); equal keys compare false, so
-  /// stable_sort keeps arrival order among ties.
+  /// Key order (DESC keys reversed); equal keys compare false.
   bool Less(const KeyedRow& a, const KeyedRow& b) const;
+  /// Less, then arrival order: the total order of a stable sort.
+  bool Before(const KeyedRow& a, const KeyedRow& b) const;
   /// Sorts `run` and writes it to a fresh temporary heap file.
   Status SpillRun(std::vector<KeyedRow>* run);
 
@@ -759,8 +776,9 @@ class SortOp : public PhysicalOperator {
   StorageManager* storage_;
   BufferPool* pool_;
   size_t memory_budget_;
+  uint64_t limit_ = 0;
   std::vector<KeyedRow> sorted_;  // kMemory result buffer.
-  size_t pos_ = 0;
+  size_t pos_ = 0;                // Rows emitted so far.
   // kExternal state.
   struct Run {
     std::unique_ptr<HeapFile> file;

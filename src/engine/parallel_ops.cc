@@ -88,6 +88,7 @@ Status GatherOp::OpenImpl() {
   ResetExec();
   worker_pos_ = 0;
   row_pos_ = 0;
+  emitted_ = 0;
   gathered_.store(0, std::memory_order_relaxed);
   if (morsels_ != nullptr) morsels_->Reset();
   const size_t n = partitions_.size();
@@ -152,7 +153,10 @@ Status GatherOp::OpenImpl() {
 }
 
 Result<bool> GatherOp::NextBatchImpl(RowBatch* batch) {
-  while (!batch->full() && worker_pos_ < results_.size()) {
+  // Workers gather whole batches, so they may overshoot the limit hint;
+  // emit no more than it.
+  while (!batch->full() && worker_pos_ < results_.size() &&
+         (limit_hint_ == 0 || emitted_ < limit_hint_)) {
     std::vector<Row>& buffer = results_[worker_pos_];
     if (row_pos_ >= buffer.size()) {
       ++worker_pos_;
@@ -160,6 +164,7 @@ Result<bool> GatherOp::NextBatchImpl(RowBatch* batch) {
       continue;
     }
     batch->Push(std::move(buffer[row_pos_++]));
+    ++emitted_;
   }
   return !batch->empty();
 }

@@ -139,9 +139,10 @@ class GatherOp : public PhysicalOperator {
 
   /// LIMIT pushdown hint: once the workers have gathered this many rows
   /// in total, the drain halts the morsel source and winds down instead
-  /// of scanning the rest of the table (0 = no limit). Legal because
-  /// gather order is nondeterministic — any `limit` rows satisfy the
-  /// query; residual predicates above the gather must NOT use this.
+  /// of scanning the rest of the table, and the gather emits no more than
+  /// this many (0 = no limit). Legal because gather order is
+  /// nondeterministic — any `limit` rows satisfy the query; residual
+  /// predicates above the gather must NOT use this.
   void set_limit(uint64_t limit) { limit_hint_ = limit; }
   uint64_t limit_hint() const { return limit_hint_; }
 
@@ -157,6 +158,7 @@ class GatherOp : public PhysicalOperator {
   std::vector<uint64_t> worker_ns_;
   size_t worker_pos_ = 0;
   size_t row_pos_ = 0;
+  uint64_t emitted_ = 0;
   uint64_t limit_hint_ = 0;
   std::atomic<uint64_t> gathered_{0};  // Drain-phase early-stop counter.
 };

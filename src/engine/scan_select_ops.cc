@@ -240,9 +240,10 @@ std::string IndexScanOp::Describe() const {
 
 SummaryIndexScanOp::SummaryIndexScanOp(const SummaryBTree* index,
                                        ClassifierProbe probe,
-                                       SummaryManager* mgr, bool propagate)
+                                       SummaryManager* mgr, bool propagate,
+                                       bool descending)
     : index_(index), probe_(std::move(probe)), mgr_(mgr),
-      propagate_(propagate) {}
+      propagate_(propagate), descending_(descending) {}
 
 const Schema& SummaryIndexScanOp::BaseSchema() const {
   return mgr_->base()->schema();
@@ -252,6 +253,24 @@ Status SummaryIndexScanOp::OpenImpl() {
   ResetExec();
   pos_ = 0;
   INSIGHT_ASSIGN_OR_RETURN(hits_, index_->Search(probe_, snapshot()));
+  if (descending_) {
+    // Reverse the ascending count groups, keeping each group's payload
+    // order, and stop once the limit is covered.
+    std::vector<SummaryIndexHit> desc;
+    desc.reserve(hits_.size());
+    for (size_t end = hits_.size(); end > 0;) {
+      size_t begin = end - 1;
+      while (begin > 0 && hits_[begin - 1].count == hits_[end - 1].count) {
+        --begin;
+      }
+      desc.insert(desc.end(), hits_.begin() + static_cast<long>(begin),
+                  hits_.begin() + static_cast<long>(end));
+      if (limit_ > 0 && desc.size() >= limit_) break;
+      end = begin;
+    }
+    hits_ = std::move(desc);
+  }
+  if (limit_ > 0 && hits_.size() > limit_) hits_.resize(limit_);
   return Status::OK();
 }
 
@@ -274,6 +293,7 @@ std::string SummaryIndexScanOp::Describe() const {
     out += probe_.upper_inclusive ? " <= " : " < ";
     out += std::to_string(*probe_.upper);
   }
+  if (descending_) out += " DESC";
   if (propagate_) out += ", propagate";
   out += index_->pointer_mode() == SummaryBTree::PointerMode::kBackward
              ? ", backward-ptrs"

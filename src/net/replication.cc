@@ -85,8 +85,22 @@ void ReplicationManager::OnAck(Session* session, uint64_t applied_lsn) {
   std::lock_guard<std::mutex> lk(mu_);
   auto it = subs_.find(session);
   if (it == subs_.end()) return;
-  if (applied_lsn > it->second.acked) it->second.acked = applied_lsn;
+  Subscriber& sub = it->second;
+  const bool was_blocked = WindowFull(sub);
+  if (applied_lsn > sub.acked) sub.acked = applied_lsn;
   INSIGHT_CRASH_POINT("repl_after_ack_read");
+  // An ack that reopens a full window lets the shipper resume at once
+  // instead of at its next poll.
+  if (was_blocked && !WindowFull(sub)) {
+    ack_reopened_ = true;
+    cv_.notify_all();
+  }
+}
+
+bool ReplicationManager::WindowFull(const Subscriber& sub) const {
+  const uint64_t shipped = sub.cursor.next_lsn - 1;
+  return shipped - std::min(shipped, sub.acked) >=
+         options_.max_window_records;
 }
 
 size_t ReplicationManager::subscriber_count() const {
@@ -108,9 +122,21 @@ uint64_t ReplicationManager::min_acked_lsn() const {
 void ReplicationManager::ShipLoop() {
   EngineMetrics& m = EngineMetrics::Get();
   std::unique_lock<std::mutex> lk(mu_);
+  // Set when a subscriber still has a durable backlog after its batch and
+  // room in its window: ship the next batch without waiting a poll.
+  bool backlog = false;
   while (!stop_) {
-    cv_.wait_for(lk, std::chrono::milliseconds(options_.poll_interval_ms),
-                 [this] { return stop_; });
+    if (backlog) {
+      // Let acks and (un)subscribes in between back-to-back batches.
+      lk.unlock();
+      std::this_thread::yield();
+      lk.lock();
+    } else {
+      cv_.wait_for(lk, std::chrono::milliseconds(options_.poll_interval_ms),
+                   [this] { return stop_ || ack_reopened_; });
+    }
+    ack_reopened_ = false;
+    backlog = false;
     if (stop_) break;
     const Lsn durable = db_->wal()->durable_lsn();
     uint64_t min_acked = 0;
@@ -120,10 +146,7 @@ void ReplicationManager::ShipLoop() {
       first = false;
       const uint64_t shipped = sub.cursor.next_lsn - 1;
       if (shipped >= durable) continue;  // Caught up.
-      if (shipped - std::min(shipped, sub.acked) >=
-          options_.max_window_records) {
-        continue;  // Backpressure: wait for acks.
-      }
+      if (WindowFull(sub)) continue;  // Backpressure: wait for acks.
       Result<std::vector<WalRecord>> batch = db_->wal()->ReadDurableFrom(
           &sub.cursor, options_.max_batch_records, options_.max_batch_bytes);
       if (!batch.ok()) {
@@ -147,6 +170,9 @@ void ReplicationManager::ShipLoop() {
         if (!s->closed()) s->SendFrame(FrameType::kLogFrame, payload);
       });
       INSIGHT_CRASH_POINT("repl_after_ship");
+      if (sub.cursor.next_lsn - 1 < durable && !WindowFull(sub)) {
+        backlog = true;
+      }
     }
     if (!first) {
       m.repl_ship_lag->Set(

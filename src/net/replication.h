@@ -77,6 +77,11 @@ class ReplicationManager {
     uint64_t acked = 0;
   };
 
+  /// True when `sub` has max_window_records shipped but unacked.
+  bool WindowFull(const Subscriber& sub) const;
+  /// Ships every subscriber's next durable batch, then waits a poll
+  /// interval — unless some subscriber still has a backlog and window
+  /// room, or an ack reopens a full window.
   void ShipLoop();
 
   Database* const db_;
@@ -86,6 +91,7 @@ class ReplicationManager {
   std::condition_variable cv_;
   bool stop_ = false;
   bool started_ = false;
+  bool ack_reopened_ = false;  // OnAck reopened a full window.
   std::map<Session*, Subscriber> subs_;
   std::thread thread_;
 };

@@ -48,7 +48,7 @@ Status InsightServer::Start() {
   // promote-then-serve both come for free. Started before any I/O
   // thread can accept a connection, since sessions read repl_ unlocked.
   if (db_->wal() != nullptr) {
-    repl_ = std::make_unique<ReplicationManager>(db_);
+    repl_ = std::make_unique<ReplicationManager>(db_, options_.replication);
     Status st = repl_->Start();
     if (!st.ok()) {
       repl_.reset();

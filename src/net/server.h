@@ -44,6 +44,8 @@ class InsightServer : public SessionHost {
     /// Cap on how long a Query with wait_lsn may block for the replica's
     /// applied frontier to catch up before it fails.
     int64_t wait_lsn_timeout_ms = 10'000;
+    /// Log shipping to subscribed replicas (journaled databases only).
+    ReplicationManager::Options replication;
   };
 
   InsightServer(Database* db, Options options);

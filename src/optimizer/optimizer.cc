@@ -554,6 +554,21 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
 
 namespace {
 
+// Hands `limit` to an operator that can stop early once it has emitted
+// that many rows; false for every other operator.
+bool HandLimit(PhysicalOperator* op, uint64_t limit) {
+  if (auto* gather = dynamic_cast<GatherOp*>(op)) {
+    gather->set_limit(limit);
+  } else if (auto* scan = dynamic_cast<SummaryIndexScanOp*>(op)) {
+    scan->set_limit(limit);
+  } else if (auto* sort = dynamic_cast<SortOp*>(op)) {
+    sort->set_limit(limit);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 // A column predicate an index range or a zone map can answer: no `<>`,
 // and no NULL literal (a comparison with NULL holds for no row, while the
 // index and the zone maps would treat NULL as an ordinary key).
@@ -1187,13 +1202,12 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       return out;
     }
     case LogicalKind::kSort: {
-      // Rules 3-6, scan form: a single ascending summary sort over a bare
-      // scan can read the Summary-BTree in full label order instead of
-      // sorting — legal only when the statistics prove every tuple
-      // carries the instance's object (an index scan yields only indexed
-      // tuples, so missing objects would silently drop rows).
-      if (node.sort_keys.size() == 1 && !node.sort_keys[0].descending &&
-          options_.use_summary_indexes &&
+      // Rules 3-6, scan form: a single summary sort over a bare scan can
+      // read the Summary-BTree in full label order, either direction,
+      // instead of sorting — legal only when the statistics prove every
+      // tuple carries the instance's object (an index scan yields only
+      // indexed tuples, so missing objects would silently drop rows).
+      if (node.sort_keys.size() == 1 && options_.use_summary_indexes &&
           node.children[0]->kind == LogicalKind::kScan) {
         const auto* func = dynamic_cast<const SummaryFuncExpr*>(
             node.sort_keys[0].expr.get());
@@ -1215,12 +1229,14 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
             const bool propagate = Propagates(*info);
             const bool conventional = index->pointer_mode() ==
                                       SummaryBTree::PointerMode::kConventional;
+            const bool descending = node.sort_keys[0].descending;
             auto scan = std::make_unique<SummaryIndexScanOp>(
-                index, probe, info->mgr, propagate && conventional);
+                index, probe, info->mgr, propagate && conventional,
+                descending);
             scan->Qualify(node.children[0]->alias);
             Lowered out;
             out.op = std::move(scan);
-            out.order = PhysOrder{func->instance(), func->label()};
+            out.order = PhysOrder{func->instance(), func->label(), descending};
             out.pending_attach =
                 propagate && !conventional ? info->mgr : nullptr;
             return out;
@@ -1232,10 +1248,10 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
       // depends on — lower the whole subtree serially.
       ScopedClear no_parallel(&allow_parallel_);
       INSIGHT_ASSIGN_OR_RETURN(Lowered child, LowerRec(*node.children[0]));
-      // Rules 3-6 payoff: an ascending single-key summary sort over an
-      // input already ordered by that label is a no-op.
-      if (node.sort_keys.size() == 1 && !node.sort_keys[0].descending &&
-          child.order.has_value()) {
+      // Rules 3-6 payoff: a single-key summary sort over an input already
+      // ordered by that label, in the same direction, is a no-op.
+      if (node.sort_keys.size() == 1 && child.order.has_value() &&
+          node.sort_keys[0].descending == child.order->descending) {
         const auto* func = dynamic_cast<const SummaryFuncExpr*>(
             node.sort_keys[0].expr.get());
         if (func != nullptr &&
@@ -1283,17 +1299,28 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
     }
     case LogicalKind::kLimit: {
       INSIGHT_ASSIGN_OR_RETURN(Lowered child, LowerRec(*node.children[0]));
-      // LIMIT pushdown into a parallel gather: walk through 1:1
-      // projections — never through a filter, which can drop rows — and
-      // hand the gather an early-stop hint so the workers do not drain
-      // the whole table.
-      PhysicalOperator* walk = child.op.get();
-      while (walk != nullptr) {
-        if (auto* gather = dynamic_cast<GatherOp*>(walk)) {
-          gather->set_limit(node.limit);
+      // LIMIT pushdown: walk through 1:1 operators (projections, attaches)
+      // — never through a filter, which can drop rows — to an operator
+      // that can stop early, and hand it the limit: a parallel gather
+      // stops draining, a summary index scan fetches only k hits, a sort
+      // keeps a k-row heap. Every operator on that path then emits at most
+      // k rows, so its estimate is clamped to k.
+      std::vector<PhysicalOperator*> path;
+      for (PhysicalOperator* walk = child.op.get(); walk != nullptr;) {
+        path.push_back(walk);
+        if (HandLimit(walk, node.limit)) {
+          for (PhysicalOperator* op : path) {
+            if (op->has_estimate()) {
+              op->set_estimated_rows(std::min(
+                  op->estimated_rows(), static_cast<double>(node.limit)));
+            }
+          }
           break;
         }
-        if (dynamic_cast<ProjectOp*>(walk) == nullptr) break;
+        if (dynamic_cast<ProjectOp*>(walk) == nullptr &&
+            dynamic_cast<AttachSummariesOp*>(walk) == nullptr) {
+          break;
+        }
         auto kids = walk->children();
         walk = kids.size() == 1 ? kids[0] : nullptr;
       }

@@ -89,10 +89,11 @@ class Optimizer {
 
  private:
   /// Interesting order carried by a physical subplan (Rules 3-6): rows
-  /// arrive ordered by `instance.label` ascending.
+  /// arrive ordered by `instance.label`, ascending unless `descending`.
   struct PhysOrder {
     std::string instance;
     std::string label;
+    bool descending = false;
   };
   /// A lowered subplan. `pending_attach` is set when the subplan's rows
   /// still lack their summary sets: its access path ran bare, and the

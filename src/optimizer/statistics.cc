@@ -110,6 +110,55 @@ double EquiWidthHistogram::EstimateEquals(int64_t v,
                                  kNumBuckets);
 }
 
+RealHistogram RealHistogram::Build(const std::vector<double>& values) {
+  RealHistogram h;
+  if (values.empty()) return h;
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  h.min_ = *lo;
+  h.max_ = *hi;
+  h.total_ = values.size();
+  h.buckets_.assign(kNumBuckets, 0);
+  const double width = (h.max_ - h.min_) / kNumBuckets;
+  for (double v : values) {
+    // Values at exactly max_ land in the last bucket.
+    const double b = width > 0 ? (v - h.min_) / width : 0;
+    ++h.buckets_[b >= kNumBuckets ? kNumBuckets - 1
+                                  : static_cast<size_t>(std::max(0.0, b))];
+  }
+  return h;
+}
+
+double RealHistogram::EstimateRange(double lo, double hi) const {
+  if (total_ == 0 || hi < lo || hi < min_ || lo > max_) return 0;
+  const double width = (max_ - min_) / kNumBuckets;
+  if (!(width > 0)) {  // One value: inside only strictly between.
+    return lo < min_ && hi > max_ ? static_cast<double>(total_) : 0;
+  }
+  lo = std::max(lo, min_);
+  hi = std::min(hi, max_);
+  double estimate = 0;
+  for (size_t b = 0; b < buckets_.size(); ++b) {
+    const double b_lo = min_ + b * width;
+    const double overlap =
+        std::min(b_lo + width, hi) - std::max(b_lo, lo);
+    if (overlap > 0) estimate += buckets_[b] * overlap / width;
+  }
+  return estimate;
+}
+
+double RealHistogram::EstimateEquals(double v, uint64_t num_distinct) const {
+  if (total_ == 0 || num_distinct == 0 || v < min_ || v > max_) return 0;
+  const double width = (max_ - min_) / kNumBuckets;
+  if (!(width > 0)) return static_cast<double>(total_);
+  const double b = (v - min_) / width;
+  const uint64_t in_bucket =
+      buckets_[b >= kNumBuckets ? kNumBuckets - 1 : static_cast<size_t>(b)];
+  // Bucket-local uniformity: v's bucket holds its share of the distinct
+  // values.
+  return in_bucket / std::max(1.0, static_cast<double>(num_distinct) /
+                                       kNumBuckets);
+}
+
 double TableStats::EstimateLabelSelectivity(const std::string& instance,
                                             const std::string& label,
                                             CompareOp op,
@@ -158,9 +207,42 @@ double TableStats::EstimateColumnSelectivity(const std::string& column,
   auto it = columns.find(ToLower(column));
   if (it == columns.end()) return 1.0 / 3;
   const ColumnStats& stats = it->second;
-  if (stats.numeric &&
-      (constant.type() == ValueType::kInt64 ||
-       constant.type() == ValueType::kDouble)) {
+  const bool numeric_constant = constant.type() == ValueType::kInt64 ||
+                                constant.type() == ValueType::kDouble;
+  if (stats.real && numeric_constant) {
+    const RealHistogram& h = stats.real_histogram;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    // NaN orders above every real number (Value::Compare).
+    const double c =
+        std::isnan(constant.AsDouble()) ? kInf : constant.AsDouble();
+    // A range's interpolated mass gives `c` itself no weight; the
+    // inclusive forms add its point mass (the rows equal to `c`, which
+    // matter on a column of few distinct values).
+    const double equal = h.EstimateEquals(c, stats.num_distinct);
+    double matching = 0;
+    switch (op) {
+      case CompareOp::kEq:
+        matching = equal;
+        break;
+      case CompareOp::kNe:
+        matching = static_cast<double>(h.total()) - equal;
+        break;
+      case CompareOp::kLt:
+        matching = h.EstimateRange(-kInf, c);
+        break;
+      case CompareOp::kLe:
+        matching = h.EstimateRange(-kInf, c) + equal;
+        break;
+      case CompareOp::kGt:
+        matching = h.EstimateRange(c, kInf);
+        break;
+      case CompareOp::kGe:
+        matching = h.EstimateRange(c, kInf) + equal;
+        break;
+    }
+    return std::min(1.0, matching / static_cast<double>(num_rows));
+  }
+  if (stats.numeric && numeric_constant) {
     const int64_t c = SaturatingCastToInt64(constant.AsDouble());
     const EquiWidthHistogram& h = stats.histogram;
     double matching = 0;
@@ -225,7 +307,8 @@ Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
   // Data columns: distinct counts and numeric histograms.
   const Schema& schema = table->schema();
   std::vector<std::set<std::string>> distinct(schema.num_columns());
-  std::vector<std::vector<int64_t>> numeric_values(schema.num_columns());
+  std::vector<std::vector<int64_t>> int_values(schema.num_columns());
+  std::vector<std::vector<double>> real_values(schema.num_columns());
   auto it = table->Scan();
   Oid oid;
   Tuple tuple;
@@ -233,19 +316,29 @@ Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       const Value& v = tuple.at(c);
       distinct[c].insert(v.ToString());
-      if (v.type() == ValueType::kInt64) {
-        numeric_values[c].push_back(v.AsInt());
-      } else if (v.type() == ValueType::kDouble) {
-        numeric_values[c].push_back(SaturatingCastToInt64(v.AsDouble()));
+      if (schema.column(c).type == ValueType::kDouble) {
+        // NULLs hold for no comparison; NaN sorts above every real and is
+        // left out of the buckets.
+        if ((v.type() == ValueType::kDouble ||
+             v.type() == ValueType::kInt64) &&
+            !std::isnan(v.AsDouble())) {
+          real_values[c].push_back(v.AsDouble());
+        }
+      } else if (v.type() == ValueType::kInt64) {
+        int_values[c].push_back(v.AsInt());
       }
     }
   }
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     ColumnStats col;
     col.num_distinct = distinct[c].size();
-    if (!numeric_values[c].empty()) {
+    if (!real_values[c].empty()) {
       col.numeric = true;
-      col.histogram = EquiWidthHistogram::Build(numeric_values[c]);
+      col.real = true;
+      col.real_histogram = RealHistogram::Build(real_values[c]);
+    } else if (!int_values[c].empty()) {
+      col.numeric = true;
+      col.histogram = EquiWidthHistogram::Build(int_values[c]);
     }
     stats.columns[ToLower(schema.column(c).name)] = col;
   }

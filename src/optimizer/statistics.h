@@ -47,6 +47,38 @@ class EquiWidthHistogram {
   std::vector<uint64_t> buckets_;
 };
 
+/// Equi-width histogram over real values (DOUBLE columns). The buckets
+/// split [min, max] itself and a range is a continuous interval, so bucket
+/// bounds and constants keep their fractional part, and `<` and `<=` take
+/// no integer `c - 1` step.
+class RealHistogram {
+ public:
+  static constexpr size_t kNumBuckets = EquiWidthHistogram::kNumBuckets;
+
+  RealHistogram() = default;
+
+  /// Builds from a sample of values (NaN excluded by the caller).
+  static RealHistogram Build(const std::vector<double>& values);
+
+  uint64_t total() const { return total_; }
+  double min() const { return min_; }
+  double max() const { return max_; }
+
+  /// Estimated number of values between lo and hi by linear
+  /// interpolation within buckets (infinite bounds are fine). A single
+  /// point carries no mass here; EstimateEquals gives it.
+  double EstimateRange(double lo, double hi) const;
+
+  /// Estimated number of values equal to v given the distinct count.
+  double EstimateEquals(double v, uint64_t num_distinct) const;
+
+ private:
+  double min_ = 0;
+  double max_ = 0;
+  uint64_t total_ = 0;
+  std::vector<uint64_t> buckets_;
+};
+
 /// Statistics for one classifier label's count field: the paper's
 /// {Min, Max, NumDistinct, Equi-Width Histogram} (Fig. 6).
 struct LabelStats {
@@ -66,8 +98,10 @@ struct InstanceStats {
 /// Per-data-column statistics (numeric columns get a histogram too).
 struct ColumnStats {
   uint64_t num_distinct = 0;
-  EquiWidthHistogram histogram;  // Numeric columns only.
-  bool numeric = false;
+  EquiWidthHistogram histogram;  // INT columns.
+  RealHistogram real_histogram;  // DOUBLE columns.
+  bool numeric = false;          // Has a histogram.
+  bool real = false;             // The histogram is real_histogram.
 };
 
 /// Statistics of one relation (data + summaries), collected by Analyze().

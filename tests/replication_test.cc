@@ -302,7 +302,9 @@ TEST(LogTailTest, SeekToAndReadDurableFrom) {
 /// in-process. Tears everything down in reverse order on destruction.
 class Cluster {
  public:
-  explicit Cluster(const std::string& tag) : tag_(tag) {}
+  explicit Cluster(const std::string& tag,
+                   ReplicationManager::Options replication = {})
+      : tag_(tag), replication_(replication) {}
 
   ~Cluster() {
     for (auto& node : nodes_) {
@@ -353,6 +355,7 @@ class Cluster {
     InsightServer::Options options;
     options.port = 0;
     options.io_threads = 2;
+    options.replication = replication_;
     node->server =
         std::make_unique<InsightServer>(node->db.get(), options);
     if (node->feed != nullptr) {
@@ -364,6 +367,7 @@ class Cluster {
   }
 
   const std::string tag_;
+  const ReplicationManager::Options replication_;
   std::vector<std::string> dirs_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
@@ -526,6 +530,38 @@ TEST(ReplicationTruncationTest, LaggingReplicaConvergesAndItsLogStaysBounded) {
   const Lsn begin = primary->wal()->next_lsn();
   ASSERT_TRUE(primary->Checkpoint().ok());
   EXPECT_EQ(primary->wal()->first_lsn(), begin);
+}
+
+// A replica far behind gets its backlog back to back: the shipper waits a
+// poll interval only once it has nothing more to send (it used to wait one
+// before every batch). Small batches keep the replica's apply time (slow
+// under sanitizers) well inside the bound.
+TEST(ReplicationCatchUpTest, BacklogShipsWithoutWaitingAPollPerBatch) {
+  ReplicationManager::Options replication;
+  replication.poll_interval_ms = 1000;
+  replication.max_batch_records = 16;
+  Cluster cluster("catch_up", replication);
+  ASSERT_TRUE(cluster.AddPrimary().ok());
+  ASSERT_TRUE(cluster.AddReplicaOf(0).ok());
+  Database* primary = cluster.db(0);
+  ASSERT_TRUE(primary->Execute("CREATE TABLE t (n INT)").ok());
+  ASSERT_TRUE(cluster.WaitForApply(1, primary->wal()->durable_lsn()));
+
+  // At least 8 full batches become durable at once.
+  const Lsn before = primary->wal()->durable_lsn();
+  for (int i = 0; i < 160; ++i) {
+    ASSERT_TRUE(primary->Insert("t", Tuple({Value::Int(i)})).ok());
+  }
+  ASSERT_TRUE(primary->WalSync().ok());
+  const Lsn end = primary->wal()->durable_lsn();
+  ASSERT_GE(end - before, 8 * replication.max_batch_records);
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(cluster.WaitForApply(1, end))
+      << "applied " << cluster.db(1)->applied_lsn() << " of " << end;
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LE(waited.count(), 2 * replication.poll_interval_ms);
+  EXPECT_EQ(SortedRows(cluster.db(1)).size(), 160u);
 }
 
 TEST(ReplicationTruncationTest, ReplicaBehindTheRetainedLogGetsOutOfRange) {
