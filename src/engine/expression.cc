@@ -48,7 +48,7 @@ constexpr uint8_t kTriTrue = 1;
 constexpr uint8_t kTriNull = 2;
 
 /// A predicate value reduced to three-valued logic. Non-boolean
-/// non-NULL results are type errors, matching EvalBool.
+/// non-NULL results are type errors.
 Result<uint8_t> TriOf(const Value& v) {
   if (v.is_null()) return uint8_t{kTriNull};
   if (v.type() != ValueType::kBool) {
@@ -93,44 +93,10 @@ CompareOp FlipOp(CompareOp op) {
   }
 }
 
-Result<bool> Expression::EvalBool(const Row& row,
-                                  const Schema& schema) const {
-  INSIGHT_ASSIGN_OR_RETURN(Value v, Eval(row, schema));
-  if (v.is_null()) return false;
-  if (v.type() != ValueType::kBool) {
-    return Status::TypeError("predicate evaluated to " +
-                             std::string(ValueTypeToString(v.type())));
-  }
-  return v.AsBool();
-}
-
-Status Expression::EvalBatch(const RowBatch& batch, const Schema& schema,
-                             std::vector<Value>* out) const {
-  for (const Row& row : batch) {
-    INSIGHT_ASSIGN_OR_RETURN(Value v, Eval(row, schema));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-Status Expression::EvalBoolBatch(const RowBatch& batch, const Schema& schema,
-                                 std::vector<uint8_t>* out) const {
-  std::vector<Value> values;
-  values.reserve(batch.size());
-  INSIGHT_RETURN_NOT_OK(EvalBatch(batch, schema, &values));
-  out->reserve(out->size() + values.size());
-  for (const Value& v : values) {
-    if (v.is_null()) {
-      out->push_back(0);
-      continue;
-    }
-    if (v.type() != ValueType::kBool) {
-      return Status::TypeError("predicate evaluated to " +
-                               std::string(ValueTypeToString(v.type())));
-    }
-    out->push_back(v.AsBool() ? 1 : 0);
-  }
-  return Status::OK();
+Result<bool> Expression::EvalBool(const Row& row) const {
+  INSIGHT_ASSIGN_OR_RETURN(Value v, Eval(row));
+  INSIGHT_ASSIGN_OR_RETURN(uint8_t t, TriOf(v));
+  return t == kTriTrue;
 }
 
 std::string LiteralExpr::ToString() const {
@@ -140,52 +106,27 @@ std::string LiteralExpr::ToString() const {
   return value_.ToString();
 }
 
-Result<Value> ColumnExpr::Eval(const Row& row, const Schema& schema) const {
-  INSIGHT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(name_));
-  if (idx >= row.data.size()) {
+Status ColumnExpr::Resolve(const Schema& input) {
+  pos_ = kUnresolved;
+  INSIGHT_ASSIGN_OR_RETURN(pos_, input.IndexOf(name_));
+  return Status::OK();
+}
+
+Result<Value> ColumnExpr::Eval(const Row& row) const {
+  if (pos_ == kUnresolved) {
+    return Status::Internal("column evaluated before Resolve: " + name_);
+  }
+  if (pos_ >= row.data.size()) {
     return Status::Internal("column index out of row bounds: " + name_);
   }
-  return row.data.at(idx);
+  return row.data.at(pos_);
 }
 
-Status ColumnExpr::EvalBatch(const RowBatch& batch, const Schema& schema,
-                             std::vector<Value>* out) const {
-  if (batch.empty()) return Status::OK();
-  INSIGHT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(name_));
-  out->reserve(out->size() + batch.size());
-  for (const Row& row : batch) {
-    if (idx >= row.data.size()) {
-      return Status::Internal("column index out of row bounds: " + name_);
-    }
-    out->push_back(row.data.at(idx));
-  }
-  return Status::OK();
-}
-
-Result<Value> CompareExpr::Eval(const Row& row, const Schema& schema) const {
-  INSIGHT_ASSIGN_OR_RETURN(Value l, left_->Eval(row, schema));
-  INSIGHT_ASSIGN_OR_RETURN(Value r, right_->Eval(row, schema));
+Result<Value> CompareExpr::Eval(const Row& row) const {
+  INSIGHT_ASSIGN_OR_RETURN(Value l, left_->Eval(row));
+  INSIGHT_ASSIGN_OR_RETURN(Value r, right_->Eval(row));
   if (l.is_null() || r.is_null()) return Value::Null();
   return Value::Bool(EvalCompare(op_, l.Compare(r)));
-}
-
-Status CompareExpr::EvalBatch(const RowBatch& batch, const Schema& schema,
-                              std::vector<Value>* out) const {
-  std::vector<Value> lhs;
-  std::vector<Value> rhs;
-  lhs.reserve(batch.size());
-  rhs.reserve(batch.size());
-  INSIGHT_RETURN_NOT_OK(left_->EvalBatch(batch, schema, &lhs));
-  INSIGHT_RETURN_NOT_OK(right_->EvalBatch(batch, schema, &rhs));
-  out->reserve(out->size() + batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (lhs[i].is_null() || rhs[i].is_null()) {
-      out->push_back(Value::Null());
-    } else {
-      out->push_back(Value::Bool(EvalCompare(op_, lhs[i].Compare(rhs[i]))));
-    }
-  }
-  return Status::OK();
 }
 
 std::string CompareExpr::ToString() const {
@@ -193,8 +134,8 @@ std::string CompareExpr::ToString() const {
          right_->ToString();
 }
 
-Result<Value> LogicalExpr::Eval(const Row& row, const Schema& schema) const {
-  INSIGHT_ASSIGN_OR_RETURN(Value lv, left_->Eval(row, schema));
+Result<Value> LogicalExpr::Eval(const Row& row) const {
+  INSIGHT_ASSIGN_OR_RETURN(Value lv, left_->Eval(row));
   INSIGHT_ASSIGN_OR_RETURN(uint8_t l, TriOf(lv));
   // Short-circuit only on a decisive left side. NULL is not decisive:
   // NULL AND false is false, NULL OR true is true (Kleene), so NULL
@@ -202,28 +143,9 @@ Result<Value> LogicalExpr::Eval(const Row& row, const Schema& schema) const {
   if (kind_ == Kind::kAnd ? l == kTriFalse : l == kTriTrue) {
     return Value::Bool(kind_ == Kind::kOr);
   }
-  INSIGHT_ASSIGN_OR_RETURN(Value rv, right_->Eval(row, schema));
+  INSIGHT_ASSIGN_OR_RETURN(Value rv, right_->Eval(row));
   INSIGHT_ASSIGN_OR_RETURN(uint8_t r, TriOf(rv));
   return TriToValue(KleeneCombine(kind_, l, r));
-}
-
-Status LogicalExpr::EvalBatch(const RowBatch& batch, const Schema& schema,
-                              std::vector<Value>* out) const {
-  std::vector<Value> lhs;
-  lhs.reserve(batch.size());
-  INSIGHT_RETURN_NOT_OK(left_->EvalBatch(batch, schema, &lhs));
-  out->reserve(out->size() + batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    INSIGHT_ASSIGN_OR_RETURN(uint8_t l, TriOf(lhs[i]));
-    if (kind_ == Kind::kAnd ? l == kTriFalse : l == kTriTrue) {
-      out->push_back(Value::Bool(kind_ == Kind::kOr));
-      continue;
-    }
-    INSIGHT_ASSIGN_OR_RETURN(Value rv, right_->Eval(batch[i], schema));
-    INSIGHT_ASSIGN_OR_RETURN(uint8_t r, TriOf(rv));
-    out->push_back(TriToValue(KleeneCombine(kind_, l, r)));
-  }
-  return Status::OK();
 }
 
 std::string LogicalExpr::ToString() const {
@@ -231,31 +153,17 @@ std::string LogicalExpr::ToString() const {
   return "(" + left_->ToString() + op + right_->ToString() + ")";
 }
 
-Result<Value> NotExpr::Eval(const Row& row, const Schema& schema) const {
+Result<Value> NotExpr::Eval(const Row& row) const {
   // NOT NULL is NULL, not true: the operand must keep its three-valued
   // result here; collapsing NULL to false first would negate it to true.
-  INSIGHT_ASSIGN_OR_RETURN(Value v, operand_->Eval(row, schema));
+  INSIGHT_ASSIGN_OR_RETURN(Value v, operand_->Eval(row));
   INSIGHT_ASSIGN_OR_RETURN(uint8_t t, TriOf(v));
   if (t == kTriNull) return Value::Null();
   return Value::Bool(t == kTriFalse);
 }
 
-Status NotExpr::EvalBatch(const RowBatch& batch, const Schema& schema,
-                          std::vector<Value>* out) const {
-  std::vector<Value> vals;
-  vals.reserve(batch.size());
-  INSIGHT_RETURN_NOT_OK(operand_->EvalBatch(batch, schema, &vals));
-  out->reserve(out->size() + batch.size());
-  for (const Value& v : vals) {
-    INSIGHT_ASSIGN_OR_RETURN(uint8_t t, TriOf(v));
-    out->push_back(t == kTriNull ? Value::Null()
-                                 : Value::Bool(t == kTriFalse));
-  }
-  return Status::OK();
-}
-
-Result<Value> LikeExpr::Eval(const Row& row, const Schema& schema) const {
-  INSIGHT_ASSIGN_OR_RETURN(Value v, operand_->Eval(row, schema));
+Result<Value> LikeExpr::Eval(const Row& row) const {
+  INSIGHT_ASSIGN_OR_RETURN(Value v, operand_->Eval(row));
   if (v.is_null()) return Value::Null();
   if (v.type() != ValueType::kString) {
     return Status::TypeError("LIKE on non-string value");
@@ -263,7 +171,7 @@ Result<Value> LikeExpr::Eval(const Row& row, const Schema& schema) const {
   return Value::Bool(LikeMatch(v.AsString(), pattern_));
 }
 
-Result<Value> SummaryFuncExpr::Eval(const Row& row, const Schema&) const {
+Result<Value> SummaryFuncExpr::Eval(const Row& row) const {
   if (kind_ == SummaryFuncKind::kSetSize) {
     return Value::Int(row.summaries.GetSize());
   }

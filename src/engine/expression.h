@@ -9,7 +9,6 @@
 #include "common/result.h"
 #include "common/string_util.h"
 #include "engine/row.h"
-#include "engine/row_batch.h"
 #include "types/schema.h"
 
 namespace insight {
@@ -33,12 +32,13 @@ class NameBinder {
 
 /// Scalar expression over a Row: data columns, literals, comparisons,
 /// boolean connectives, LIKE, and the paper's summary manipulation
-/// functions (Section 3.1). Expressions are immutable; Clone() copies.
+/// functions (Section 3.1). Column references read the row position
+/// that Resolve() bound; Clone() copies the binding along.
 class Expression {
  public:
   virtual ~Expression() = default;
 
-  virtual Result<Value> Eval(const Row& row, const Schema& schema) const = 0;
+  virtual Result<Value> Eval(const Row& row) const = 0;
   virtual std::string ToString() const = 0;
   virtual std::unique_ptr<Expression> Clone() const = 0;
 
@@ -55,28 +55,21 @@ class Expression {
   /// the binder; the first name it rejects fails the whole expression.
   virtual Status Bind(const NameBinder&) { return Status::OK(); }
 
+  /// Binds every column reference to its position in `input`, the schema
+  /// of the rows Eval() will read; an unknown name is NotFound. Operators
+  /// resolve the expressions they own when they open.
+  virtual Status Resolve(const Schema&) { return Status::OK(); }
+
   /// True when the expression reads the row's summary set (any summary
   /// function, `$.getSize()` included): it must run where the set is
   /// attached.
   virtual bool IsSummaryBased() const { return false; }
 
   /// Evaluates as a predicate; non-boolean truthiness is an error,
-  /// NULL is false (SQL semantics).
-  Result<bool> EvalBool(const Row& row, const Schema& schema) const;
-
-  /// Batch evaluation: appends one Value per row of `batch` to `out`.
-  /// The default loops Eval(); subexpressions that can amortize per-row
-  /// work across the batch override it (ColumnExpr resolves its column
-  /// index once per batch instead of once per row).
-  virtual Status EvalBatch(const RowBatch& batch, const Schema& schema,
-                           std::vector<Value>* out) const;
-
-  /// Batch predicate evaluation with EvalBool's SQL semantics (NULL is
-  /// false, non-boolean is a type error): appends one flag per row.
-  /// Kleene NULLs flow through AND/OR/NOT inside EvalBatch() and
-  /// collapse to false only here, at the filter decision.
-  Status EvalBoolBatch(const RowBatch& batch, const Schema& schema,
-                       std::vector<uint8_t>* out) const;
+  /// NULL is false (SQL semantics). Kleene NULLs flow through AND/OR/NOT
+  /// inside Eval() and collapse to false only here, at the filter
+  /// decision.
+  Result<bool> EvalBool(const Row& row) const;
 };
 
 using ExprPtr = std::unique_ptr<Expression>;
@@ -85,14 +78,7 @@ using ExprPtr = std::unique_ptr<Expression>;
 class LiteralExpr : public Expression {
  public:
   explicit LiteralExpr(Value value) : value_(std::move(value)) {}
-  Result<Value> Eval(const Row&, const Schema&) const override {
-    return value_;
-  }
-  Status EvalBatch(const RowBatch& batch, const Schema&,
-                   std::vector<Value>* out) const override {
-    out->insert(out->end(), batch.size(), value_);
-    return Status::OK();
-  }
+  Result<Value> Eval(const Row&) const override { return value_; }
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<LiteralExpr>(value_);
@@ -103,17 +89,14 @@ class LiteralExpr : public Expression {
   Value value_;
 };
 
-/// Named data column.
+/// Named data column; Eval() reads the position Resolve() bound.
 class ColumnExpr : public Expression {
  public:
   explicit ColumnExpr(std::string name) : name_(std::move(name)) {}
-  Result<Value> Eval(const Row& row, const Schema& schema) const override;
-  /// Resolves the column index once for the whole batch.
-  Status EvalBatch(const RowBatch& batch, const Schema& schema,
-                   std::vector<Value>* out) const override;
+  Result<Value> Eval(const Row& row) const override;
   std::string ToString() const override { return name_; }
   ExprPtr Clone() const override {
-    return std::make_unique<ColumnExpr>(name_);
+    return std::make_unique<ColumnExpr>(*this);
   }
   void CollectColumns(std::vector<std::string>* out) const override {
     out->push_back(name_);
@@ -122,10 +105,14 @@ class ColumnExpr : public Expression {
     INSIGHT_ASSIGN_OR_RETURN(name_, binder.Column(name_));
     return Status::OK();
   }
+  Status Resolve(const Schema& input) override;
   const std::string& name() const { return name_; }
 
  private:
+  static constexpr size_t kUnresolved = static_cast<size_t>(-1);
+
   std::string name_;
+  size_t pos_ = kUnresolved;
 };
 
 /// left <op> right.
@@ -133,9 +120,7 @@ class CompareExpr : public Expression {
  public:
   CompareExpr(ExprPtr left, CompareOp op, ExprPtr right)
       : left_(std::move(left)), op_(op), right_(std::move(right)) {}
-  Result<Value> Eval(const Row& row, const Schema& schema) const override;
-  Status EvalBatch(const RowBatch& batch, const Schema& schema,
-                   std::vector<Value>* out) const override;
+  Result<Value> Eval(const Row& row) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<CompareExpr>(left_->Clone(), op_,
@@ -156,6 +141,10 @@ class CompareExpr : public Expression {
     INSIGHT_RETURN_NOT_OK(left_->Bind(binder));
     return right_->Bind(binder);
   }
+  Status Resolve(const Schema& input) override {
+    INSIGHT_RETURN_NOT_OK(left_->Resolve(input));
+    return right_->Resolve(input);
+  }
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
   CompareOp op() const { return op_; }
@@ -172,12 +161,7 @@ class LogicalExpr : public Expression {
   enum class Kind { kAnd, kOr };
   LogicalExpr(Kind kind, ExprPtr left, ExprPtr right)
       : kind_(kind), left_(std::move(left)), right_(std::move(right)) {}
-  Result<Value> Eval(const Row& row, const Schema& schema) const override;
-  /// Evaluates the left side batch-wise; the right side runs only for
-  /// rows the left side leaves undecided, preserving Eval()'s
-  /// short-circuit semantics exactly.
-  Status EvalBatch(const RowBatch& batch, const Schema& schema,
-                   std::vector<Value>* out) const override;
+  Result<Value> Eval(const Row& row) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<LogicalExpr>(kind_, left_->Clone(),
@@ -198,6 +182,10 @@ class LogicalExpr : public Expression {
     INSIGHT_RETURN_NOT_OK(left_->Bind(binder));
     return right_->Bind(binder);
   }
+  Status Resolve(const Schema& input) override {
+    INSIGHT_RETURN_NOT_OK(left_->Resolve(input));
+    return right_->Resolve(input);
+  }
   Kind kind() const { return kind_; }
   const Expression* left() const { return left_.get(); }
   const Expression* right() const { return right_.get(); }
@@ -212,9 +200,7 @@ class LogicalExpr : public Expression {
 class NotExpr : public Expression {
  public:
   explicit NotExpr(ExprPtr operand) : operand_(std::move(operand)) {}
-  Result<Value> Eval(const Row& row, const Schema& schema) const override;
-  Status EvalBatch(const RowBatch& batch, const Schema& schema,
-                   std::vector<Value>* out) const override;
+  Result<Value> Eval(const Row& row) const override;
   std::string ToString() const override {
     return "NOT (" + operand_->ToString() + ")";
   }
@@ -231,6 +217,9 @@ class NotExpr : public Expression {
   Status Bind(const NameBinder& binder) override {
     return operand_->Bind(binder);
   }
+  Status Resolve(const Schema& input) override {
+    return operand_->Resolve(input);
+  }
   const Expression* operand() const { return operand_.get(); }
 
  private:
@@ -242,7 +231,7 @@ class LikeExpr : public Expression {
  public:
   LikeExpr(ExprPtr operand, std::string pattern)
       : operand_(std::move(operand)), pattern_(std::move(pattern)) {}
-  Result<Value> Eval(const Row& row, const Schema& schema) const override;
+  Result<Value> Eval(const Row& row) const override;
   std::string ToString() const override {
     return operand_->ToString() + " LIKE '" + pattern_ + "'";
   }
@@ -258,6 +247,9 @@ class LikeExpr : public Expression {
   bool IsSummaryBased() const override { return operand_->IsSummaryBased(); }
   Status Bind(const NameBinder& binder) override {
     return operand_->Bind(binder);
+  }
+  Status Resolve(const Schema& input) override {
+    return operand_->Resolve(input);
   }
 
  private:
@@ -312,7 +304,7 @@ class SummaryFuncExpr : public Expression {
   SummaryFuncExpr(SummaryFuncKind kind, std::string instance, size_t index)
       : kind_(kind), instance_(std::move(instance)), index_(index) {}
 
-  Result<Value> Eval(const Row& row, const Schema& schema) const override;
+  Result<Value> Eval(const Row& row) const override;
   std::string ToString() const override;
   ExprPtr Clone() const override {
     return std::make_unique<SummaryFuncExpr>(*this);

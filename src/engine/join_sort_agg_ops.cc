@@ -41,6 +41,7 @@ NestedLoopJoinOp::NestedLoopJoinOp(OpPtr left, OpPtr right, ExprPtr predicate)
 
 Status NestedLoopJoinOp::OpenImpl() {
   ResetExec();
+  INSIGHT_RETURN_NOT_OK(predicate_->Resolve(schema_));
   INSIGHT_RETURN_NOT_OK(left_->Open());
   // CollectRows opens, drains and closes the right side.
   INSIGHT_ASSIGN_OR_RETURN(right_rows_, CollectRows(right_.get()));
@@ -66,8 +67,7 @@ Result<bool> NestedLoopJoinOp::NextBatchImpl(RowBatch* batch) {
       Row candidate;
       candidate.data = Tuple::Concat(current_left_.data, right.data);
       // Evaluate the data predicate before paying for the summary merge.
-      INSIGHT_ASSIGN_OR_RETURN(bool pass,
-                               predicate_->EvalBool(candidate, schema_));
+      INSIGHT_ASSIGN_OR_RETURN(bool pass, predicate_->EvalBool(candidate));
       if (!pass) continue;
       INSIGHT_ASSIGN_OR_RETURN(
           candidate.summaries,
@@ -104,10 +104,14 @@ IndexNLJoinOp::IndexNLJoinOp(OpPtr outer, Table* inner,
 
 Status IndexNLJoinOp::OpenImpl() {
   ResetExec();
-  if (inner_->GetColumnIndex(inner_column_) == nullptr) {
+  index_ = inner_->GetColumnIndex(inner_column_);
+  if (index_ == nullptr) {
     return Status::InvalidArgument("index join needs an index on " +
                                    inner_->name() + "." + inner_column_);
   }
+  INSIGHT_ASSIGN_OR_RETURN(inner_pos_,
+                           inner_->schema().IndexOf(inner_column_));
+  INSIGHT_RETURN_NOT_OK(outer_key_->Resolve(outer_->schema()));
   outer_input_.Clear();
   outer_pos_ = 0;
   outer_valid_ = false;
@@ -118,23 +122,19 @@ Status IndexNLJoinOp::OpenImpl() {
 
 Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
   const size_t outer_arity = outer_->schema().num_columns();
-  const BTree* index = inner_->GetColumnIndex(inner_column_);
-  INSIGHT_ASSIGN_OR_RETURN(size_t inner_pos,
-                           inner_->schema().IndexOf(inner_column_));
   while (!batch->full()) {
     if (!outer_valid_) {
       INSIGHT_ASSIGN_OR_RETURN(
           outer_valid_,
           PullOuterRow(outer_.get(), &outer_input_, &outer_pos_, &outer_row_));
       if (!outer_valid_) break;
-      INSIGHT_ASSIGN_OR_RETURN(
-          Value key, outer_key_->Eval(outer_row_, outer_->schema()));
+      INSIGHT_ASSIGN_OR_RETURN(Value key, outer_key_->Eval(outer_row_));
       if (key.is_null()) {  // Equals no row, though the index keys NULL.
         outer_valid_ = false;
         continue;
       }
       join_key_ = EncodeIndexKey(key);
-      INSIGHT_RETURN_NOT_OK(FetchInner(index, inner_pos));
+      INSIGHT_RETURN_NOT_OK(FetchInner());
     }
     while (match_pos_ < matches_.size() && !batch->full()) {
       const Row& inner = matches_[match_pos_++];
@@ -150,11 +150,11 @@ Result<bool> IndexNLJoinOp::NextBatchImpl(RowBatch* batch) {
   return !batch->empty();
 }
 
-Status IndexNLJoinOp::FetchInner(const BTree* index, size_t inner_pos) {
+Status IndexNLJoinOp::FetchInner() {
   matches_.Clear();
   match_pos_ = 0;
   INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> hits,
-                           index->Lookup(join_key_));
+                           index_->Lookup(join_key_));
   // One GetMany walk over the hits in OID order; rows keep hit order.
   std::vector<size_t> order(hits.size());
   std::iota(order.begin(), order.end(), size_t{0});
@@ -173,7 +173,7 @@ Status IndexNLJoinOp::FetchInner(const BTree* index, size_t inner_pos) {
     // with no version visible to this snapshot, and re-verify the indexed
     // value against the visible version.
     if (!by_hit[i].has_value() ||
-        EncodeIndexKey(by_hit[i]->at(inner_pos)) != join_key_) {
+        EncodeIndexKey(by_hit[i]->at(inner_pos_)) != join_key_) {
       continue;
     }
     matches_.Push(Row{static_cast<Oid>(hits[i]), std::move(*by_hit[i]),
@@ -204,6 +204,9 @@ HashJoinOp::HashJoinOp(OpPtr left, OpPtr right, std::string left_key,
 
 Status HashJoinOp::OpenImpl() {
   ResetExec();
+  if (residual_ != nullptr) {
+    INSIGHT_RETURN_NOT_OK(residual_->Resolve(schema_));
+  }
   INSIGHT_ASSIGN_OR_RETURN(left_key_idx_,
                            left_->schema().IndexOf(left_key_));
   INSIGHT_ASSIGN_OR_RETURN(right_key_idx_,
@@ -259,8 +262,7 @@ Result<bool> HashJoinOp::NextBatchImpl(RowBatch* batch) {
       Row candidate;
       candidate.data = Tuple::Concat(current_left_.data, right.data);
       if (residual_ != nullptr) {
-        INSIGHT_ASSIGN_OR_RETURN(bool pass,
-                                 residual_->EvalBool(candidate, schema_));
+        INSIGHT_ASSIGN_OR_RETURN(bool pass, residual_->EvalBool(candidate));
         if (!pass) continue;
       }
       INSIGHT_ASSIGN_OR_RETURN(
@@ -343,6 +345,12 @@ Status SummaryJoinOp::OpenImpl() {
   left_pos_ = 0;
   left_valid_ = false;
   left_arity_ = left_->schema().num_columns();
+  if (predicate_.merged_form()) {
+    INSIGHT_RETURN_NOT_OK(predicate_.merged_expr->Resolve(schema_));
+  } else if (right_ != nullptr) {
+    INSIGHT_RETURN_NOT_OK(predicate_.left_expr->Resolve(left_->schema()));
+    INSIGHT_RETURN_NOT_OK(predicate_.right_expr->Resolve(right_->schema()));
+  }
   INSIGHT_RETURN_NOT_OK(left_->Open());
   if (right_ != nullptr) {
     // CollectRows opens, drains and closes the right side.
@@ -395,14 +403,11 @@ Status SummaryJoinOp::JoinNestedLoop(RowBatch* batch) {
           merged.summaries,
           MergeSummaries(current_left_.summaries, right.summaries,
                          left_arity_));
-      INSIGHT_ASSIGN_OR_RETURN(
-          pass, predicate_.merged_expr->EvalBool(merged, schema_));
+      INSIGHT_ASSIGN_OR_RETURN(pass, predicate_.merged_expr->EvalBool(merged));
     } else {
-      INSIGHT_ASSIGN_OR_RETURN(
-          Value lv,
-          predicate_.left_expr->Eval(current_left_, left_->schema()));
-      INSIGHT_ASSIGN_OR_RETURN(
-          Value rv, predicate_.right_expr->Eval(right, right_->schema()));
+      INSIGHT_ASSIGN_OR_RETURN(Value lv,
+                               predicate_.left_expr->Eval(current_left_));
+      INSIGHT_ASSIGN_OR_RETURN(Value rv, predicate_.right_expr->Eval(right));
       if (!lv.is_null() && !rv.is_null()) {
         pass = EvalCompare(predicate_.op, lv.Compare(rv));
       }
@@ -490,7 +495,7 @@ Result<SortOp::KeyedRow> SortOp::Decorate(Row row) const {
   KeyedRow keyed;
   keyed.keys.reserve(keys_.size());
   for (const SortKey& key : keys_) {
-    INSIGHT_ASSIGN_OR_RETURN(Value v, key.expr->Eval(row, child_->schema()));
+    INSIGHT_ASSIGN_OR_RETURN(Value v, key.expr->Eval(row));
     keyed.keys.push_back(std::move(v));
   }
   keyed.row = std::move(row);
@@ -552,6 +557,9 @@ Status SortOp::OpenImpl() {
   pos_ = 0;
   sorted_.clear();
   runs_.clear();
+  for (SortKey& key : keys_) {
+    INSIGHT_RETURN_NOT_OK(key.expr->Resolve(child_->schema()));
+  }
   INSIGHT_RETURN_NOT_OK(child_->Open());
   if (mode_ == Mode::kExternal &&
       (storage_ == nullptr || pool_ == nullptr)) {
@@ -662,6 +670,7 @@ HashAggregateOp::HashAggregateOp(OpPtr child,
   for (const std::string& name : group_columns_) {
     auto idx = child_->schema().IndexOf(name);
     INSIGHT_CHECK(idx.ok()) << "group by unknown column " << name;
+    group_indices_.push_back(*idx);
     columns.push_back(child_->schema().column(*idx));
   }
   for (const AggregateSpec& agg : aggregates_) {
@@ -677,13 +686,12 @@ Status HashAggregateOp::OpenImpl() {
   ResetExec();
   pos_ = 0;
   results_.clear();
-  INSIGHT_RETURN_NOT_OK(child_->Open());
-
-  std::vector<size_t> group_indices;
-  for (const std::string& name : group_columns_) {
-    INSIGHT_ASSIGN_OR_RETURN(size_t idx, child_->schema().IndexOf(name));
-    group_indices.push_back(idx);
+  for (AggregateSpec& spec : aggregates_) {
+    if (spec.arg != nullptr) {
+      INSIGHT_RETURN_NOT_OK(spec.arg->Resolve(child_->schema()));
+    }
   }
+  INSIGHT_RETURN_NOT_OK(child_->Open());
 
   struct GroupState {
     Tuple key;
@@ -699,7 +707,7 @@ Status HashAggregateOp::OpenImpl() {
   std::vector<std::string> group_order;
 
   auto accumulate = [&](const Row& row) -> Status {
-    Tuple key = row.data.Project(group_indices);
+    Tuple key = row.data.Project(group_indices_);
     std::string key_bytes;
     key.Serialize(&key_bytes);
     auto [it, inserted] = groups.try_emplace(key_bytes);
@@ -717,8 +725,7 @@ Status HashAggregateOp::OpenImpl() {
     for (size_t a = 0; a < aggregates_.size(); ++a) {
       const AggregateSpec& spec = aggregates_[a];
       if (spec.arg == nullptr) continue;  // COUNT(*) uses state.rows.
-      INSIGHT_ASSIGN_OR_RETURN(Value v,
-                               spec.arg->Eval(row, child_->schema()));
+      INSIGHT_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(row));
       if (v.is_null()) continue;
       ++state.counts[a];
       switch (spec.kind) {
@@ -745,7 +752,7 @@ Status HashAggregateOp::OpenImpl() {
     if (!row.summaries.empty()) {
       INSIGHT_ASSIGN_OR_RETURN(
           SummarySet projected,
-          ProjectSummaries(row.summaries, group_indices, resolver_));
+          ProjectSummaries(row.summaries, group_indices_, resolver_));
       INSIGHT_ASSIGN_OR_RETURN(
           state.summaries, MergeSummaries(state.summaries, projected, 0));
     }

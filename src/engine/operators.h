@@ -379,10 +379,8 @@ class SelectOp : public PhysicalOperator {
  private:
   OpPtr child_;
   ExprPtr predicate_;
-  // Buffered child batch, its predicate flags, and the next input row to
-  // consume.
+  // Buffered child batch and the next input row to consume.
   RowBatch input_;
-  std::vector<uint8_t> flags_;
   size_t input_pos_ = 0;
 };
 
@@ -410,7 +408,6 @@ class SummarySelectOp : public PhysicalOperator {
   OpPtr child_;
   ExprPtr predicate_;
   RowBatch input_;
-  std::vector<uint8_t> flags_;
   size_t input_pos_ = 0;
 };
 
@@ -571,7 +568,7 @@ class IndexNLJoinOp : public PhysicalOperator {
   /// Loads the current outer row's inner matches into `matches_`: one
   /// Table::GetMany walk for the index hits, then (with an inner manager)
   /// one AttachSummaries call for their summary sets.
-  Status FetchInner(const BTree* index, size_t inner_pos);
+  Status FetchInner();
 
   OpPtr outer_;
   Table* inner_;
@@ -580,6 +577,8 @@ class IndexNLJoinOp : public PhysicalOperator {
   ExprPtr outer_key_;
   SummaryManager* inner_mgr_;  // Null: inner rows carry no summary sets.
   Schema schema_;
+  const BTree* index_ = nullptr;  // Bound at Open.
+  size_t inner_pos_ = 0;          // inner_column_'s position in the inner.
   RowBatch outer_input_;
   size_t outer_pos_ = 0;
   Row outer_row_;
@@ -823,6 +822,7 @@ class HashAggregateOp : public PhysicalOperator {
  private:
   OpPtr child_;
   std::vector<std::string> group_columns_;
+  std::vector<size_t> group_indices_;  // group_columns_' child positions.
   std::vector<AggregateSpec> aggregates_;
   AnnotationResolver resolver_;
   Schema schema_;

@@ -6,11 +6,10 @@
 #include <vector>
 
 #include "engine/row.h"
-#include "types/schema.h"
 
 namespace insight {
 
-/// A schema-tagged batch of rows — the unit flowing between operators in
+/// A batch of rows — the unit flowing between operators in
 /// batch-at-a-time execution. Capacity is a soft bound the producer
 /// honours (`full()` gates the fill loop); the vector itself never
 /// reallocates past the reserved capacity during a fill.
@@ -30,16 +29,11 @@ class RowBatch {
     rows_.reserve(capacity_);
   }
 
-  /// The producing operator's output schema; tagged by
-  /// PhysicalOperator::NextBatch so consumers never re-ask the operator.
-  const Schema* schema() const { return schema_; }
-  void set_schema(const Schema* schema) { schema_ = schema; }
-
   size_t size() const { return rows_.size(); }
   bool empty() const { return rows_.empty(); }
   bool full() const { return rows_.size() >= capacity_; }
 
-  /// Drops the rows; keeps capacity and schema tag.
+  /// Drops the rows; keeps capacity.
   void Clear() { rows_.clear(); }
 
   void Push(Row row) { rows_.push_back(std::move(row)); }
@@ -61,7 +55,6 @@ class RowBatch {
   std::vector<Row>::const_iterator end() const { return rows_.end(); }
 
  private:
-  const Schema* schema_ = nullptr;
   size_t capacity_;
   std::vector<Row> rows_;
 };

@@ -31,7 +31,6 @@ Result<bool> PhysicalOperator::NextBatch(RowBatch* batch) {
     ++stats_.batches;
     stats_.rows += batch->size();
   }
-  batch->set_schema(&schema());
   return result;
 }
 
@@ -400,26 +399,23 @@ std::string VectorSourceOp::Describe() const {
 namespace {
 
 /// Shared batch filter loop for SelectOp / SummarySelectOp: pull child
-/// batches, evaluate the predicate batch-wise (amortized column
-/// resolution), and move the passing rows into `batch` until it fills.
+/// batches and move the rows the predicate passes into `batch` until it
+/// fills.
 Result<bool> FilterNextBatch(PhysicalOperator* child,
                              const Expression* predicate, size_t capacity,
-                             RowBatch* input, std::vector<uint8_t>* flags,
-                             size_t* input_pos, RowBatch* batch) {
+                             RowBatch* input, size_t* input_pos,
+                             RowBatch* batch) {
   if (input->capacity() != capacity) input->set_capacity(capacity);
   while (!batch->full()) {
     if (*input_pos >= input->size()) {
       INSIGHT_ASSIGN_OR_RETURN(bool has, child->NextBatch(input));
       if (!has) break;
-      flags->clear();
-      INSIGHT_RETURN_NOT_OK(
-          predicate->EvalBoolBatch(*input, child->schema(), flags));
       *input_pos = 0;
     }
     for (; *input_pos < input->size() && !batch->full(); ++*input_pos) {
-      if ((*flags)[*input_pos] != 0) {
-        batch->Push(std::move(input->rows()[*input_pos]));
-      }
+      Row& row = input->rows()[*input_pos];
+      INSIGHT_ASSIGN_OR_RETURN(bool pass, predicate->EvalBool(row));
+      if (pass) batch->Push(std::move(row));
     }
   }
   return !batch->empty();
@@ -434,12 +430,13 @@ Status SelectOp::OpenImpl() {
   ResetExec();
   input_.Clear();
   input_pos_ = 0;
+  INSIGHT_RETURN_NOT_OK(predicate_->Resolve(child_->schema()));
   return child_->Open();
 }
 
 Result<bool> SelectOp::NextBatchImpl(RowBatch* batch) {
   return FilterNextBatch(child_.get(), predicate_.get(), batch_capacity(),
-                         &input_, &flags_, &input_pos_, batch);
+                         &input_, &input_pos_, batch);
 }
 
 std::string SelectOp::Describe() const {
@@ -453,12 +450,13 @@ Status SummarySelectOp::OpenImpl() {
   ResetExec();
   input_.Clear();
   input_pos_ = 0;
+  INSIGHT_RETURN_NOT_OK(predicate_->Resolve(child_->schema()));
   return child_->Open();
 }
 
 Result<bool> SummarySelectOp::NextBatchImpl(RowBatch* batch) {
   return FilterNextBatch(child_.get(), predicate_.get(), batch_capacity(),
-                         &input_, &flags_, &input_pos_, batch);
+                         &input_, &input_pos_, batch);
 }
 
 std::string SummarySelectOp::Describe() const {

@@ -422,12 +422,15 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
     header.push_back({item.name, type});
     output_exprs.push_back(std::move(bound.outputs[i]));
   }
+  for (const ExprPtr& expr : output_exprs) {
+    INSIGHT_RETURN_NOT_OK(expr->Resolve(plan_schema));
+  }
   QueryResult result;
   result.schema = Schema(std::move(header));
   for (Row& row : rows) {
     Tuple out;
     for (const ExprPtr& expr : output_exprs) {
-      INSIGHT_ASSIGN_OR_RETURN(Value v, expr->Eval(row, plan_schema));
+      INSIGHT_ASSIGN_OR_RETURN(Value v, expr->Eval(row));
       out.Append(std::move(v));
     }
     result.rows.push_back(std::move(out));

@@ -1,8 +1,9 @@
 // Batch filter path: SelectOp and SummarySelectOp, pulled at an odd
-// batch capacity, against the row-at-a-time Expression::EvalBool
-// reference (including NaN / -0.0, NULL and summary-function
-// three-valued-logic edge cases, where the row and batch evaluators
-// historically diverged), and LIMIT pushdown into parallel gathers.
+// batch capacity, against Expression::EvalBool applied outside any
+// operator (including NaN / -0.0, NULL and summary-function
+// three-valued-logic edge cases). The operators share that evaluator, so
+// the fixed expected counts are the independent reference. Also LIMIT
+// pushdown into parallel gathers.
 
 #include <gtest/gtest.h>
 
@@ -49,11 +50,12 @@ Result<std::vector<Row>> CollectBatched(PhysicalOperator* op) {
 // Row-at-a-time reference: every scanned row through Expression::EvalBool,
 // outside any filter operator.
 Result<std::vector<Row>> FilterOneAtATime(PhysicalOperator* scan,
-                                          const Expression& pred) {
+                                          ExprPtr pred) {
+  INSIGHT_RETURN_NOT_OK(pred->Resolve(scan->schema()));
   INSIGHT_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(scan));
   std::vector<Row> out;
   for (Row& row : rows) {
-    INSIGHT_ASSIGN_OR_RETURN(bool pass, pred.EvalBool(row, scan->schema()));
+    INSIGHT_ASSIGN_OR_RETURN(bool pass, pred->EvalBool(row));
     if (pass) out.push_back(std::move(row));
   }
   return out;
@@ -65,7 +67,7 @@ Result<std::vector<Row>> FilterOneAtATime(PhysicalOperator* scan,
 void ExpectAllPathsAgree(TestDb* db, const std::function<ExprPtr()>& pred,
                          size_t expected_rows = SIZE_MAX,
                          bool propagate = false) {
-  auto row_path = FilterOneAtATime(db->Scan(propagate).get(), *pred());
+  auto row_path = FilterOneAtATime(db->Scan(propagate).get(), pred());
   ASSERT_TRUE(row_path.ok()) << row_path.status().ToString();
   if (expected_rows != SIZE_MAX) {
     EXPECT_EQ(row_path->size(), expected_rows);
@@ -137,7 +139,7 @@ TEST(ColumnarEquivalenceTest, NaNAndNegativeZeroAgreeAcrossPaths) {
   for (CompareOp op : {CompareOp::kGe, CompareOp::kLt, CompareOp::kEq}) {
     SeqScanOp scan(table);
     auto row_path =
-        FilterOneAtATime(&scan, *Cmp(Col("x"), op, Lit(Value::Double(0.0))));
+        FilterOneAtATime(&scan, Cmp(Col("x"), op, Lit(Value::Double(0.0))));
     ASSERT_TRUE(row_path.ok());
     SelectOp plan(std::make_unique<SeqScanOp>(table),
                   Cmp(Col("x"), op, Lit(Value::Double(0.0))));
@@ -213,10 +215,9 @@ TEST(ThreeValuedLogicTest, NullUnderOrTruePasses) {
 }
 
 TEST(ThreeValuedLogicTest, KleeneTruthTable) {
-  const Schema empty;
   Row row;
   auto eval = [&](ExprPtr expr) {
-    return expr->Eval(row, empty).ValueOrDie();
+    return expr->Eval(row).ValueOrDie();
   };
   ExprPtr null_cmp =
       Cmp(Lit(Value::Null()), CompareOp::kEq, Lit(Value::Int(1)));

@@ -33,88 +33,88 @@ Row TestRow() {
   return row;
 }
 
+// `expr` with its columns resolved against TestSchema(), as the operator
+// that owns an expression resolves it when it opens.
+ExprPtr Resolved(ExprPtr expr) {
+  EXPECT_TRUE(expr->Resolve(TestSchema()).ok());
+  return expr;
+}
+
 TEST(ExpressionTest, ColumnAndLiteral) {
-  const Schema schema = TestSchema();
   const Row row = TestRow();
-  EXPECT_EQ(Col("name")->Eval(row, schema)->AsString(), "Swan Goose");
-  EXPECT_EQ(Col("COUNT")->Eval(row, schema)->AsInt(), 7);
-  EXPECT_TRUE(Col("nope")->Eval(row, schema).status().IsNotFound());
-  EXPECT_EQ(Lit(Value::Int(3))->Eval(row, schema)->AsInt(), 3);
+  EXPECT_EQ(Resolved(Col("name"))->Eval(row)->AsString(), "Swan Goose");
+  EXPECT_EQ(Resolved(Col("COUNT"))->Eval(row)->AsInt(), 7);
+  EXPECT_EQ(Lit(Value::Int(3))->Eval(row)->AsInt(), 3);
 }
 
 TEST(ExpressionTest, Comparisons) {
-  const Schema schema = TestSchema();
   const Row row = TestRow();
-  EXPECT_TRUE(*Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(7)))
-                   ->EvalBool(row, schema));
-  EXPECT_TRUE(*Cmp(Col("count"), CompareOp::kGt, Lit(Value::Double(6.5)))
-                   ->EvalBool(row, schema));
-  EXPECT_FALSE(*Cmp(Col("count"), CompareOp::kLt, Lit(Value::Int(7)))
-                    ->EvalBool(row, schema));
-  EXPECT_TRUE(*Cmp(Col("name"), CompareOp::kNe, Lit(Value::String("X")))
-                   ->EvalBool(row, schema));
+  EXPECT_TRUE(*Resolved(Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(7))))
+                   ->EvalBool(row));
+  EXPECT_TRUE(
+      *Resolved(Cmp(Col("count"), CompareOp::kGt, Lit(Value::Double(6.5))))
+           ->EvalBool(row));
+  EXPECT_FALSE(*Resolved(Cmp(Col("count"), CompareOp::kLt, Lit(Value::Int(7))))
+                    ->EvalBool(row));
+  EXPECT_TRUE(
+      *Resolved(Cmp(Col("name"), CompareOp::kNe, Lit(Value::String("X"))))
+           ->EvalBool(row));
 }
 
 TEST(ExpressionTest, NullComparisonIsFalse) {
-  const Schema schema = TestSchema();
   Row row = TestRow();
   row.data.at(1) = Value::Null();
-  EXPECT_FALSE(*Cmp(Col("count"), CompareOp::kEq, Lit(Value::Null()))
-                    ->EvalBool(row, schema));
-  EXPECT_FALSE(*Cmp(Col("count"), CompareOp::kNe, Lit(Value::Int(1)))
-                    ->EvalBool(row, schema));
+  EXPECT_FALSE(
+      *Resolved(Cmp(Col("count"), CompareOp::kEq, Lit(Value::Null())))
+           ->EvalBool(row));
+  EXPECT_FALSE(*Resolved(Cmp(Col("count"), CompareOp::kNe, Lit(Value::Int(1))))
+                    ->EvalBool(row));
 }
 
 TEST(ExpressionTest, LogicalShortCircuit) {
-  const Schema schema = TestSchema();
   const Row row = TestRow();
   auto t = [&] { return Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(7))); };
   auto f = [&] { return Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(0))); };
-  EXPECT_TRUE(*And(t(), t())->EvalBool(row, schema));
-  EXPECT_FALSE(*And(t(), f())->EvalBool(row, schema));
-  EXPECT_TRUE(*Or(f(), t())->EvalBool(row, schema));
-  EXPECT_FALSE(*Or(f(), f())->EvalBool(row, schema));
-  EXPECT_TRUE(*Not(f())->EvalBool(row, schema));
+  EXPECT_TRUE(*Resolved(And(t(), t()))->EvalBool(row));
+  EXPECT_FALSE(*Resolved(And(t(), f()))->EvalBool(row));
+  EXPECT_TRUE(*Resolved(Or(f(), t()))->EvalBool(row));
+  EXPECT_FALSE(*Resolved(Or(f(), f()))->EvalBool(row));
+  EXPECT_TRUE(*Resolved(Not(f()))->EvalBool(row));
 }
 
 TEST(ExpressionTest, LikeOnStrings) {
-  const Schema schema = TestSchema();
   const Row row = TestRow();
-  EXPECT_TRUE(*Like(Col("name"), "Swan%")->EvalBool(row, schema));
-  EXPECT_FALSE(*Like(Col("name"), "Goose%")->EvalBool(row, schema));
-  EXPECT_TRUE(Like(Col("count"), "7%")->EvalBool(row, schema)
+  EXPECT_TRUE(*Resolved(Like(Col("name"), "Swan%"))->EvalBool(row));
+  EXPECT_FALSE(*Resolved(Like(Col("name"), "Goose%"))->EvalBool(row));
+  EXPECT_TRUE(Resolved(Like(Col("count"), "7%"))->EvalBool(row)
                   .status().IsTypeError());
 }
 
 TEST(ExpressionTest, SummaryFunctions) {
-  const Schema schema = TestSchema();
   const Row row = TestRow();
-  EXPECT_EQ(LabelValue("ClassBird1", "Disease")->Eval(row, schema)->AsInt(),
-            8);
-  EXPECT_EQ(LabelValue("classbird1", "behavior")->Eval(row, schema)->AsInt(),
-            33);
+  EXPECT_EQ(LabelValue("ClassBird1", "Disease")->Eval(row)->AsInt(), 8);
+  EXPECT_EQ(LabelValue("classbird1", "behavior")->Eval(row)->AsInt(), 33);
   // Missing instance -> NULL -> predicate false.
-  EXPECT_TRUE(LabelValue("Nope", "Disease")->Eval(row, schema)->is_null());
+  EXPECT_TRUE(LabelValue("Nope", "Disease")->Eval(row)->is_null());
   EXPECT_FALSE(*Cmp(LabelValue("Nope", "Disease"), CompareOp::kGt,
                     Lit(Value::Int(0)))
-                    ->EvalBool(row, schema));
+                    ->EvalBool(row));
   // Missing label is an error (the instance schema is known).
-  EXPECT_FALSE(LabelValue("ClassBird1", "Provenance")->Eval(row, schema)
-                   .ok());
+  EXPECT_FALSE(LabelValue("ClassBird1", "Provenance")->Eval(row).ok());
 
   EXPECT_TRUE(*ContainsSingle("TextSummary1", {"swan", "hormone"})
-                   ->EvalBool(row, schema));
+                   ->EvalBool(row));
   EXPECT_FALSE(*ContainsSingle("TextSummary1", {"wikipedia", "hormone"})
-                    ->EvalBool(row, schema));
+                    ->EvalBool(row));
   EXPECT_TRUE(*ContainsUnion("TextSummary1", {"wikipedia", "hormone"})
-                   ->EvalBool(row, schema));
+                   ->EvalBool(row));
 
   SummaryFuncExpr set_size;
-  EXPECT_EQ(set_size.Eval(row, schema)->AsInt(), 2);
+  EXPECT_EQ(set_size.Eval(row)->AsInt(), 2);
   SummaryFuncExpr obj_size(SummaryFuncKind::kObjectSize, "ClassBird1");
-  EXPECT_EQ(obj_size.Eval(row, schema)->AsInt(), 2);
+  EXPECT_EQ(obj_size.Eval(row)->AsInt(), 2);
   SummaryFuncExpr has(SummaryFuncKind::kHasObject, "TextSummary1");
-  EXPECT_TRUE(has.Eval(row, schema)->AsBool());
+  EXPECT_TRUE(has.Eval(row)->AsBool());
 }
 
 TEST(ExpressionTest, IsSummaryBasedIntrospection) {
@@ -136,14 +136,63 @@ TEST(ExpressionTest, IsSummaryBasedIntrospection) {
 }
 
 TEST(ExpressionTest, CloneProducesEqualBehavior) {
-  const Schema schema = TestSchema();
   const Row row = TestRow();
-  auto orig = And(Cmp(LabelValue("ClassBird1", "Disease"), CompareOp::kGt,
-                      Lit(Value::Int(5))),
-                  Like(Col("name"), "Swan%"));
+  auto orig = Resolved(And(Cmp(LabelValue("ClassBird1", "Disease"),
+                               CompareOp::kGt, Lit(Value::Int(5))),
+                           Like(Col("name"), "Swan%")));
   auto copy = orig->Clone();
-  EXPECT_EQ(*orig->EvalBool(row, schema), *copy->EvalBool(row, schema));
+  EXPECT_EQ(*orig->EvalBool(row), *copy->EvalBool(row));
   EXPECT_EQ(orig->ToString(), copy->ToString());
+}
+
+TEST(ExpressionTest, ResolveRejectsAnUnknownColumn) {
+  auto expr = And(Cmp(Col("count"), CompareOp::kGt, Lit(Value::Int(1))),
+                  Not(Like(Col("nope"), "x%")));
+  EXPECT_TRUE(expr->Resolve(TestSchema()).IsNotFound());
+  EXPECT_TRUE(Col("nope")->Resolve(TestSchema()).IsNotFound());
+}
+
+bool IsInternal(const Status& status) {
+  return status.code() == StatusCode::kInternal;
+}
+
+TEST(ExpressionTest, UnresolvedColumnIsAnInternalError) {
+  const Row row = TestRow();
+  EXPECT_TRUE(IsInternal(Col("name")->Eval(row).status()));
+  EXPECT_TRUE(IsInternal(
+      Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(7)))
+          ->EvalBool(row)
+          .status()));
+  // A failed Resolve leaves no earlier position behind to read.
+  auto col = Resolved(Col("count"));
+  EXPECT_TRUE(col->Resolve(Schema({{"other", ValueType::kInt64}}))
+                  .IsNotFound());
+  EXPECT_TRUE(IsInternal(col->Eval(row).status()));
+  // A position past the row's end is caught, not read.
+  Row narrow;
+  narrow.data = Tuple({Value::String("Swan Goose")});
+  EXPECT_TRUE(IsInternal(Resolved(Col("weight"))->Eval(narrow).status()));
+}
+
+TEST(ExpressionTest, CloneKeepsTheResolvedPosition) {
+  const Row row = TestRow();
+  auto copy = Resolved(Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(7))))
+                  ->Clone();
+  EXPECT_TRUE(*copy->EvalBool(row));
+}
+
+TEST(ExpressionTest, ReResolvingReadsTheNewPosition) {
+  auto col = Resolved(Col("count"));
+  EXPECT_EQ(col->Eval(TestRow())->AsInt(), 7);
+  // The same columns in another order: "count" now sits first.
+  const Schema permuted({{"count", ValueType::kInt64},
+                         {"weight", ValueType::kDouble},
+                         {"name", ValueType::kString}});
+  ASSERT_TRUE(col->Resolve(permuted).ok());
+  Row row;
+  row.data = Tuple({Value::Int(11), Value::Double(3.5),
+                    Value::String("Swan Goose")});
+  EXPECT_EQ(col->Eval(row)->AsInt(), 11);
 }
 
 TEST(MatchIndexablePredicateTest, MatchesTargetShapes) {

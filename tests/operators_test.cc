@@ -351,11 +351,10 @@ TEST(SortTest, ExternalSortMatchesMemorySort) {
   EXPECT_GT(ext.runs_spilled(), 1u);
 
   ASSERT_EQ(mem_rows->size(), ext_rows->size());
-  const Schema& schema = db.birds->schema();
   auto key = LabelValue("ClassBird1", "Disease");
   for (size_t i = 0; i < mem_rows->size(); ++i) {
-    EXPECT_EQ(key->Eval((*mem_rows)[i], schema)->ToString(),
-              key->Eval((*ext_rows)[i], schema)->ToString())
+    EXPECT_EQ(key->Eval((*mem_rows)[i])->ToString(),
+              key->Eval((*ext_rows)[i])->ToString())
         << "position " << i;
   }
 }
@@ -932,6 +931,41 @@ TEST(SortTest, KeyErrorFailsAtAnyInputSize) {
   }
 }
 
+// An expression naming a column its input lacks fails at Open, whatever
+// the input holds: an empty input must not hide the unknown name.
+TEST(ResolveTest, UnknownColumnFailsAtOpenOverAnyInput) {
+  const Schema schema({{"k", ValueType::kInt64}});
+  for (size_t n : {size_t{0}, size_t{1}}) {
+    auto input = [&] {
+      std::vector<Row> rows(n);
+      for (Row& row : rows) row.data = Tuple({Value::Int(1)});
+      return std::make_unique<VectorSourceOp>(schema, std::move(rows));
+    };
+    auto nope = [] {
+      return Cmp(Col("nope"), CompareOp::kEq, Lit(Value::Int(1)));
+    };
+    std::vector<OpPtr> ops;
+    ops.push_back(std::make_unique<SelectOp>(input(), nope()));
+    std::vector<SortKey> keys;
+    keys.push_back(SortKey{Col("nope"), false});
+    ops.push_back(std::make_unique<SortOp>(input(), std::move(keys),
+                                           SortOp::Mode::kMemory));
+    std::vector<AggregateSpec> aggs;
+    aggs.push_back(
+        AggregateSpec{AggregateSpec::Kind::kSum, Col("nope"), "total"});
+    ops.push_back(std::make_unique<HashAggregateOp>(
+        input(), std::vector<std::string>{"k"}, std::move(aggs),
+        NullResolver()));
+    ops.push_back(
+        std::make_unique<NestedLoopJoinOp>(input(), input(), nope()));
+    for (const OpPtr& op : ops) {
+      const Status st = op->Open();
+      EXPECT_TRUE(st.IsNotFound())
+          << op->Describe() << " over " << n << " rows: " << st.ToString();
+    }
+  }
+}
+
 // DESC over ties and NULLs: both sort modes keep exactly the order of a
 // stable sort under the per-comparison key evaluation they replaced.
 TEST(SortTest, DescTiesAndNullsKeepComparatorOrder) {
@@ -957,11 +991,14 @@ TEST(SortTest, DescTiesAndNullsKeepComparatorOrder) {
     // for DESC (the comparator SortOp used before keys were decorated).
     std::vector<Row> expected = input;
     const std::vector<SortKey> ref_keys = make_keys(two_keys);
+    for (const SortKey& key : ref_keys) {
+      ASSERT_TRUE(key.expr->Resolve(schema).ok());
+    }
     std::stable_sort(expected.begin(), expected.end(),
                      [&](const Row& a, const Row& b) {
                        for (const SortKey& key : ref_keys) {
-                         int c = key.expr->Eval(a, schema)->Compare(
-                             *key.expr->Eval(b, schema));
+                         int c = key.expr->Eval(a)->Compare(
+                             *key.expr->Eval(b));
                          if (key.descending) c = -c;
                          if (c != 0) return c < 0;
                        }

@@ -290,7 +290,7 @@ TEST_F(OptimizerTest, SortEliminationViaInterestingOrder) {
   int64_t prev = -1;
   auto key = LabelValue("ClassBird1", "Disease");
   for (const Row& row : *rows) {
-    const int64_t v = key->Eval(row, db.birds->schema())->AsInt();
+    const int64_t v = key->Eval(row)->AsInt();
     EXPECT_GE(v, prev);
     prev = v;
   }

@@ -294,10 +294,9 @@ class ScanDifferentialTest : public ::testing::TestWithParam<PathCase> {
       }
       if (GetParam().disease_ordered) {
         const auto disease = LabelValue("ClassBird1", "Disease");
-        const Schema& schema = state_.db.birds->schema();
         for (size_t i = 1; i < propagated->size(); ++i) {
-          EXPECT_LE(disease->Eval((*propagated)[i - 1], schema)
-                        ->Compare(*disease->Eval((*propagated)[i], schema)),
+          EXPECT_LE(disease->Eval((*propagated)[i - 1])
+                        ->Compare(*disease->Eval((*propagated)[i])),
                     0)
               << "position " << i;
         }

@@ -248,7 +248,7 @@ class TopKDifferentialTest : public ::testing::TestWithParam<TopKCase> {
     if (!rows.ok()) return out;
     auto key = LabelValue("ClassBird1", "Disease");
     for (const Row& row : *rows) {
-      auto v = key->Eval(row, (*op)->schema());
+      auto v = key->Eval(row);
       EXPECT_TRUE(v.ok()) << v.status().ToString();
       out.keys.push_back(v.ok() ? v->ToString() : "?");
     }
