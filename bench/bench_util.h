@@ -87,12 +87,14 @@ inline std::string HostJson() {
 
 inline void PrintHeader(const char* figure, const char* paper_expectation,
                         const BenchConfig& config) {
-  std::printf("==============================================================\n");
+  std::printf(
+      "==============================================================\n");
   std::printf("%s\n", figure);
   std::printf("paper: %s\n", paper_expectation);
   std::printf("config: %zu birds (scale %.3g), seed %llu\n", config.birds(),
               config.scale, static_cast<unsigned long long>(config.seed));
-  std::printf("==============================================================\n");
+  std::printf(
+      "==============================================================\n");
 }
 
 /// Median wall-clock milliseconds of `repeats` runs of `fn`, after one

@@ -95,6 +95,23 @@ class SerdeReader {
     return true;
   }
 
+  /// ReadString without the copy: `out` views the buffer.
+  bool ReadStringView(std::string_view* out) {
+    uint32_t len;
+    if (!ReadU32(&len)) return false;
+    if (pos_ + len > data_.size()) return false;
+    *out = data_.substr(pos_, len);
+    pos_ += len;
+    return true;
+  }
+
+  /// Steps over `n` bytes.
+  bool Skip(size_t n) {
+    if (n > data_.size() - pos_) return false;
+    pos_ += n;
+    return true;
+  }
+
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t position() const { return pos_; }
 

@@ -1,5 +1,8 @@
 #include "engine/expression.h"
 
+#include <optional>
+#include <type_traits>
+
 #include "common/string_util.h"
 
 namespace insight {
@@ -171,67 +174,77 @@ Result<Value> LikeExpr::Eval(const Row& row) const {
   return Value::Bool(LikeMatch(v.AsString(), pattern_));
 }
 
-Result<Value> SummaryFuncExpr::Eval(const Row& row) const {
-  if (kind_ == SummaryFuncKind::kSetSize) {
-    return Value::Int(row.summaries.GetSize());
+namespace {
+
+/// Positional snippet/cluster reads: out-of-range positions yield NULL
+/// (snippet and group counts vary per tuple, unlike the fixed classifier
+/// label set).
+template <typename T>
+Result<Value> NullIfOutOfRange(const Result<T>& r) {
+  if (r.ok()) {
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return Value::Int(*r);
+    } else {
+      return Value::String(*r);
+    }
   }
-  const SummaryObject* obj = row.summaries.GetSummaryObject(instance_);
-  switch (kind_) {
+  return r.status().IsOutOfRange() ? Result<Value>(Value::Null())
+                                   : Result<Value>(r.status());
+}
+
+/// One function over the named object (null when absent), decoded
+/// (SummaryObject) or read in place (StoredSummaryObject).
+template <typename Obj>
+Result<Value> EvalOnObject(const SummaryFuncExpr& f, const Obj* obj) {
+  switch (f.kind()) {
     case SummaryFuncKind::kHasObject:
       return Value::Bool(obj != nullptr);
+    case SummaryFuncKind::kContainsSingle:
+      return Value::Bool(obj != nullptr && obj->ContainsSingle(f.keywords()));
+    case SummaryFuncKind::kContainsUnion:
+      return Value::Bool(obj != nullptr && obj->ContainsUnion(f.keywords()));
+    default:
+      break;
+  }
+  if (obj == nullptr) return Value::Null();
+  switch (f.kind()) {
     case SummaryFuncKind::kObjectSize:
-      if (obj == nullptr) return Value::Null();
       return Value::Int(obj->GetSize());
     case SummaryFuncKind::kLabelValue: {
-      if (obj == nullptr) return Value::Null();
-      auto value = obj->GetLabelValue(label_);
-      if (!value.ok()) return value.status();
-      return Value::Int(*value);
+      INSIGHT_ASSIGN_OR_RETURN(int64_t value, obj->GetLabelValue(f.label()));
+      return Value::Int(value);
     }
-    case SummaryFuncKind::kContainsSingle:
-      return Value::Bool(obj != nullptr && obj->ContainsSingle(keywords_));
-    case SummaryFuncKind::kContainsUnion:
-      return Value::Bool(obj != nullptr && obj->ContainsUnion(keywords_));
     case SummaryFuncKind::kLabelName: {
-      if (obj == nullptr) return Value::Null();
-      auto name = obj->GetLabelName(index_);
-      if (!name.ok()) return name.status();
-      return Value::String(*name);
+      INSIGHT_ASSIGN_OR_RETURN(std::string name, obj->GetLabelName(f.index()));
+      return Value::String(std::move(name));
     }
     case SummaryFuncKind::kLabelValueAt: {
-      if (obj == nullptr) return Value::Null();
-      auto value = obj->GetLabelValue(index_);
-      if (!value.ok()) return value.status();
-      return Value::Int(*value);
+      INSIGHT_ASSIGN_OR_RETURN(int64_t value, obj->GetLabelValue(f.index()));
+      return Value::Int(value);
     }
-    case SummaryFuncKind::kSnippetAt: {
-      if (obj == nullptr) return Value::Null();
-      // Out-of-range positions yield NULL (snippet counts vary per
-      // tuple, unlike the fixed classifier label set).
-      auto snippet = obj->GetSnippet(index_);
-      if (snippet.ok()) return Value::String(*snippet);
-      return snippet.status().IsOutOfRange()
-                 ? Result<Value>(Value::Null())
-                 : Result<Value>(snippet.status());
-    }
-    case SummaryFuncKind::kGroupSizeAt: {
-      if (obj == nullptr) return Value::Null();
-      auto size = obj->GetGroupSize(index_);
-      if (size.ok()) return Value::Int(*size);
-      return size.status().IsOutOfRange() ? Result<Value>(Value::Null())
-                                          : Result<Value>(size.status());
-    }
-    case SummaryFuncKind::kRepresentative: {
-      if (obj == nullptr) return Value::Null();
-      auto rep = obj->GetRepresentative(index_);
-      if (rep.ok()) return Value::String(*rep);
-      return rep.status().IsOutOfRange() ? Result<Value>(Value::Null())
-                                         : Result<Value>(rep.status());
-    }
-    case SummaryFuncKind::kSetSize:
-      break;  // Handled above.
+    case SummaryFuncKind::kSnippetAt:
+      return NullIfOutOfRange(obj->GetSnippet(f.index()));
+    case SummaryFuncKind::kGroupSizeAt:
+      return NullIfOutOfRange(obj->GetGroupSize(f.index()));
+    case SummaryFuncKind::kRepresentative:
+      return NullIfOutOfRange(obj->GetRepresentative(f.index()));
+    default:
+      break;
   }
   return Status::Internal("unreachable summary function");
+}
+
+}  // namespace
+
+Result<Value> SummaryFuncExpr::Eval(const Row& row) const {
+  const SummarySet& set = row.summaries;
+  if (kind_ == SummaryFuncKind::kSetSize) return Value::Int(set.GetSize());
+  if (set.stored()) {
+    const std::optional<StoredSummaryObject> obj =
+        set.FindStoredObject(instance_);
+    return EvalOnObject(*this, obj.has_value() ? &*obj : nullptr);
+  }
+  return EvalOnObject(*this, set.GetSummaryObject(instance_));
 }
 
 std::string SummaryFuncExpr::ToString() const {

@@ -193,6 +193,10 @@ class SeqScanOp : public ScanOp {
   /// Pages whose zone maps refute this predicate are skipped before the
   /// buffer-pool fetch (optimizer-attached; empty disables pruning).
   void SetZonePredicate(ZonePredicate pred) { zone_pred_ = std::move(pred); }
+  /// The relation's columns the statement reads (optimizer-attached; empty
+  /// decodes every column). The others are skipped and left NULL, so the
+  /// rows keep the relation's width and every column its position.
+  void SetReadColumns(std::vector<bool> read) { read_ = std::move(read); }
   /// EXPLAIN ANALYZE: `pages_skipped=` per scan operator.
   std::string AnalyzeAnnotation() const override;
   uint64_t pages_skipped() const { return pages_skipped_; }
@@ -205,6 +209,7 @@ class SeqScanOp : public ScanOp {
   Table* table_;
   std::optional<Table::Iterator> it_;
   ZonePredicate zone_pred_;
+  std::vector<bool> read_;
   uint64_t pages_skipped_ = 0;
 };
 

@@ -22,6 +22,7 @@ Status ParallelScanOp::OpenImpl() {
 
 void ParallelScanOp::OpenMorsel(PageId begin, PageId end) {
   it_.emplace(table_->ScanRange(begin, end, snapshot()));
+  it_->SetReadColumns(read_);
   if (!zone_pred_.empty() && table_->zone_maps() != nullptr) {
     it_->EnableZonePruning(table_->zone_maps(), zone_pred_,
                            &pages_skipped_);

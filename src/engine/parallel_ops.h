@@ -69,6 +69,8 @@ class ParallelScanOp : public ScanOp {
   std::string Describe() const override;
   /// Same zone-map pruning as SeqScanOp, applied per claimed morsel.
   void SetZonePredicate(ZonePredicate pred) { zone_pred_ = std::move(pred); }
+  /// Same column pruning as SeqScanOp::SetReadColumns.
+  void SetReadColumns(std::vector<bool> read) { read_ = std::move(read); }
   std::string AnalyzeAnnotation() const override;
   uint64_t pages_skipped() const { return pages_skipped_; }
 
@@ -84,6 +86,7 @@ class ParallelScanOp : public ScanOp {
   std::shared_ptr<MorselSource> morsels_;
   std::optional<Table::Iterator> it_;  // Current morsel's iterator.
   ZonePredicate zone_pred_;
+  std::vector<bool> read_;
   uint64_t pages_skipped_ = 0;
 };
 

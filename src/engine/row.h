@@ -40,9 +40,10 @@ struct Row {
     if (!reader.ReadU64(&oid)) return Status::Corruption("row: oid");
     row.oid = oid;
     INSIGHT_ASSIGN_OR_RETURN(row.data, Tuple::Deserialize(&reader));
-    // SummarySet::Deserialize consumes a standalone buffer; re-slice.
-    std::string rest(buf.substr(reader.position()));
-    INSIGHT_ASSIGN_OR_RETURN(row.summaries, SummarySet::Deserialize(rest));
+    // The rest of the buffer is the set's stored form.
+    INSIGHT_ASSIGN_OR_RETURN(
+        row.summaries,
+        SummarySet::FromStored(std::string(buf.substr(reader.position()))));
     return row;
   }
 };

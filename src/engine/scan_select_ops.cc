@@ -126,6 +126,7 @@ Status SeqScanOp::OpenImpl() {
   ResetExec();
   pages_skipped_ = 0;
   it_.emplace(table_->Scan(snapshot()));
+  it_->SetReadColumns(read_);
   if (!zone_pred_.empty() && table_->zone_maps() != nullptr) {
     it_->EnableZonePruning(table_->zone_maps(), zone_pred_, &pages_skipped_);
   }

@@ -64,7 +64,8 @@ std::string Table::EncodeRecord(Oid oid, Ts begin, Ts end,
   return rec;
 }
 
-Result<Table::DecodedRecord> Table::DecodeRecord(std::string_view rec) {
+Result<Table::DecodedRecord> Table::DecodeRecord(
+    std::string_view rec, const std::vector<bool>& read) {
   SerdeReader reader(rec);
   DecodedRecord out;
   uint64_t oid;
@@ -74,7 +75,7 @@ Result<Table::DecodedRecord> Table::DecodeRecord(std::string_view rec) {
       !reader.ReadU64(&end)) {
     return Status::Corruption("record: missing version header");
   }
-  INSIGHT_ASSIGN_OR_RETURN(out.tuple, Tuple::Deserialize(&reader));
+  INSIGHT_ASSIGN_OR_RETURN(out.tuple, Tuple::Deserialize(&reader, read));
   out.oid = oid;
   out.begin = begin;
   out.end = end;
@@ -699,9 +700,8 @@ const BTree* Table::GetColumnIndex(const std::string& column) const {
 
 bool Table::Iterator::Next(Oid* oid, Tuple* tuple) {
   RowLocation loc;
-  std::string rec;
-  while (it_.Next(&loc, &rec)) {
-    auto decoded = DecodeRecord(rec);
+  while (it_.Next(&loc, &rec_)) {
+    auto decoded = DecodeRecord(rec_, read_);
     if (!decoded.ok()) return false;
     DecodedRecord& d = decoded.ValueOrDie();
     if (!VersionVisible(d.begin, d.end, snap_)) continue;

@@ -141,6 +141,10 @@ class Table {
         : it_(table->heap_->ScanRange(begin, end)), snap_(snap) {}
     bool Next(Oid* oid, Tuple* tuple);
 
+    /// Decodes only the columns `read` marks; the others are skipped by
+    /// length and left NULL (Tuple::Deserialize). Empty: every column.
+    void SetReadColumns(std::vector<bool> read) { read_ = std::move(read); }
+
     /// Installs zone-map pruning: pages `zones` can refute under `pred`
     /// are skipped before they are pinned. `pages_skipped` (optional)
     /// is bumped per pruned page and must outlive the iterator.
@@ -150,6 +154,8 @@ class Table {
    private:
     HeapFile::Iterator it_;
     Snapshot snap_;
+    std::vector<bool> read_;
+    std::string rec_;  // The current record's bytes, reused across rows.
   };
   Iterator Scan(const Snapshot& snap = Snapshot::Latest()) const {
     return Iterator(this, snap);
@@ -208,7 +214,9 @@ class Table {
     Ts end;
     Tuple tuple;
   };
-  static Result<DecodedRecord> DecodeRecord(std::string_view rec);
+  /// `read` as in Tuple::Deserialize (empty: every column).
+  static Result<DecodedRecord> DecodeRecord(std::string_view rec,
+                                            const std::vector<bool>& read = {});
 
   /// Shared insert path: stamps per CurrentTxn() and registers closures.
   Status InsertRecord(Oid oid, const Tuple& tuple);

@@ -33,7 +33,8 @@ int MustEventFd() {
 
 }  // namespace
 
-EventLoop::EventLoop() : epoll_fd_(MustEpollCreate()), wakeup_fd_(MustEventFd()) {
+EventLoop::EventLoop()
+    : epoll_fd_(MustEpollCreate()), wakeup_fd_(MustEventFd()) {
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = wakeup_fd_;

@@ -17,7 +17,8 @@ constexpr double kTupleCpu = 0.01;
 constexpr double kIndexDescent = 3.0;       // B-Tree root-to-leaf pages.
 constexpr double kBackwardHitIo = 1.1;      // Heap page per hit.
 constexpr double kConventionalHitIo = 2.6;  // Storage row + OID probe + heap.
-constexpr double kBaselineHitIo = 3.2;      // Normalized row + OID probe + heap.
+// Normalized row + OID probe + heap.
+constexpr double kBaselineHitIo = 3.2;
 constexpr double kDataIndexHitIo = 2.1;     // OID probe + heap page.
 constexpr double kPropagationIo = 1.2;      // Summary-storage row per tuple.
 
@@ -624,9 +625,10 @@ ZoneOp ZoneOpFor(CompareOp op) {
 // classifier instances so a skipped page cannot mask the type error a
 // non-classifier probe raises.
 // `schema` is what the scan emits; its ordinals are the heap's.
-ZonePredicate BuildZonePredicate(const RelationInfo& info, const Schema& schema,
-                                 const std::vector<ExprPtr>& data_conjuncts,
-                                 const std::vector<ExprPtr>& summary_conjuncts) {
+ZonePredicate BuildZonePredicate(
+    const RelationInfo& info, const Schema& schema,
+    const std::vector<ExprPtr>& data_conjuncts,
+    const std::vector<ExprPtr>& summary_conjuncts) {
   ZonePredicate pred;
   for (const ExprPtr& conjunct : data_conjuncts) {
     auto cp = MatchColumnPredicate(conjunct.get());
@@ -831,6 +833,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
         for (size_t w = 0; w < workers; ++w) {
           auto scan = std::make_unique<ParallelScanOp>(info->table, morsels);
           scan->SetZonePredicate(zone_pred);  // Copy: one per partition.
+          scan->SetReadColumns(ReadColumns(*cur, info->table->schema()));
           scan->Qualify(cur->alias);
           Lowered part{std::move(scan), std::nullopt,
                        propagate ? info->mgr : nullptr};
@@ -844,6 +847,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       }
       auto scan = std::make_unique<SeqScanOp>(info->table);
       scan->SetZonePredicate(std::move(zone_pred));
+      scan->SetReadColumns(ReadColumns(*cur, info->table->schema()));
       op = std::move(scan);
       break;
     }
@@ -1345,9 +1349,83 @@ Result<OpPtr> Optimizer::Lower(const LogicalNode& plan) {
   return root;
 }
 
-Result<OpPtr> Optimizer::Optimize(LogicalPtr plan) {
+void Optimizer::CollectReads(const LogicalNode& node, ReadSet* reads) {
+  std::vector<std::string> names;
+  auto collect = [&](const Expression* expr) {
+    if (expr != nullptr) expr->CollectColumns(&names);
+  };
+  switch (node.kind) {
+    case LogicalKind::kSelect:
+    case LogicalKind::kSummarySelect:
+    case LogicalKind::kJoin:
+      collect(node.predicate.get());
+      break;
+    case LogicalKind::kSummaryJoin:
+      collect(node.summary_join_predicate.left_expr.get());
+      collect(node.summary_join_predicate.right_expr.get());
+      collect(node.summary_join_predicate.merged_expr.get());
+      break;
+    case LogicalKind::kProject:
+      names = node.columns;
+      break;
+    case LogicalKind::kSort:
+      for (const SortKey& key : node.sort_keys) collect(key.expr.get());
+      break;
+    case LogicalKind::kAggregate:
+      names = node.group_columns;
+      for (const AggregateSpec& agg : node.aggregates) collect(agg.arg.get());
+      break;
+    case LogicalKind::kDistinct:
+      CollectWholeRows(*node.children[0], reads);
+      break;
+    case LogicalKind::kScan:
+    case LogicalKind::kSummaryFilter:
+    case LogicalKind::kLimit:
+      break;
+  }
+  for (const std::string& name : names) reads->columns.insert(ToLower(name));
+  for (const LogicalPtr& child : node.children) CollectReads(*child, reads);
+}
+
+void Optimizer::CollectWholeRows(const LogicalNode& node, ReadSet* reads) {
+  switch (node.kind) {
+    case LogicalKind::kProject:
+    case LogicalKind::kAggregate:
+      return;  // Their output columns are in the read set already.
+    case LogicalKind::kScan:
+      reads->whole_rows.insert(&node);
+      return;
+    default:
+      for (const LogicalPtr& child : node.children) {
+        CollectWholeRows(*child, reads);
+      }
+  }
+}
+
+std::vector<bool> Optimizer::ReadColumns(const LogicalNode& scan,
+                                         const Schema& schema) const {
+  if (!reads_.has_value() || reads_->whole_rows.count(&scan) > 0) return {};
+  const Schema emitted = schema.Qualified(scan.alias);
+  std::vector<bool> read(emitted.num_columns());
+  for (size_t i = 0; i < read.size(); ++i) {
+    read[i] = reads_->columns.count(ToLower(emitted.column(i).name)) > 0;
+  }
+  return read;
+}
+
+Result<OpPtr> Optimizer::Optimize(
+    LogicalPtr plan, std::optional<std::vector<std::string>> outputs) {
   INSIGHT_ASSIGN_OR_RETURN(plan, Rewrite(std::move(plan)));
-  return Lower(*plan);
+  if (outputs.has_value()) {
+    reads_.emplace();
+    for (const std::string& name : *outputs) {
+      reads_->columns.insert(ToLower(name));
+    }
+    CollectReads(*plan, &*reads_);
+  }
+  Result<OpPtr> op = Lower(*plan);
+  reads_.reset();
+  return op;
 }
 
 }  // namespace insight

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -75,8 +76,14 @@ class Optimizer {
   Optimizer(QueryContext* ctx, OptimizerOptions options)
       : ctx_(ctx), options_(options) {}
 
-  /// Full pipeline: rewrite (if enabled) then lower.
-  Result<OpPtr> Optimize(LogicalPtr plan);
+  /// Full pipeline: rewrite (if enabled) then lower. `outputs` names the
+  /// columns the caller reads from the plan's rows besides the plan
+  /// itself (the select list it evaluates over them). Given it, each heap
+  /// scan decodes only the columns the plan or `outputs` read; without it
+  /// (`SELECT *`, or a caller that reads whole rows) every column.
+  Result<OpPtr> Optimize(
+      LogicalPtr plan,
+      std::optional<std::vector<std::string>> outputs = std::nullopt);
 
   /// Rule application only (exposed for tests / EXPLAIN).
   Result<LogicalPtr> Rewrite(LogicalPtr plan);
@@ -147,6 +154,20 @@ class Optimizer {
                             const std::vector<ExprPtr>& summary_conjuncts,
                             Lowered* lowered);
 
+  /// What one statement reads of its base relations: every column name
+  /// the plan or the select list references (lower-cased), plus the scans
+  /// whose whole rows are read (a Distinct compares every column of its
+  /// input unless a Project or Aggregate narrows it first).
+  struct ReadSet {
+    std::set<std::string> columns;
+    std::set<const LogicalNode*> whole_rows;
+  };
+  static void CollectReads(const LogicalNode& node, ReadSet* reads);
+  static void CollectWholeRows(const LogicalNode& node, ReadSet* reads);
+  /// A heap scan's read mask over its relation's columns (empty: all).
+  std::vector<bool> ReadColumns(const LogicalNode& scan,
+                                const Schema& schema) const;
+
   /// The sketch-tier consultation policy derived from the options.
   SketchPolicy sketch_policy() const {
     return SketchPolicy{options_.use_sketch_statistics,
@@ -163,6 +184,9 @@ class Optimizer {
   /// order is nondeterministic, so parallel scans never appear below an
   /// order-sensitive operator (the "never under O" rule).
   bool allow_parallel_ = true;
+  /// Set by Optimize when the caller names its outputs; heap scans prune
+  /// their columns to it while the plan lowers.
+  std::optional<ReadSet> reads_;
 };
 
 /// Splits a conjunctive predicate into its AND-ed conjuncts (each cloned).

@@ -473,7 +473,8 @@ Status SummaryBTree::FetchRows(std::span<const SummaryIndexHit> hits,
     row.data = std::move(*data[k]);
     if (with_summaries) {
       INSIGHT_ASSIGN_OR_RETURN(
-          row.summaries, SummarySet::Deserialize(stored[k]->at(0).AsString()));
+          row.summaries,
+          SummarySet::FromStored(std::move(stored[k]->at(0)).AsString()));
     }
   }
   for (Row& row : rows) out->Push(std::move(row));

@@ -69,7 +69,8 @@ void Database::InstallWalHooks() {
     // are in the log but no commit record ever will be).
     INSIGHT_CRASH_POINT("txn_abort_mid");
     open_txn_begin_lsns_.erase(txn.id());
-    return wal_->Append(WalRecordType::kTxnAbort, WalTxnAbort{txn.id()}.Encode())
+    return wal_
+        ->Append(WalRecordType::kTxnAbort, WalTxnAbort{txn.id()}.Encode())
         .status();
   };
   txn_mgr_.SetWalHooks(std::move(hooks));

@@ -329,6 +329,16 @@ Result<StatementExecutor::BoundSelect> StatementExecutor::BindSelect(
   return out;
 }
 
+std::optional<std::vector<std::string>>
+StatementExecutor::BoundSelect::OutputColumns() const {
+  std::vector<std::string> columns;
+  for (const ExprPtr& output : outputs) {
+    if (output == nullptr) return std::nullopt;
+    output->CollectColumns(&columns);
+  }
+  return columns;
+}
+
 Status StatementExecutor::RefreshSelectStats(const SelectStatement& select) {
   // Fold maintained-on-update summary statistics into the planner's view
   // (Section 5.2); cheap, no scans.
@@ -369,7 +379,9 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
     }
     return result;
   }
-  INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Optimize(std::move(bound.plan)));
+  INSIGHT_ASSIGN_OR_RETURN(
+      OpPtr op,
+      optimizer.Optimize(std::move(bound.plan), bound.OutputColumns()));
   plan_gate.unlock();  // Execution runs gate-free.
   // Pin every read in the plan — scans, index probes, summary fetches —
   // to the caller's snapshot via a per-query context copy. The shared
@@ -585,7 +597,9 @@ Result<std::string> StatementExecutor::ExplainAnalyze(
   std::shared_lock<std::shared_mutex> plan_gate(plan_mu_);
   INSIGHT_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(select));
   Optimizer optimizer(db_->context(), db_->optimizer_options());
-  INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Optimize(std::move(bound.plan)));
+  INSIGHT_ASSIGN_OR_RETURN(
+      OpPtr op,
+      optimizer.Optimize(std::move(bound.plan), bound.OutputColumns()));
   plan_gate.unlock();
   ExecutionContext query_ctx = *db_->context()->exec_context();
   query_ctx.set_snapshot(snap);

@@ -1,6 +1,7 @@
 #ifndef INSIGHTNOTES_SQL_STATEMENT_EXECUTOR_H_
 #define INSIGHTNOTES_SQL_STATEMENT_EXECUTOR_H_
 
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -70,7 +71,11 @@ class StatementExecutor {
   /// expression per select item (null for `*`).
   struct BoundSelect {
     LogicalPtr plan;
-    std::vector<ExprPtr> outputs;
+    std::vector<ExprPtr> outputs;  // Null for a `*` item.
+
+    /// The columns the select list reads (Optimizer::Optimize's
+    /// `outputs`); nullopt under `*`, which reads every column.
+    std::optional<std::vector<std::string>> OutputColumns() const;
   };
   /// The one place names resolve: every column reference and `$`
   /// qualifier becomes the `rel.col` of exactly one FROM entry, and join

@@ -61,8 +61,10 @@ Status PwriteFully(int fd, const void* buf, size_t count, off_t offset,
 
 Status SyncContainingDirectory(const std::string& path) {
   const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.empty() ? "/" : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash);
+  const int fd =
+      ::open(dir.empty() ? "/" : dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) {
     return Status::IOError("open dir " + dir + ": " + std::strerror(errno));
   }

@@ -141,9 +141,9 @@ Status SummaryInstance::ApplyRemove(SummaryObject* obj, AnnId ann,
   }
   for (size_t i = 0; i < obj->elements.size(); ++i) {
     auto& elems = obj->elements[i];
-    auto it = std::find_if(elems.begin(), elems.end(), [&](const ElementRef& e) {
-      return e.ann_id == ann;
-    });
+    auto it = std::find_if(
+        elems.begin(), elems.end(),
+        [&](const ElementRef& e) { return e.ann_id == ann; });
     if (it == elems.end()) continue;
     elems.erase(it);
     switch (type_) {

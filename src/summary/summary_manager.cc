@@ -357,7 +357,7 @@ Status SummaryManager::AttachSummaries(RowBatch* batch,
       continue;
     }
     INSIGHT_ASSIGN_OR_RETURN(
-        out, SummarySet::Deserialize(stored[k]->at(0).AsString()));
+        out, SummarySet::FromStored(std::move(stored[k]->at(0)).AsString()));
   }
   return Status::OK();
 }

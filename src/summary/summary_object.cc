@@ -1,7 +1,10 @@
 #include "summary/summary_object.h"
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace insight {
@@ -26,108 +29,134 @@ int64_t SummaryObject::TotalAnnotations() const {
   return static_cast<int64_t>(distinct.size());
 }
 
-Result<std::string> SummaryObject::GetLabelName(size_t i) const {
-  if (type != SummaryType::kClassifier) {
-    return Status::TypeError("getLabelName on " + std::string(
-                                 SummaryTypeToString(type)));
-  }
-  if (i >= reps.size()) return Status::OutOfRange("label index");
-  return reps[i].text;
+namespace {
+
+/// True when `text` is a leaf under the inner label `label`:
+/// case-insensitively, `text` starts with "label/".
+bool UnderLabel(std::string_view text, std::string_view label) {
+  return text.size() > label.size() && text[label.size()] == '/' &&
+         EqualsIgnoreCase(text.substr(0, label.size()), label);
 }
 
-Result<int64_t> SummaryObject::GetLabelValue(size_t i) const {
-  if (type != SummaryType::kClassifier) {
-    return Status::TypeError("getLabelValue on " + std::string(
-                                 SummaryTypeToString(type)));
+}  // namespace
+
+template <typename Obj>
+Result<RepView> SummaryFunctions<Obj>::RepAt(size_t i, SummaryType want,
+                                             const char* fn,
+                                             const char* what) const {
+  const SummaryType type = self().GetSummaryType();
+  if (type != want) {
+    return Status::TypeError(std::string(fn) + " on " +
+                             SummaryTypeToString(type));
   }
-  if (i >= reps.size()) return Status::OutOfRange("label index");
-  return reps[i].count;
+  if (i >= static_cast<size_t>(self().GetSize())) {
+    return Status::OutOfRange(what);
+  }
+  RepView out;
+  size_t k = 0;
+  self().ForEachRep([&](RepView rep) {
+    if (k++ < i) return true;
+    out = rep;
+    return false;
+  });
+  return out;
 }
 
-Result<size_t> SummaryObject::GetLabelIndex(std::string_view label) const {
+template <typename Obj>
+Result<std::string> SummaryFunctions<Obj>::GetLabelName(size_t i) const {
+  INSIGHT_ASSIGN_OR_RETURN(RepView rep, RepAt(i, SummaryType::kClassifier,
+                                              "getLabelName", "label index"));
+  return std::string(rep.text);
+}
+
+template <typename Obj>
+Result<int64_t> SummaryFunctions<Obj>::GetLabelValue(size_t i) const {
+  INSIGHT_ASSIGN_OR_RETURN(RepView rep, RepAt(i, SummaryType::kClassifier,
+                                              "getLabelValue", "label index"));
+  return rep.count;
+}
+
+template <typename Obj>
+Result<int64_t> SummaryFunctions<Obj>::GetLabelValue(
+    std::string_view label) const {
+  const SummaryType type = self().GetSummaryType();
   if (type != SummaryType::kClassifier) {
-    return Status::TypeError("getLabelIndex on " + std::string(
-                                 SummaryTypeToString(type)));
+    return Status::TypeError(std::string("getLabelValue on ") +
+                             SummaryTypeToString(type));
   }
-  for (size_t i = 0; i < reps.size(); ++i) {
-    if (EqualsIgnoreCase(reps[i].text, label)) return i;
-  }
+  // An exact (first) match wins; otherwise an inner label sums its
+  // subtree of leaves.
+  std::optional<int64_t> exact;
+  int64_t sum = 0;
+  bool inner = false;
+  self().ForEachRep([&](RepView rep) {
+    if (EqualsIgnoreCase(rep.text, label)) {
+      exact = rep.count;
+      return false;
+    }
+    if (UnderLabel(rep.text, label)) {
+      sum += rep.count;
+      inner = true;
+    }
+    return true;
+  });
+  if (exact.has_value()) return *exact;
+  if (inner) return sum;
   return Status::NotFound("no class label " + std::string(label));
 }
 
-Result<int64_t> SummaryObject::GetLabelValue(std::string_view label) const {
-  auto exact = GetLabelIndex(label);
-  if (exact.ok()) return reps[*exact].count;
-  // Hierarchical lookup: an inner label sums its subtree of leaves.
-  const std::string prefix = ToLower(std::string(label)) + "/";
-  int64_t sum = 0;
-  bool found = false;
-  for (const Representative& rep : reps) {
-    if (StartsWith(ToLower(rep.text), prefix)) {
-      sum += rep.count;
-      found = true;
-    }
-  }
-  if (found) return sum;
-  return exact.status();
+template <typename Obj>
+Result<std::string> SummaryFunctions<Obj>::GetSnippet(size_t i) const {
+  INSIGHT_ASSIGN_OR_RETURN(RepView rep, RepAt(i, SummaryType::kSnippet,
+                                              "getSnippet", "snippet index"));
+  return std::string(rep.text);
 }
 
-Result<std::string> SummaryObject::GetSnippet(size_t i) const {
-  if (type != SummaryType::kSnippet) {
-    return Status::TypeError("getSnippet on " + std::string(
-                                 SummaryTypeToString(type)));
-  }
-  if (i >= reps.size()) return Status::OutOfRange("snippet index");
-  return reps[i].text;
-}
-
-bool SummaryObject::ContainsSingle(
+template <typename Obj>
+bool SummaryFunctions<Obj>::ContainsSingle(
     const std::vector<std::string>& keywords) const {
-  for (const Representative& rep : reps) {
-    bool all = true;
-    for (const std::string& kw : keywords) {
-      if (!ContainsWord(rep.text, kw)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-  }
-  return false;
+  bool found = false;
+  self().ForEachRep([&](RepView rep) {
+    found = std::all_of(keywords.begin(), keywords.end(),
+                        [&](const std::string& kw) {
+                          return ContainsWord(rep.text, kw);
+                        });
+    return !found;
+  });
+  return found;
 }
 
-bool SummaryObject::ContainsUnion(
+template <typename Obj>
+bool SummaryFunctions<Obj>::ContainsUnion(
     const std::vector<std::string>& keywords) const {
   for (const std::string& kw : keywords) {
     bool found = false;
-    for (const Representative& rep : reps) {
-      if (ContainsWord(rep.text, kw)) {
-        found = true;
-        break;
-      }
-    }
+    self().ForEachRep([&](RepView rep) {
+      found = ContainsWord(rep.text, kw);
+      return !found;
+    });
     if (!found) return false;
   }
   return true;
 }
 
-Result<std::string> SummaryObject::GetRepresentative(size_t i) const {
-  if (type != SummaryType::kCluster) {
-    return Status::TypeError("getRepresentative on " + std::string(
-                                 SummaryTypeToString(type)));
-  }
-  if (i >= reps.size()) return Status::OutOfRange("group index");
-  return reps[i].text;
+template <typename Obj>
+Result<std::string> SummaryFunctions<Obj>::GetRepresentative(size_t i) const {
+  INSIGHT_ASSIGN_OR_RETURN(
+      RepView rep,
+      RepAt(i, SummaryType::kCluster, "getRepresentative", "group index"));
+  return std::string(rep.text);
 }
 
-Result<int64_t> SummaryObject::GetGroupSize(size_t i) const {
-  if (type != SummaryType::kCluster) {
-    return Status::TypeError("getGroupSize on " + std::string(
-                                 SummaryTypeToString(type)));
-  }
-  if (i >= reps.size()) return Status::OutOfRange("group index");
-  return reps[i].count;
+template <typename Obj>
+Result<int64_t> SummaryFunctions<Obj>::GetGroupSize(size_t i) const {
+  INSIGHT_ASSIGN_OR_RETURN(RepView rep, RepAt(i, SummaryType::kCluster,
+                                              "getGroupSize", "group index"));
+  return rep.count;
 }
+
+template class SummaryFunctions<SummaryObject>;
+template class SummaryFunctions<StoredSummaryObject>;
 
 Status SummaryObject::CheckInvariants() const {
   if (reps.size() != elements.size()) {
@@ -187,51 +216,112 @@ void SummaryObject::Serialize(std::string* dst) const {
   }
 }
 
-Result<SummaryObject> SummaryObject::Deserialize(SerdeReader* reader) {
-  SummaryObject obj;
-  uint8_t type;
+namespace {
+
+/// The one reader of the stored encoding: every check a stored set must
+/// pass is made here, and `sink` receives the fields as they are read.
+/// DecodeSink builds objects (Deserialize); CheckSink keeps nothing
+/// (FromStored), so a stored set is accepted exactly when it decodes.
+template <typename Sink>
+Status ReadObjectEncoding(SerdeReader* reader, Sink* sink) {
+  uint8_t type = 0;
   if (!reader->ReadU8(&type)) return Status::Corruption("sobj: type");
   if (type < 1 || type > 3) return Status::Corruption("sobj: bad type");
-  obj.type = static_cast<SummaryType>(type);
-  if (!reader->ReadU64(&obj.obj_id)) return Status::Corruption("sobj: id");
-  if (!reader->ReadU32(&obj.instance_id)) {
+  uint64_t obj_id = 0;
+  if (!reader->ReadU64(&obj_id)) return Status::Corruption("sobj: id");
+  uint32_t instance_id = 0;
+  if (!reader->ReadU32(&instance_id)) {
     return Status::Corruption("sobj: instance");
   }
-  uint64_t tuple_id;
+  uint64_t tuple_id = 0;
   if (!reader->ReadU64(&tuple_id)) return Status::Corruption("sobj: tuple");
-  obj.tuple_id = tuple_id;
-  if (!reader->ReadString(&obj.instance_name)) {
-    return Status::Corruption("sobj: name");
-  }
-  uint32_t nreps;
+  std::string_view name;
+  if (!reader->ReadStringView(&name)) return Status::Corruption("sobj: name");
+  uint32_t nreps = 0;
   if (!reader->ReadU32(&nreps)) return Status::Corruption("sobj: reps");
   if (nreps > (1u << 20)) return Status::Corruption("sobj: implausible reps");
-  obj.reps.reserve(nreps);
-  obj.elements.reserve(nreps);
+  sink->Object(static_cast<SummaryType>(type), obj_id, instance_id,
+               tuple_id, name, nreps);
   for (uint32_t i = 0; i < nreps; ++i) {
-    Representative rep;
-    if (!reader->ReadString(&rep.text)) return Status::Corruption("rep text");
-    if (!reader->ReadI64(&rep.count)) return Status::Corruption("rep count");
-    if (!reader->ReadU64(&rep.source_ann)) {
+    std::string_view text;
+    int64_t count = 0;
+    AnnId source_ann = 0;
+    if (!reader->ReadStringView(&text)) {
+      return Status::Corruption("rep text");
+    }
+    if (!reader->ReadI64(&count)) return Status::Corruption("rep count");
+    if (!reader->ReadU64(&source_ann)) {
       return Status::Corruption("rep source");
     }
-    uint32_t nelems;
+    uint32_t nelems = 0;
     if (!reader->ReadU32(&nelems)) return Status::Corruption("rep elems");
     if (nelems > (1u << 24)) return Status::Corruption("implausible elems");
-    std::vector<ElementRef> elems;
-    elems.reserve(nelems);
+    sink->Rep(text, count, source_ann, nelems);
     for (uint32_t j = 0; j < nelems; ++j) {
       ElementRef e;
       if (!reader->ReadU64(&e.ann_id)) return Status::Corruption("elem id");
       if (!reader->ReadU64(&e.column_mask)) {
         return Status::Corruption("elem mask");
       }
-      elems.push_back(e);
+      sink->Element(e);
     }
-    obj.reps.push_back(std::move(rep));
-    obj.elements.push_back(std::move(elems));
   }
-  return obj;
+  return Status::OK();
+}
+
+template <typename Sink>
+Status ReadSetEncoding(std::string_view buf, Sink* sink) {
+  SerdeReader reader(buf);
+  uint32_t n = 0;
+  if (!reader.ReadU32(&n)) return Status::Corruption("sset: count");
+  if (n > (1u << 16)) return Status::Corruption("sset: implausible count");
+  sink->Objects(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    INSIGHT_RETURN_NOT_OK(ReadObjectEncoding(&reader, sink));
+  }
+  return Status::OK();
+}
+
+struct DecodeSink {
+  std::vector<SummaryObject> objects;
+
+  void Objects(uint32_t n) { objects.reserve(n); }
+  void Object(SummaryType type, uint64_t obj_id, uint32_t instance_id,
+              uint64_t tuple_id, std::string_view name, uint32_t nreps) {
+    SummaryObject& obj = objects.emplace_back();
+    obj.type = type;
+    obj.obj_id = obj_id;
+    obj.instance_id = instance_id;
+    obj.tuple_id = tuple_id;
+    obj.instance_name = std::string(name);
+    obj.reps.reserve(nreps);
+    obj.elements.reserve(nreps);
+  }
+  void Rep(std::string_view text, int64_t count, AnnId source_ann,
+           uint32_t nelems) {
+    SummaryObject& obj = objects.back();
+    obj.reps.push_back(Representative{std::string(text), count, source_ann});
+    obj.elements.emplace_back().reserve(nelems);
+  }
+  void Element(ElementRef e) { objects.back().elements.back().push_back(e); }
+};
+
+struct CheckSink {
+  uint32_t objects = 0;
+
+  void Objects(uint32_t n) { objects = n; }
+  void Object(SummaryType, uint64_t, uint32_t, uint64_t, std::string_view,
+              uint32_t) {}
+  void Rep(std::string_view, int64_t, AnnId, uint32_t) {}
+  void Element(ElementRef) {}
+};
+
+}  // namespace
+
+Result<SummaryObject> SummaryObject::Deserialize(SerdeReader* reader) {
+  DecodeSink sink;
+  INSIGHT_RETURN_NOT_OK(ReadObjectEncoding(reader, &sink));
+  return std::move(sink.objects.back());
 }
 
 std::string SummaryObject::ToString() const {
@@ -273,46 +363,94 @@ bool SummaryObject::operator==(const SummaryObject& other) const {
   return true;
 }
 
+Result<SummarySet> SummarySet::FromStored(std::string bytes) {
+  CheckSink sink;
+  INSIGHT_RETURN_NOT_OK(ReadSetEncoding(bytes, &sink));
+  SummarySet set;
+  set.stored_ = std::move(bytes);
+  set.stored_size_ = sink.objects;
+  set.decoded_ = false;
+  return set;
+}
+
+std::optional<StoredSummaryObject> SummarySet::FindStoredObject(
+    std::string_view name) const {
+  SerdeReader reader(stored_);
+  reader.Skip(sizeof(uint32_t));  // Object count.
+  for (int64_t i = 0; i < stored_size_; ++i) {
+    StoredSummaryObject obj;
+    uint8_t type = 0;
+    uint32_t nreps = 0;
+    reader.ReadU8(&type);
+    reader.Skip(sizeof(uint64_t) + sizeof(uint32_t) + sizeof(Oid));
+    reader.ReadStringView(&obj.name_);
+    reader.ReadU32(&nreps);
+    const size_t reps_begin = reader.position();
+    for (uint32_t r = 0; r < nreps; ++r) StoredSummaryObject::ReadRep(&reader);
+    if (EqualsIgnoreCase(obj.name_, name)) {
+      obj.type_ = static_cast<SummaryType>(type);
+      obj.size_ = nreps;
+      obj.reps_ = std::string_view(stored_).substr(
+          reps_begin, reader.position() - reps_begin);
+      return obj;
+    }
+  }
+  return std::nullopt;
+}
+
+const std::vector<SummaryObject>& SummarySet::objects() const {
+  if (!decoded_) {
+    DecodeSink sink;
+    const Status st = ReadSetEncoding(stored_, &sink);
+    INSIGHT_CHECK(st.ok()) << "checked summary set fails to decode: "
+                           << st.ToString();
+    objects_ = std::move(sink.objects);
+    decoded_ = true;
+  }
+  return objects_;
+}
+
+std::vector<SummaryObject>& SummarySet::objects() {
+  std::as_const(*this).objects();
+  std::string().swap(stored_);
+  return objects_;
+}
+
 const SummaryObject* SummarySet::GetSummaryObject(
     std::string_view name) const {
-  for (const SummaryObject& obj : objects_) {
+  for (const SummaryObject& obj : objects()) {
     if (EqualsIgnoreCase(obj.instance_name, name)) return &obj;
   }
   return nullptr;
 }
 
 SummaryObject* SummarySet::GetSummaryObject(std::string_view name) {
-  for (SummaryObject& obj : objects_) {
+  for (SummaryObject& obj : objects()) {
     if (EqualsIgnoreCase(obj.instance_name, name)) return &obj;
   }
   return nullptr;
 }
 
 void SummarySet::Serialize(std::string* dst) const {
+  if (stored()) {
+    dst->append(stored_);
+    return;
+  }
   PutU32(dst, static_cast<uint32_t>(objects_.size()));
   for (const SummaryObject& obj : objects_) obj.Serialize(dst);
 }
 
 Result<SummarySet> SummarySet::Deserialize(std::string_view buf) {
-  SerdeReader reader(buf);
-  uint32_t n;
-  if (!reader.ReadU32(&n)) return Status::Corruption("sset: count");
-  if (n > (1u << 16)) return Status::Corruption("sset: implausible count");
-  std::vector<SummaryObject> objects;
-  objects.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    INSIGHT_ASSIGN_OR_RETURN(SummaryObject obj,
-                             SummaryObject::Deserialize(&reader));
-    objects.push_back(std::move(obj));
-  }
-  return SummarySet(std::move(objects));
+  DecodeSink sink;
+  INSIGHT_RETURN_NOT_OK(ReadSetEncoding(buf, &sink));
+  return SummarySet(std::move(sink.objects));
 }
 
 std::string SummarySet::ToString() const {
   std::string out = "{";
-  for (size_t i = 0; i < objects_.size(); ++i) {
+  for (size_t i = 0; i < objects().size(); ++i) {
     if (i > 0) out += "; ";
-    out += objects_[i].ToString();
+    out += objects()[i].ToString();
   }
   out += "}";
   return out;

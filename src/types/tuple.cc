@@ -21,6 +21,11 @@ void Tuple::Serialize(std::string* dst) const {
 }
 
 Result<Tuple> Tuple::Deserialize(SerdeReader* reader) {
+  return Deserialize(reader, {});
+}
+
+Result<Tuple> Tuple::Deserialize(SerdeReader* reader,
+                                 const std::vector<bool>& read) {
   uint32_t n;
   if (!reader->ReadU32(&n)) return Status::Corruption("tuple: missing arity");
   // Arity sanity bound: wildly large counts indicate a corrupt buffer, and
@@ -32,6 +37,11 @@ Result<Tuple> Tuple::Deserialize(SerdeReader* reader) {
   std::vector<Value> vals;
   vals.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
+    if (i < read.size() && !read[i]) {
+      INSIGHT_RETURN_NOT_OK(Value::Skip(reader));
+      vals.emplace_back();
+      continue;
+    }
     INSIGHT_ASSIGN_OR_RETURN(Value v, Value::Deserialize(reader));
     vals.push_back(std::move(v));
   }

@@ -39,6 +39,11 @@ class Tuple {
   /// Self-describing binary encoding (count + per-value encodings).
   void Serialize(std::string* dst) const;
   static Result<Tuple> Deserialize(SerdeReader* reader);
+  /// Decodes only the columns `read` marks (positions past its end count
+  /// as read); the others are skipped by length and left NULL, so the
+  /// tuple keeps its full width and every column its position.
+  static Result<Tuple> Deserialize(SerdeReader* reader,
+                                   const std::vector<bool>& read);
   static Result<Tuple> DeserializeFrom(std::string_view buf);
 
   std::string ToString() const;

@@ -144,6 +144,35 @@ Result<Value> Value::Deserialize(SerdeReader* reader) {
                             std::to_string(static_cast<int>(tag)));
 }
 
+Status Value::Skip(SerdeReader* reader) {
+  uint8_t tag;
+  if (!reader->ReadU8(&tag)) {
+    return Status::Corruption("value: missing type tag");
+  }
+  switch (static_cast<ValueType>(tag)) {
+    case ValueType::kNull:
+      return Status::OK();
+    case ValueType::kBool:
+      if (!reader->Skip(1)) return Status::Corruption("value: bool");
+      return Status::OK();
+    case ValueType::kInt64:
+      if (!reader->Skip(8)) return Status::Corruption("value: int64");
+      return Status::OK();
+    case ValueType::kDouble:
+      if (!reader->Skip(8)) return Status::Corruption("value: double");
+      return Status::OK();
+    case ValueType::kString: {
+      uint32_t len = 0;
+      if (!reader->ReadU32(&len) || !reader->Skip(len)) {
+        return Status::Corruption("value: string");
+      }
+      return Status::OK();
+    }
+  }
+  return Status::Corruption("value: unknown type tag " +
+                            std::to_string(static_cast<int>(tag)));
+}
+
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:

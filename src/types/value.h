@@ -62,7 +62,11 @@ class Value {
     }
     return std::get<double>(rep_);
   }
-  const std::string& AsString() const { return std::get<std::string>(rep_); }
+  const std::string& AsString() const& {
+    return std::get<std::string>(rep_);
+  }
+  /// Releases the string instead of copying it (a fetched blob column).
+  std::string AsString() && { return std::move(std::get<std::string>(rep_)); }
 
   /// Three-way comparison: <0, 0, >0. NULLs compare equal to each other and
   /// less than everything else. Numeric types compare cross-type.
@@ -83,6 +87,9 @@ class Value {
 
   /// Reads one value produced by Serialize.
   static Result<Value> Deserialize(SerdeReader* reader);
+  /// Steps over one value produced by Serialize without materializing
+  /// it, with the checks Deserialize makes.
+  static Status Skip(SerdeReader* reader);
 
   /// Stable hash for aggregation/join keys; equal values hash equally
   /// (int64/double that compare equal hash via their double image).

@@ -45,7 +45,7 @@ void HitCrashPoint(const char* name) {
 const std::vector<std::string>& RegisteredCrashPoints() {
   static const std::vector<std::string> kPoints = {
       "wal_append",               // Logical record enters the log buffer.
-      "wal_sync_begin",           // Group commit before any byte reaches the file.
+      "wal_sync_begin",           // Group commit before any byte hits the file.
       "wal_sync_partial",         // Mid-batch: a torn record tail on disk.
       "wal_sync_before_fsync",    // Bytes written, durability not yet forced.
       "wal_sync_after_fsync",     // Batch durable, waiters not yet released.

@@ -216,8 +216,8 @@ Result<BirdsWorkload> GenerateBirdsWorkload(Database* db,
   schema.AddColumn({"status", ValueType::kString}).ok();
   schema.AddColumn({"wingspan", ValueType::kDouble}).ok();
   schema.AddColumn({"weight", ValueType::kDouble}).ok();
-  INSIGHT_ASSIGN_OR_RETURN(Table * birds,
-                           db->CreateTable(workload.birds_table, schema));
+  INSIGHT_RETURN_NOT_OK(
+      db->CreateTable(workload.birds_table, schema).status());
 
   INSIGHT_RETURN_NOT_OK(DefineAndLinkInstances(db, opts,
                                                workload.birds_table));

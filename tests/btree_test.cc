@@ -219,7 +219,8 @@ TEST(KeyCodecTest, NanCanonicalizedAboveAllNumbers) {
 
 TEST(ValueCompareTest, NanTotalOrder) {
   const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
-  const Value neg_nan = Value::Double(-std::numeric_limits<double>::quiet_NaN());
+  const Value neg_nan =
+      Value::Double(-std::numeric_limits<double>::quiet_NaN());
   const Value inf = Value::Double(std::numeric_limits<double>::infinity());
   // NaN used to compare "equal" (0) to everything, breaking strict-weak
   // ordering for sorts and B-Tree key comparisons.

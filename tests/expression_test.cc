@@ -73,8 +73,12 @@ TEST(ExpressionTest, NullComparisonIsFalse) {
 
 TEST(ExpressionTest, LogicalShortCircuit) {
   const Row row = TestRow();
-  auto t = [&] { return Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(7))); };
-  auto f = [&] { return Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(0))); };
+  auto t = [&] {
+    return Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(7)));
+  };
+  auto f = [&] {
+    return Cmp(Col("count"), CompareOp::kEq, Lit(Value::Int(0)));
+  };
   EXPECT_TRUE(*Resolved(And(t(), t()))->EvalBool(row));
   EXPECT_FALSE(*Resolved(And(t(), f()))->EvalBool(row));
   EXPECT_TRUE(*Resolved(Or(f(), t()))->EvalBool(row));

@@ -416,7 +416,9 @@ TEST_F(NetEndToEndTest, ShutdownFrameDrainsTheServer) {
   EXPECT_EQ(server_->active_sessions(), 0u);
   // The drained server refuses new work.
   auto late = InsightClient::Connect("127.0.0.1", server_->port());
-  if (late.ok()) EXPECT_FALSE((*late)->Ping().ok());
+  if (late.ok()) {
+    EXPECT_FALSE((*late)->Ping().ok());
+  }
 }
 
 TEST_F(NetEndToEndTest, PortFileContainsTheEphemeralPort) {

@@ -1017,7 +1017,9 @@ TEST(SortTest, DescTiesAndNullsKeepComparatorOrder) {
       EXPECT_EQ(Repr(*rows), Repr(expected))
           << (two_keys ? "two keys" : "one key") << ", mode "
           << static_cast<int>(mode);
-      if (mode == SortOp::Mode::kExternal) EXPECT_GT(sort.runs_spilled(), 2u);
+      if (mode == SortOp::Mode::kExternal) {
+        EXPECT_GT(sort.runs_spilled(), 2u);
+      }
     }
   }
 }

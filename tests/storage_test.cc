@@ -294,7 +294,9 @@ TEST_P(HeapFileTest, ManyRecordsSpanPages) {
 TEST_P(HeapFileTest, OverflowRecordRoundTrip) {
   // Larger than one page: exercises the overflow chain.
   std::string big(3 * kPageSize + 123, 'q');
-  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>('a' + i % 26);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + i % 26);
+  }
   auto loc = heap_->Insert(big);
   ASSERT_TRUE(loc.ok());
   auto rec = heap_->Get(*loc);

@@ -37,7 +37,8 @@ SummaryObject MakeCluster() {
   obj.tuple_id = 5;
   obj.type = SummaryType::kCluster;
   obj.instance_name = "SimCluster";
-  obj.reps = {{"Large one having size", 2, 301}, {"Observed in region", 1, 303}};
+  obj.reps = {{"Large one having size", 2, 301},
+              {"Observed in region", 1, 303}};
   obj.elements = {{{301, 0x1}, {302, 0x2}}, {{303, 0x4}}};
   return obj;
 }
