@@ -53,7 +53,7 @@ void BM_BTreeLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(10000)->Arg(50000)->Arg(100000);
 
 // One batch of 1,024 random keys, sorted, resolved by a single LookupMany
 // walk (one descent per leaf run). Items are keys, so per-key cost is

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cctype>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace insight {
 
 std::vector<std::string> Split(std::string_view s, char sep) {
@@ -130,13 +134,38 @@ bool ContainsWord(std::string_view text, std::string_view word) {
   const auto* t = reinterpret_cast<const unsigned char*>(text.data());
   const size_t last = text.size() - len;
   const char first = kWord.fold[w[0]];
-  for (size_t i = 0; i <= last; ++i) {
-    if (kWord.fold[t[i]] != first) continue;
-    if (i > 0 && kWord.word[t[i - 1]]) continue;
-    if (i < last && kWord.word[t[i + len]]) continue;
+  auto match_at = [&](size_t i) {
+    if (kWord.fold[t[i]] != first) return false;
+    if (i > 0 && kWord.word[t[i - 1]]) return false;
+    if (i < last && kWord.word[t[i + len]]) return false;
     size_t k = 1;
     while (k < len && kWord.fold[t[i + k]] == kWord.fold[w[k]]) ++k;
-    if (k == len) return true;
+    return k == len;
+  };
+  size_t i = 0;
+#if defined(__SSE2__)
+  // Sixteen candidate starts at a time: keep those whose first and last
+  // bytes equal the needle's under `| 0x20`. That folds letters exactly
+  // and admits a few bytes no word holds (0x10-0x19 pass for digits),
+  // which match_at rejects, so the filter never drops a match.
+  const __m128i case_bit = _mm_set1_epi8(0x20);
+  const __m128i head = _mm_set1_epi8(static_cast<char>(w[0] | 0x20));
+  const __m128i tail = _mm_set1_epi8(static_cast<char>(w[len - 1] | 0x20));
+  for (; i + 15 <= last; i += 16) {
+    const __m128i a = _mm_or_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + i)), case_bit);
+    const __m128i b = _mm_or_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + i + len - 1)),
+        case_bit);
+    auto mask = static_cast<unsigned>(_mm_movemask_epi8(
+        _mm_and_si128(_mm_cmpeq_epi8(a, head), _mm_cmpeq_epi8(b, tail))));
+    for (; mask != 0; mask &= mask - 1) {
+      if (match_at(i + static_cast<size_t>(__builtin_ctz(mask)))) return true;
+    }
+  }
+#endif
+  for (; i <= last; ++i) {
+    if (match_at(i)) return true;
   }
   return false;
 }

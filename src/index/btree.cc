@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/logging.h"
-#include "common/serde.h"
 #include "obs/metrics.h"
 
 namespace insight {
@@ -13,19 +11,192 @@ namespace insight {
 //   Meta page (page 0):  u8 type=3, u32 root, u64 num_entries, u32 height
 //   Node page:           u8 type (4=internal, 5=leaf), u16 count,
 //                        u32 next_leaf (leaves only),
-//     leaf entries:      count x { u16 key_len, key bytes, u64 value }
-//     internal:          u32 child0, then count x
-//                        { u16 key_len, key bytes, u64 value, u32 child }
+//                        u32 child0 (internal only),
+//                        count x u16 slot offset, ascending (key, value),
+//                        free space, then the cells.
+//     Cells are packed down from the page end in slot order: slot 0's
+//     cell ends at the page end, slot i's ends where slot i - 1's
+//     begins, so a key's length follows from the neighbouring offsets.
+//     leaf cell:          u64 value, key bytes
+//     internal cell:      u64 value, u32 child, key bytes
+//     Child i + 1 of an internal node is the child in slot i's cell: the
+//     subtree of entries >= slot i's (key, value).
+// Searches read keys in place through the slot offsets, and an insert or
+// delete that does not split shifts bytes inside its one page. Only a
+// split lists a page's entries and deals them into two pages.
 namespace {
 constexpr uint8_t kMetaType = 3;
 constexpr uint8_t kInternalType = 4;
 constexpr uint8_t kLeafType = 5;
 
-// Split when a node's serialized size exceeds this. Leaves room so the
+// Split when a node's bytes in use would exceed this. Leaves room so the
 // post-split halves accept a few more entries before resplitting.
 constexpr size_t kNodeSizeLimit = kPageSize - 64;
 
 }  // namespace
+
+// One entry of a node, its key viewed in place.
+struct BTree::Entry {
+  std::string_view key;
+  uint64_t value = 0;
+  PageId child = kInvalidPageId;  // Internal only: the child right of it.
+};
+
+// A node page read and edited in place. Every offset is checked against
+// the page before use: a bad one reads as an empty entry and turns
+// status() into Corruption, so a damaged page never sends a read or a
+// write outside itself.
+class BTree::Node {
+ public:
+  Node(PageGuard guard, PageId id)
+      : guard_(std::move(guard)), p_(guard_.data()), id_(id) {
+    CheckHeader();
+  }
+  // An unpinned copy of a page.
+  explicit Node(char* image) : p_(image) { CheckHeader(); }
+
+  PageId id() const { return id_; }
+  const char* data() const { return p_; }
+  void Unpin() { guard_.Release(); }
+
+  bool leaf() const { return p_[0] == static_cast<char>(kLeafType); }
+  size_t count() const { return Get<uint16_t>(1); }
+  PageId next_leaf() const { return Get<uint32_t>(3); }
+  // Child i of an internal node, 0 <= i <= count().
+  PageId child(size_t i) const {
+    return i == 0 ? Get<uint32_t>(7) : At(i - 1).child;
+  }
+  // Per-cell bytes besides the key.
+  size_t fixed() const { return leaf() ? 8 : 12; }
+
+  // Corruption once the header or any offset read was out of bounds.
+  Status status() const {
+    if (!corrupt_) return Status::OK();
+    return Status::Corruption("btree: bad node on page " +
+                              std::to_string(id_));
+  }
+
+  Entry At(size_t i) const {
+    const size_t begin = Off(i);
+    const size_t end = End(i);
+    if (begin < SlotsEnd() || begin + fixed() > end || end > kPageSize) {
+      corrupt_ = true;
+      return {};
+    }
+    Entry e;
+    std::memcpy(&e.value, p_ + begin, 8);
+    if (!leaf()) std::memcpy(&e.child, p_ + begin + 8, 4);
+    e.key = {p_ + begin + fixed(), end - begin - fixed()};
+    return e;
+  }
+
+  // First slot whose entry is >= (key, value), or > it when `upper`.
+  // Descents take the upper bound: a separator equal to the probe routes
+  // right of itself.
+  size_t Bound(std::string_view key, uint64_t value, bool upper) const {
+    size_t lo = 0;
+    size_t hi = count();
+    while (lo < hi) {
+      const size_t mid = (lo + hi) / 2;
+      const Entry e = At(mid);
+      const int c = CompareEntries(e.key, e.value, key, value);
+      if (c < 0 || (upper && c == 0)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  // Writes `e` into slot `pos`, shifting the later slots and their cells;
+  // false (page untouched) when the node would outgrow kNodeSizeLimit.
+  bool TryInsert(size_t pos, const Entry& e) {
+    const size_t len = fixed() + e.key.size();
+    if (SlotsEnd() + 2 + kPageSize - Low() + len > kNodeSizeLimit) {
+      return false;
+    }
+    const size_t n = count();
+    const size_t low = Low();
+    const size_t end = End(pos);
+    if (end < low || end > kPageSize) {
+      corrupt_ = true;
+      return true;
+    }
+    std::memmove(p_ + low - len, p_ + low, end - low);
+    for (size_t i = n; i > pos; --i) SetOff(i, Off(i - 1) - len);
+    SetOff(pos, end - len);
+    char* cell = p_ + end - len;
+    std::memcpy(cell, &e.value, 8);
+    if (!leaf()) std::memcpy(cell + 8, &e.child, 4);
+    std::memcpy(cell + fixed(), e.key.data(), e.key.size());
+    Set<uint16_t>(1, static_cast<uint16_t>(n + 1));
+    guard_.MarkDirty();
+    return true;
+  }
+
+  // Removes slot `pos` and its cell.
+  void Erase(size_t pos) {
+    const size_t n = count();
+    const size_t low = Low();
+    const size_t begin = Off(pos);
+    const size_t end = End(pos);
+    if (begin < low || begin > end || end > kPageSize) {
+      corrupt_ = true;
+      return;
+    }
+    const size_t len = end - begin;
+    std::memmove(p_ + low + len, p_ + low, begin - low);
+    for (size_t i = pos + 1; i < n; ++i) SetOff(i - 1, Off(i) + len);
+    Set<uint16_t>(1, static_cast<uint16_t>(n - 1));
+    guard_.MarkDirty();
+  }
+
+  // Empties the page into a node of the given kind. `link` is the next
+  // leaf of a leaf, child 0 of an internal node.
+  void Format(bool is_leaf, PageId link) {
+    p_[0] = static_cast<char>(is_leaf ? kLeafType : kInternalType);
+    Set<uint16_t>(1, 0);
+    Set<uint32_t>(3, is_leaf ? link : kInvalidPageId);
+    if (!is_leaf) Set<uint32_t>(7, link);
+    corrupt_ = false;
+    guard_.MarkDirty();
+  }
+
+ private:
+  template <typename T>
+  T Get(size_t pos) const {
+    T v;
+    std::memcpy(&v, p_ + pos, sizeof(T));
+    return v;
+  }
+  template <typename T>
+  void Set(size_t pos, T v) {
+    std::memcpy(p_ + pos, &v, sizeof(T));
+  }
+
+  size_t Header() const { return leaf() ? 7 : 11; }
+  size_t SlotsEnd() const { return Header() + 2 * count(); }
+  size_t Off(size_t i) const { return Get<uint16_t>(Header() + 2 * i); }
+  void SetOff(size_t i, size_t off) {
+    Set<uint16_t>(Header() + 2 * i, static_cast<uint16_t>(off));
+  }
+  size_t End(size_t i) const { return i == 0 ? kPageSize : Off(i - 1); }
+  // Where the cells begin: the lowest cell offset, or the page end.
+  size_t Low() const { return count() == 0 ? kPageSize : Off(count() - 1); }
+
+  // A node type, and a slot array and cell start inside the page.
+  void CheckHeader() {
+    corrupt_ = (p_[0] != static_cast<char>(kInternalType) && !leaf()) ||
+               SlotsEnd() > kPageSize || Low() < SlotsEnd() ||
+               Low() > kPageSize;
+  }
+
+  PageGuard guard_;
+  char* p_ = nullptr;
+  PageId id_ = kInvalidPageId;
+  mutable bool corrupt_ = false;
+};
 
 int CompareEntries(std::string_view a_key, uint64_t a_val,
                    std::string_view b_key, uint64_t b_val) {
@@ -33,17 +204,6 @@ int CompareEntries(std::string_view a_key, uint64_t a_val,
   if (c != 0) return c < 0 ? -1 : 1;
   if (a_val != b_val) return a_val < b_val ? -1 : 1;
   return 0;
-}
-
-size_t BTree::Node::SerializedSize() const {
-  size_t size = 1 + 2 + 4;  // type + count + next_leaf slot.
-  if (is_leaf) {
-    for (const std::string& k : keys) size += 2 + k.size() + 8;
-  } else {
-    size += 4;  // child0
-    for (const std::string& k : keys) size += 2 + k.size() + 8 + 4;
-  }
-  return size;
 }
 
 Result<BTree> BTree::Create(BufferPool* pool, FileId file) {
@@ -57,11 +217,8 @@ Result<BTree> BTree::Create(BufferPool* pool, FileId file) {
   if (meta_page != 0) {
     return Status::InvalidArgument("BTree::Create needs an empty file");
   }
-  Node root;
-  root.is_leaf = true;
-  INSIGHT_ASSIGN_OR_RETURN(tree.root_, tree.AllocNode(root));
-  tree.num_entries_ = 0;
-  tree.height_ = 1;
+  INSIGHT_ASSIGN_OR_RETURN(Node root, tree.NewNode(true, kInvalidPageId));
+  tree.root_ = root.id();
   INSIGHT_RETURN_NOT_OK(tree.WriteMeta());
   return tree;
 }
@@ -95,190 +252,84 @@ Status BTree::WriteMeta() {
   return Status::OK();
 }
 
-Result<BTree::Node> BTree::ReadNode(PageId page) const {
+Result<BTree::Node> BTree::Pin(PageId page) const {
   INSIGHT_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(file_, page));
-  const char* p = guard.data();
-  Node node;
-  const uint8_t type = static_cast<uint8_t>(p[0]);
-  if (type != kInternalType && type != kLeafType) {
-    return Status::Corruption("btree: bad node type on page " +
-                              std::to_string(page));
-  }
-  node.is_leaf = (type == kLeafType);
-  uint16_t count;
-  std::memcpy(&count, p + 1, 2);
-  std::memcpy(&node.next_leaf, p + 3, 4);
-  size_t pos = 7;
-  auto read_u16 = [&](uint16_t* v) {
-    std::memcpy(v, p + pos, 2);
-    pos += 2;
-  };
-  auto read_u32 = [&](uint32_t* v) {
-    std::memcpy(v, p + pos, 4);
-    pos += 4;
-  };
-  auto read_u64 = [&](uint64_t* v) {
-    std::memcpy(v, p + pos, 8);
-    pos += 8;
-  };
-  if (!node.is_leaf) {
-    uint32_t child0;
-    read_u32(&child0);
-    node.children.push_back(child0);
-  }
-  node.keys.reserve(count);
-  node.values.reserve(count);
-  for (uint16_t i = 0; i < count; ++i) {
-    uint16_t klen;
-    read_u16(&klen);
-    node.keys.emplace_back(p + pos, klen);
-    pos += klen;
-    uint64_t v;
-    read_u64(&v);
-    node.values.push_back(v);
-    if (!node.is_leaf) {
-      uint32_t child;
-      read_u32(&child);
-      node.children.push_back(child);
-    }
-  }
+  Node node(std::move(guard), page);
+  INSIGHT_RETURN_NOT_OK(node.status());
   return node;
 }
 
-Status BTree::WriteNode(PageId page, const Node& node) {
-  INSIGHT_CHECK(node.SerializedSize() <= kPageSize)
-      << "btree node overflows page";
-  INSIGHT_ASSIGN_OR_RETURN(PageGuard guard, pool_->FetchPage(file_, page));
-  char* p = guard.data();
-  p[0] = static_cast<char>(node.is_leaf ? kLeafType : kInternalType);
-  const uint16_t count = static_cast<uint16_t>(node.keys.size());
-  std::memcpy(p + 1, &count, 2);
-  std::memcpy(p + 3, &node.next_leaf, 4);
-  size_t pos = 7;
-  auto put_u16 = [&](uint16_t v) {
-    std::memcpy(p + pos, &v, 2);
-    pos += 2;
-  };
-  auto put_u32 = [&](uint32_t v) {
-    std::memcpy(p + pos, &v, 4);
-    pos += 4;
-  };
-  auto put_u64 = [&](uint64_t v) {
-    std::memcpy(p + pos, &v, 8);
-    pos += 8;
-  };
-  if (!node.is_leaf) put_u32(node.children[0]);
-  for (size_t i = 0; i < node.keys.size(); ++i) {
-    put_u16(static_cast<uint16_t>(node.keys[i].size()));
-    std::memcpy(p + pos, node.keys[i].data(), node.keys[i].size());
-    pos += node.keys[i].size();
-    put_u64(node.values[i]);
-    if (!node.is_leaf) put_u32(node.children[i + 1]);
-  }
-  guard.MarkDirty();
-  return Status::OK();
-}
-
-Result<PageId> BTree::AllocNode(const Node& node) {
+Result<BTree::Node> BTree::NewNode(bool leaf, PageId link) {
   PageId page;
   INSIGHT_ASSIGN_OR_RETURN(PageGuard guard, pool_->NewPage(file_, &page));
-  guard.Release();
-  INSIGHT_RETURN_NOT_OK(WriteNode(page, node));
-  return page;
+  Node node(std::move(guard), page);
+  node.Format(leaf, link);
+  return node;
 }
-
-namespace {
-
-// Index of the first entry in (keys, values) that is >= (key, value).
-size_t LowerBound(const std::vector<std::string>& keys,
-                  const std::vector<uint64_t>& values, std::string_view key,
-                  uint64_t value) {
-  size_t lo = 0;
-  size_t hi = keys.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (CompareEntries(keys[mid], values[mid], key, value) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// Child slot to descend into for (key, value): the first separator that is
-// greater than the probe routes left of itself.
-size_t ChildIndex(const std::vector<std::string>& keys,
-                  const std::vector<uint64_t>& values, std::string_view key,
-                  uint64_t value) {
-  size_t lo = 0;
-  size_t hi = keys.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (CompareEntries(key, value, keys[mid], values[mid]) < 0) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
 
 Result<std::optional<BTree::SplitResult>> BTree::InsertRec(
     PageId page, std::string_view key, uint64_t value) {
-  INSIGHT_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-  if (node.is_leaf) {
-    const size_t pos = LowerBound(node.keys, node.values, key, value);
-    node.keys.insert(node.keys.begin() + pos, std::string(key));
-    node.values.insert(node.values.begin() + pos, value);
-  } else {
-    const size_t child_idx = ChildIndex(node.keys, node.values, key, value);
-    INSIGHT_ASSIGN_OR_RETURN(auto child_split,
-                             InsertRec(node.children[child_idx], key, value));
-    if (!child_split.has_value()) return std::optional<SplitResult>{};
-    node.keys.insert(node.keys.begin() + child_idx, child_split->sep_key);
-    node.values.insert(node.values.begin() + child_idx,
-                       child_split->sep_value);
-    node.children.insert(node.children.begin() + child_idx + 1,
-                         child_split->new_page);
+  INSIGHT_ASSIGN_OR_RETURN(Node node, Pin(page));
+  Entry entry{key, value};
+  const size_t pos = node.Bound(key, value, !node.leaf());
+  const PageId child = node.leaf() ? kInvalidPageId : node.child(pos);
+  INSIGHT_RETURN_NOT_OK(node.status());
+  std::optional<SplitResult> child_split;
+  if (!node.leaf()) {
+    // The page stays unpinned while the subtree takes the entry; only a
+    // child split brings it back, to take the new separator.
+    node.Unpin();
+    INSIGHT_ASSIGN_OR_RETURN(child_split, InsertRec(child, key, value));
+    if (!child_split.has_value()) return child_split;
+    INSIGHT_ASSIGN_OR_RETURN(node, Pin(page));
+    entry = {child_split->sep_key, child_split->sep_value,
+             child_split->new_page};
   }
+  const bool fits = node.TryInsert(pos, entry);
+  INSIGHT_RETURN_NOT_OK(node.status());
+  if (fits) return std::optional<SplitResult>{};
+  return Split(&node, pos, entry);
+}
 
-  if (node.SerializedSize() <= kNodeSizeLimit) {
-    INSIGHT_RETURN_NOT_OK(WriteNode(page, node));
-    return std::optional<SplitResult>{};
-  }
+Result<std::optional<BTree::SplitResult>> BTree::Split(
+    Node* node, size_t pos, const Entry& extra) {
+  // The one place a page's entries are listed, as views into a copy of
+  // it with `extra` at `pos`, and dealt into it and a new right sibling.
+  std::string image(node->data(), kPageSize);
+  const Node old(image.data());
+  std::vector<Entry> entries;
+  entries.reserve(old.count() + 1);
+  for (size_t i = 0; i < old.count(); ++i) entries.push_back(old.At(i));
+  INSIGHT_RETURN_NOT_OK(old.status());
+  entries.insert(entries.begin() + static_cast<ptrdiff_t>(pos), extra);
 
-  // Split: right half moves to a new node.
-  const size_t mid = node.keys.size() / 2;
-  Node right;
-  right.is_leaf = node.is_leaf;
-  SplitResult split;
-  if (node.is_leaf) {
-    right.keys.assign(node.keys.begin() + mid, node.keys.end());
-    right.values.assign(node.values.begin() + mid, node.values.end());
-    node.keys.resize(mid);
-    node.values.resize(mid);
-    split.sep_key = right.keys.front();
-    split.sep_value = right.values.front();
-    right.next_leaf = node.next_leaf;
-    INSIGHT_ASSIGN_OR_RETURN(split.new_page, AllocNode(right));
-    node.next_leaf = split.new_page;
-  } else {
-    // The middle separator moves up; it is not duplicated in either half.
-    split.sep_key = node.keys[mid];
-    split.sep_value = node.values[mid];
-    right.keys.assign(node.keys.begin() + mid + 1, node.keys.end());
-    right.values.assign(node.values.begin() + mid + 1, node.values.end());
-    right.children.assign(node.children.begin() + mid + 1,
-                          node.children.end());
-    node.keys.resize(mid);
-    node.values.resize(mid);
-    node.children.resize(mid + 1);
-    INSIGHT_ASSIGN_OR_RETURN(split.new_page, AllocNode(right));
+  // Halves by count, which keeps page counts where equal-sized keys put
+  // them; only keys of kilobytes can make a half outgrow its page, and
+  // then the cut moves toward the other half.
+  const bool leaf = old.leaf();
+  auto bytes = [&](size_t from, size_t to) {
+    size_t sum = 0;
+    for (size_t i = from; i < to; ++i) {
+      sum += 2 + old.fixed() + entries[i].key.size();
+    }
+    return sum;
+  };
+  const size_t cap = kNodeSizeLimit - 11;  // Less the largest header.
+  size_t mid = entries.size() / 2;
+  while (bytes(0, mid) > cap) --mid;
+  while (bytes(leaf ? mid : mid + 1, entries.size()) > cap) ++mid;
+
+  // A leaf's separator is its right half's first entry. An internal
+  // node's moves up, its child becoming the right half's child 0.
+  const Entry& sep = entries[mid];
+  INSIGHT_ASSIGN_OR_RETURN(
+      Node right, NewNode(leaf, leaf ? old.next_leaf() : sep.child));
+  for (size_t i = leaf ? mid : mid + 1; i < entries.size(); ++i) {
+    right.TryInsert(right.count(), entries[i]);
   }
-  INSIGHT_RETURN_NOT_OK(WriteNode(page, node));
+  SplitResult split{std::string(sep.key), sep.value, right.id()};
+  node->Format(leaf, leaf ? right.id() : old.child(0));
+  for (size_t i = 0; i < mid; ++i) node->TryInsert(i, entries[i]);
   return std::optional<SplitResult>(std::move(split));
 }
 
@@ -289,48 +340,44 @@ Status BTree::Insert(std::string_view key, uint64_t value) {
   std::unique_lock<std::shared_mutex> lk(*latch_);
   INSIGHT_ASSIGN_OR_RETURN(auto split, InsertRec(root_, key, value));
   if (split.has_value()) {
-    Node new_root;
-    new_root.is_leaf = false;
-    new_root.keys.push_back(split->sep_key);
-    new_root.values.push_back(split->sep_value);
-    new_root.children.push_back(root_);
-    new_root.children.push_back(split->new_page);
-    INSIGHT_ASSIGN_OR_RETURN(root_, AllocNode(new_root));
+    INSIGHT_ASSIGN_OR_RETURN(Node root, NewNode(false, root_));
+    root.TryInsert(0, {split->sep_key, split->sep_value, split->new_page});
+    root_ = root.id();
     ++height_;
   }
   ++num_entries_;
   return WriteMeta();
 }
 
-Result<PageId> BTree::FindLeaf(std::string_view key, uint64_t value) const {
-  PageId page = root_;
-  while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.is_leaf) return page;
-    page = node.children[ChildIndex(node.keys, node.values, key, value)];
+Result<BTree::Node> BTree::FindLeaf(std::string_view key,
+                                    uint64_t value) const {
+  INSIGHT_ASSIGN_OR_RETURN(Node node, Pin(root_));
+  while (!node.leaf()) {
+    const PageId child = node.child(node.Bound(key, value, true));
+    INSIGHT_RETURN_NOT_OK(node.status());
+    INSIGHT_ASSIGN_OR_RETURN(node, Pin(child));
   }
+  return node;
 }
 
 Status BTree::Delete(std::string_view key, uint64_t value) {
   std::unique_lock<std::shared_mutex> lk(*latch_);
-  INSIGHT_ASSIGN_OR_RETURN(PageId leaf_page, FindLeaf(key, value));
-  INSIGHT_ASSIGN_OR_RETURN(Node leaf, ReadNode(leaf_page));
-  const size_t pos = LowerBound(leaf.keys, leaf.values, key, value);
-  if (pos >= leaf.keys.size() ||
-      CompareEntries(leaf.keys[pos], leaf.values[pos], key, value) != 0) {
+  INSIGHT_ASSIGN_OR_RETURN(Node leaf, FindLeaf(key, value));
+  const size_t pos = leaf.Bound(key, value, false);
+  const Entry e = pos < leaf.count() ? leaf.At(pos) : Entry{};
+  INSIGHT_RETURN_NOT_OK(leaf.status());
+  if (pos == leaf.count() || CompareEntries(e.key, e.value, key, value)) {
     return Status::NotFound("btree: entry not found");
   }
-  leaf.keys.erase(leaf.keys.begin() + pos);
-  leaf.values.erase(leaf.values.begin() + pos);
-  INSIGHT_RETURN_NOT_OK(WriteNode(leaf_page, leaf));
+  leaf.Erase(pos);
+  INSIGHT_RETURN_NOT_OK(leaf.status());
   --num_entries_;
   return WriteMeta();
 }
 
 Result<bool> BTree::Contains(std::string_view key) const {
-  INSIGHT_ASSIGN_OR_RETURN(Iterator it,
-                           RangeScan(key, true, key, true));
-  return it.Valid();
+  INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> hits, Lookup(key));
+  return !hits.empty();
 }
 
 Result<std::vector<uint64_t>> BTree::Lookup(std::string_view key) const {
@@ -350,30 +397,30 @@ Result<std::vector<std::vector<uint64_t>>> BTree::LookupMany(
   // it sorts below the next key to look up, so while that key's lower
   // bound falls inside `leaf` (or `leaf` is the last leaf) the walk needs
   // no descent.
-  Node leaf;
-  bool descended = false;
+  std::optional<Node> leaf;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (i > 0 && keys[i] == keys[i - 1]) {
       out[i] = out[i - 1];
       continue;
     }
-    size_t pos = LowerBound(leaf.keys, leaf.values, keys[i], 0);
-    const bool last_leaf = descended && leaf.next_leaf == kInvalidPageId;
-    if (pos == leaf.keys.size() && !last_leaf) {
+    size_t pos = leaf ? leaf->Bound(keys[i], 0, false) : 0;
+    if (!leaf ||
+        (pos == leaf->count() && leaf->next_leaf() != kInvalidPageId)) {
       EngineMetrics::Get().btree_probes->Add(1);
-      INSIGHT_ASSIGN_OR_RETURN(PageId page, FindLeaf(keys[i], 0));
-      INSIGHT_ASSIGN_OR_RETURN(leaf, ReadNode(page));
-      descended = true;
-      pos = LowerBound(leaf.keys, leaf.values, keys[i], 0);
+      INSIGHT_ASSIGN_OR_RETURN(leaf, FindLeaf(keys[i], 0));
+      pos = leaf->Bound(keys[i], 0, false);
     }
     // A key's entries may continue into the following leaves (duplicates
     // straddling a split, or a leaf emptied by lazy deletes).
     while (true) {
-      for (; pos < leaf.keys.size() && leaf.keys[pos] == keys[i]; ++pos) {
-        out[i].push_back(leaf.values[pos]);
+      for (; pos < leaf->count(); ++pos) {
+        const Entry e = leaf->At(pos);
+        if (e.key != keys[i]) break;
+        out[i].push_back(e.value);
       }
-      if (pos < leaf.keys.size() || leaf.next_leaf == kInvalidPageId) break;
-      INSIGHT_ASSIGN_OR_RETURN(leaf, ReadNode(leaf.next_leaf));
+      INSIGHT_RETURN_NOT_OK(leaf->status());
+      if (pos < leaf->count() || leaf->next_leaf() == kInvalidPageId) break;
+      INSIGHT_ASSIGN_OR_RETURN(leaf, Pin(leaf->next_leaf()));
       pos = 0;
     }
   }
@@ -384,54 +431,41 @@ Result<BTree::Iterator> BTree::RangeScan(std::string_view lower,
                                          bool lower_inclusive,
                                          std::string_view upper,
                                          bool upper_inclusive) const {
-  EngineMetrics::Get().btree_probes->Add(1);
-  std::shared_lock<std::shared_mutex> lk(*latch_);
-  Iterator it;
-  // Position at the first entry >= (lower, 0) (or > (lower, MAX) when the
-  // lower bound is strict), then collect leaf entries until the upper
-  // bound cuts the walk off.
-  const uint64_t probe_val = lower_inclusive ? 0 : UINT64_MAX;
-  INSIGHT_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(lower, probe_val));
-  auto past_lower = [&](const std::string& key) {
-    const int c = key.compare(std::string(lower));
-    return lower_inclusive ? c >= 0 : c > 0;
-  };
-  auto within_upper = [&](const std::string& key) {
-    const int c = key.compare(std::string(upper));
-    return upper_inclusive ? c <= 0 : c < 0;
-  };
-  PageId page = leaf;
-  while (page != kInvalidPageId) {
-    INSIGHT_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    for (size_t i = 0; i < node.keys.size(); ++i) {
-      if (!past_lower(node.keys[i])) continue;
-      if (!within_upper(node.keys[i])) return it;
-      it.entries_.push_back(BTreeEntry{node.keys[i], node.values[i]});
-    }
-    page = node.next_leaf;
-  }
-  return it;
+  return Scan(lower, lower_inclusive, &upper, upper_inclusive);
 }
 
 Result<BTree::Iterator> BTree::ScanAll() const {
+  return Scan("", true, nullptr, false);
+}
+
+Result<BTree::Iterator> BTree::Scan(std::string_view lower,
+                                    bool lower_inclusive,
+                                    const std::string_view* upper,
+                                    bool upper_inclusive) const {
   EngineMetrics::Get().btree_probes->Add(1);
   std::shared_lock<std::shared_mutex> lk(*latch_);
   Iterator it;
-  it.entries_.reserve(num_entries_);
-  PageId page = root_;
+  if (upper == nullptr) it.entries_.reserve(num_entries_);
+  // Position at the first entry >= (lower, 0) (or > (lower, MAX) when the
+  // lower bound is strict); every later leaf's entries lie past it. Then
+  // copy entries along the leaf chain until the upper bound cuts it off.
+  const uint64_t probe_val = lower_inclusive ? 0 : UINT64_MAX;
+  INSIGHT_ASSIGN_OR_RETURN(Node leaf, FindLeaf(lower, probe_val));
+  size_t pos = leaf.Bound(lower, probe_val, !lower_inclusive);
   while (true) {
-    INSIGHT_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.is_leaf) break;
-    page = node.children[0];
-  }
-  while (page != kInvalidPageId) {
-    INSIGHT_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    for (size_t i = 0; i < node.keys.size(); ++i) {
-      it.entries_.push_back(BTreeEntry{node.keys[i], node.values[i]});
+    for (; pos < leaf.count(); ++pos) {
+      const Entry e = leaf.At(pos);
+      if (upper != nullptr) {
+        const int c = e.key.compare(*upper);
+        if (upper_inclusive ? c > 0 : c >= 0) break;
+      }
+      it.entries_.push_back(BTreeEntry{std::string(e.key), e.value});
     }
-    page = node.next_leaf;
+    INSIGHT_RETURN_NOT_OK(leaf.status());
+    if (pos < leaf.count() || leaf.next_leaf() == kInvalidPageId) return it;
+    INSIGHT_ASSIGN_OR_RETURN(leaf, Pin(leaf.next_leaf()));
+    pos = 0;
   }
-  return it;
 }
 
 }  // namespace insight

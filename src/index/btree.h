@@ -32,6 +32,14 @@ int CompareEntries(std::string_view a_key, uint64_t a_val,
 /// Page 0 is a meta page (root pointer, entry count, height); leaves are
 /// chained for range scans.
 ///
+/// Nodes are slotted pages worked on where they are pinned: descents,
+/// lookups, scans, Contains, Delete and any insert that does not split
+/// binary-search keys in place through a slot-offset array and shift
+/// bytes within the one page; none of them decodes a node. Only a split
+/// lists a page's entries (as views into a copy of it) to build the two
+/// halves. A bad node header or slot offset is Corruption, never a read
+/// outside the page.
+///
 /// Deletion is lazy (no merge/borrow): removing entries never shrinks the
 /// tree, matching the paper's workload where class-label counts are
 /// deleted and immediately re-inserted on every annotation update.
@@ -122,18 +130,9 @@ class BTree {
         file_(file),
         latch_(std::make_unique<std::shared_mutex>()) {}
 
-  // In-memory image of one node; (de)serialized to a page on each access.
-  struct Node {
-    bool is_leaf = true;
-    // Leaf: keys/values parallel. Internal: keys/values are separators
-    // ((key, value) of the smallest entry of children[i + 1]).
-    std::vector<std::string> keys;
-    std::vector<uint64_t> values;
-    std::vector<PageId> children;  // Internal only: keys.size() + 1.
-    PageId next_leaf = kInvalidPageId;
-
-    size_t SerializedSize() const;
-  };
+  // Node pages and their entries, read and edited in place (btree.cc).
+  class Node;
+  struct Entry;
 
   struct SplitResult {
     std::string sep_key;
@@ -141,9 +140,10 @@ class BTree {
     PageId new_page;
   };
 
-  Result<Node> ReadNode(PageId page) const;
-  Status WriteNode(PageId page, const Node& node);
-  Result<PageId> AllocNode(const Node& node);
+  /// Pins a node page; Corruption when its header is bad.
+  Result<Node> Pin(PageId page) const;
+  /// Allocates and pins an empty node (`link`: next leaf, or child 0).
+  Result<Node> NewNode(bool leaf, PageId link);
 
   Status ReadMeta();
   Status WriteMeta();
@@ -152,9 +152,17 @@ class BTree {
   Result<std::optional<SplitResult>> InsertRec(PageId page,
                                                std::string_view key,
                                                uint64_t value);
+  /// Splits `node`, which has no room for `extra` at slot `pos`.
+  Result<std::optional<SplitResult>> Split(Node* node, size_t pos,
+                                           const Entry& extra);
 
-  /// Leaf page that may contain (key, value); descends the tree.
-  Result<PageId> FindLeaf(std::string_view key, uint64_t value) const;
+  /// Leaf that may contain (key, value); descends the tree.
+  Result<Node> FindLeaf(std::string_view key, uint64_t value) const;
+
+  /// RangeScan, with no upper bound when `upper` is null.
+  Result<Iterator> Scan(std::string_view lower, bool lower_inclusive,
+                        const std::string_view* upper,
+                        bool upper_inclusive) const;
 
   BufferPool* pool_;
   FileId file_;

@@ -192,10 +192,10 @@ Status Table::InsertRecord(Oid oid, const Tuple& tuple) {
   zones_->WidenTuple(loc.page_id, tuple);
   INSIGHT_RETURN_NOT_OK(oid_index_->Insert(OidKey(oid), loc.Pack()));
   if (txn != nullptr) {
-    INSIGHT_RETURN_NOT_OK(IndexInsertVersioned(oid, tuple, loc));
+    INSIGHT_RETURN_NOT_OK(IndexVersioned(true, oid, tuple, loc));
     const Ts marker = txn->stamp();
     txn->OnCommit([this, oid, marker](Ts commit_ts) {
-      const Status st = RestampBegin(oid, marker, commit_ts);
+      const Status st = Restamp(oid, true, marker, commit_ts);
       if (!st.ok()) {
         INSIGHT_LOG(Error) << name_ << ": commit restamp of row " << oid
                            << ": " << st.ToString();
@@ -280,7 +280,7 @@ Status Table::Delete(Oid oid) {
     // Immediate physical delete (replay / embedded single-writer mode).
     for (auto& [rec, loc] : versions) {
       if (!VersionVisible(rec.begin, rec.end, Snapshot::Latest())) continue;
-      INSIGHT_RETURN_NOT_OK(IndexDeleteVersioned(oid, rec.tuple, loc));
+      INSIGHT_RETURN_NOT_OK(IndexVersioned(false, oid, rec.tuple, loc));
       INSIGHT_RETURN_NOT_OK(heap_->Delete(loc));
       // Deletes never tighten zone bounds — the page keeps its (now
       // loose) superset bounds until maintenance re-derives them.
@@ -330,7 +330,7 @@ Status Table::Delete(Oid oid) {
         heap_->OverwriteRecordBytes(loc, kEndOffset, TsBytes(marker)));
     num_rows_.fetch_sub(1, std::memory_order_relaxed);
     txn->OnAbort([this, oid, marker]() {
-      const Status st = RestampEnd(oid, marker, kTsInfinity);
+      const Status st = Restamp(oid, false, marker, kTsInfinity);
       if (!st.ok()) {
         INSIGHT_LOG(Error) << name_ << ": delete undo of row " << oid << ": "
                            << st.ToString();
@@ -338,7 +338,7 @@ Status Table::Delete(Oid oid) {
       num_rows_.fetch_add(1, std::memory_order_relaxed);
     });
     txn->OnCommit([this, oid, marker](Ts commit_ts) {
-      const Status st = RestampEnd(oid, marker, commit_ts);
+      const Status st = Restamp(oid, false, marker, commit_ts);
       if (!st.ok()) {
         INSIGHT_LOG(Error) << name_ << ": commit restamp of row " << oid
                            << ": " << st.ToString();
@@ -375,8 +375,8 @@ Status Table::Update(Oid oid, const Tuple& tuple) {
         INSIGHT_RETURN_NOT_OK(oid_index_->Delete(OidKey(oid), loc.Pack()));
         INSIGHT_RETURN_NOT_OK(oid_index_->Insert(OidKey(oid), new_loc.Pack()));
       }
-      INSIGHT_RETURN_NOT_OK(IndexDeleteVersioned(oid, rec.tuple, new_loc));
-      INSIGHT_RETURN_NOT_OK(IndexInsertVersioned(oid, tuple, new_loc));
+      INSIGHT_RETURN_NOT_OK(IndexVersioned(false, oid, rec.tuple, new_loc));
+      INSIGHT_RETURN_NOT_OK(IndexVersioned(true, oid, tuple, new_loc));
       return Status::OK();
     }
     return Status::NotFound("oid " + std::to_string(oid));
@@ -423,8 +423,8 @@ Status Table::Update(Oid oid, const Tuple& tuple) {
         INSIGHT_RETURN_NOT_OK(oid_index_->Delete(OidKey(oid), loc.Pack()));
         INSIGHT_RETURN_NOT_OK(oid_index_->Insert(OidKey(oid), new_loc.Pack()));
       }
-      INSIGHT_RETURN_NOT_OK(IndexDeleteVersioned(oid, rec.tuple, new_loc));
-      INSIGHT_RETURN_NOT_OK(IndexInsertVersioned(oid, tuple, new_loc));
+      INSIGHT_RETURN_NOT_OK(IndexVersioned(false, oid, rec.tuple, new_loc));
+      INSIGHT_RETURN_NOT_OK(IndexVersioned(true, oid, tuple, new_loc));
       return Status::OK();
     }
     // First write of a committed row by this transaction: end-stamp the
@@ -440,14 +440,14 @@ Status Table::Update(Oid oid, const Tuple& tuple) {
     // seen its labels; carry the label bounds along.
     WidenOidLabels(new_loc.page_id, oid);
     INSIGHT_RETURN_NOT_OK(oid_index_->Insert(OidKey(oid), new_loc.Pack()));
-    INSIGHT_RETURN_NOT_OK(IndexInsertVersioned(oid, tuple, new_loc));
+    INSIGHT_RETURN_NOT_OK(IndexVersioned(true, oid, tuple, new_loc));
     txn->OnAbort([this, oid, marker]() {
       Status st = RemoveVersionWithBegin(oid, marker);
       if (st.ok()) {
         // RemoveVersionWithBegin counts the version as a lost row; the
         // old version comes back below, so the row never went away.
         num_rows_.fetch_add(1, std::memory_order_relaxed);
-        st = RestampEnd(oid, marker, kTsInfinity);
+        st = Restamp(oid, false, marker, kTsInfinity);
       }
       if (!st.ok()) {
         INSIGHT_LOG(Error) << name_ << ": update undo of row " << oid << ": "
@@ -455,8 +455,8 @@ Status Table::Update(Oid oid, const Tuple& tuple) {
       }
     });
     txn->OnCommit([this, oid, marker](Ts commit_ts) {
-      Status st = RestampBegin(oid, marker, commit_ts);
-      if (st.ok()) st = RestampEnd(oid, marker, commit_ts);
+      Status st = Restamp(oid, true, marker, commit_ts);
+      if (st.ok()) st = Restamp(oid, false, marker, commit_ts);
       if (!st.ok()) {
         INSIGHT_LOG(Error) << name_ << ": commit restamp of row " << oid
                            << ": " << st.ToString();
@@ -475,27 +475,13 @@ Status Table::Update(Oid oid, const Tuple& tuple) {
   return Status::NotFound("oid " + std::to_string(oid));
 }
 
-Status Table::RestampBegin(Oid oid, Ts marker, Ts new_begin) {
+Status Table::Restamp(Oid oid, bool begin, Ts marker, Ts new_ts) {
   INSIGHT_ASSIGN_OR_RETURN(auto versions, LoadVersions(oid));
   bool found = false;
   for (const auto& [rec, loc] : versions) {
-    if (rec.begin != marker) continue;
-    INSIGHT_RETURN_NOT_OK(
-        heap_->OverwriteRecordBytes(loc, kBeginOffset, TsBytes(new_begin)));
-    found = true;
-  }
-  return found ? Status::OK()
-               : Status::NotFound("no version of oid " + std::to_string(oid) +
-                                  " carries the stamp");
-}
-
-Status Table::RestampEnd(Oid oid, Ts marker, Ts new_end) {
-  INSIGHT_ASSIGN_OR_RETURN(auto versions, LoadVersions(oid));
-  bool found = false;
-  for (const auto& [rec, loc] : versions) {
-    if (rec.end != marker) continue;
-    INSIGHT_RETURN_NOT_OK(
-        heap_->OverwriteRecordBytes(loc, kEndOffset, TsBytes(new_end)));
+    if ((begin ? rec.begin : rec.end) != marker) continue;
+    INSIGHT_RETURN_NOT_OK(heap_->OverwriteRecordBytes(
+        loc, begin ? kBeginOffset : kEndOffset, TsBytes(new_ts)));
     found = true;
   }
   return found ? Status::OK()
@@ -508,7 +494,7 @@ Status Table::RemoveVersionWithBegin(Oid oid, Ts marker) {
   bool found = false;
   for (const auto& [rec, loc] : versions) {
     if (rec.begin != marker) continue;
-    INSIGHT_RETURN_NOT_OK(IndexDeleteVersioned(oid, rec.tuple, loc));
+    INSIGHT_RETURN_NOT_OK(IndexVersioned(false, oid, rec.tuple, loc));
     INSIGHT_RETURN_NOT_OK(heap_->Delete(loc));
     // Abort undo never tightens bounds (widen-only invariant): the page
     // keeps the aborted version's superset bounds until maintenance.
@@ -528,7 +514,7 @@ Status Table::VacuumOid(Oid oid, Ts horizon) {
     if (IsTxnStamp(rec.end) || rec.end == kTsInfinity || rec.end > horizon) {
       continue;
     }
-    INSIGHT_RETURN_NOT_OK(IndexDeleteVersioned(oid, rec.tuple, loc));
+    INSIGHT_RETURN_NOT_OK(IndexVersioned(false, oid, rec.tuple, loc));
     INSIGHT_RETURN_NOT_OK(heap_->Delete(loc));
     zones_->MarkStale(loc.page_id);  // GC vacuums; maintenance tightens.
     INSIGHT_RETURN_NOT_OK(oid_index_->Delete(OidKey(oid), loc.Pack()));
@@ -613,39 +599,22 @@ Status Table::IndexInsert(Oid oid, const Tuple& tuple) {
   return Status::OK();
 }
 
-Status Table::IndexDelete(Oid oid, const Tuple& tuple) {
-  for (auto& [col, idx] : column_indexes_) {
-    INSIGHT_RETURN_NOT_OK(
-        idx.tree->Delete(EncodeIndexKey(tuple.at(idx.column_pos)), oid));
-  }
-  return Status::OK();
-}
-
-Status Table::IndexInsertVersioned(Oid oid, const Tuple& tuple,
-                                   RowLocation loc) {
+Status Table::IndexVersioned(bool insert, Oid oid, const Tuple& tuple,
+                             RowLocation loc) {
   // Invariant: a column index holds (value, oid) iff SOME stored version
   // of `oid` has `value` — probes re-check visibility and value on the
   // fetched version, so surplus entries are only extra work, but a
   // missing entry would lose rows. Skip the insert when a sibling
-  // version already put the pair in place.
+  // version already put the pair in place, and the delete while another
+  // version still needs it.
   for (auto& [col, idx] : column_indexes_) {
     const Value& v = tuple.at(idx.column_pos);
     INSIGHT_ASSIGN_OR_RETURN(
         bool shared, ValueInOtherVersion(oid, idx.column_pos, v, loc));
     if (shared) continue;
-    INSIGHT_RETURN_NOT_OK(idx.tree->Insert(EncodeIndexKey(v), oid));
-  }
-  return Status::OK();
-}
-
-Status Table::IndexDeleteVersioned(Oid oid, const Tuple& tuple,
-                                   RowLocation loc) {
-  for (auto& [col, idx] : column_indexes_) {
-    const Value& v = tuple.at(idx.column_pos);
-    INSIGHT_ASSIGN_OR_RETURN(
-        bool shared, ValueInOtherVersion(oid, idx.column_pos, v, loc));
-    if (shared) continue;  // Another version still needs the entry.
-    INSIGHT_RETURN_NOT_OK(idx.tree->Delete(EncodeIndexKey(v), oid));
+    const std::string key = EncodeIndexKey(v);
+    INSIGHT_RETURN_NOT_OK(insert ? idx.tree->Insert(key, oid)
+                                 : idx.tree->Delete(key, oid));
   }
   return Status::OK();
 }
@@ -675,14 +644,10 @@ Status Table::CreateColumnIndex(const std::string& column) {
     const std::string ekey = EncodeIndexKey(rec.tuple.at(pos));
     INSIGHT_ASSIGN_OR_RETURN(std::vector<uint64_t> existing,
                              idx.tree->Lookup(ekey));
-    bool present = false;
-    for (uint64_t v : existing) {
-      if (v == rec.oid) {
-        present = true;
-        break;
-      }
+    if (std::find(existing.begin(), existing.end(), rec.oid) !=
+        existing.end()) {
+      continue;
     }
-    if (present) continue;
     INSIGHT_RETURN_NOT_OK(idx.tree->Insert(ekey, rec.oid));
   }
   column_indexes_.emplace(key, std::move(idx));
@@ -712,21 +677,14 @@ bool Table::Iterator::Next(Oid* oid, Tuple* tuple) {
   return false;
 }
 
-uint64_t Table::heap_bytes() const {
-  PageStore* store = storage_->GetStore(heap_file_);
-  return store != nullptr ? store->size_bytes() : 0;
-}
-
-uint64_t Table::oid_index_bytes() const {
-  PageStore* store = storage_->GetStore(oid_index_file_);
+uint64_t Table::FileBytes(FileId file) const {
+  PageStore* store = storage_->GetStore(file);
   return store != nullptr ? store->size_bytes() : 0;
 }
 
 uint64_t Table::column_index_bytes(const std::string& column) const {
   auto it = column_indexes_.find(ToLower(column));
-  if (it == column_indexes_.end()) return 0;
-  PageStore* store = storage_->GetStore(it->second.file);
-  return store != nullptr ? store->size_bytes() : 0;
+  return it == column_indexes_.end() ? 0 : FileBytes(it->second.file);
 }
 
 }  // namespace insight

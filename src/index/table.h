@@ -184,7 +184,6 @@ class Table {
   void SetZoneLabelSource(ZoneLabelSource source) {
     zone_label_source_ = std::move(source);
   }
-  bool HasZoneLabelSource() const { return zone_label_source_ != nullptr; }
 
   /// Re-derives bounds for every stale page from ALL stored versions
   /// (conservative for every snapshot). Callers serialize with writers —
@@ -192,9 +191,9 @@ class Table {
   Status MaintainZoneMaps();
 
   /// Storage footprint of the heap file in bytes.
-  uint64_t heap_bytes() const;
+  uint64_t heap_bytes() const { return FileBytes(heap_file_); }
   /// Storage footprint of the OID index in bytes.
-  uint64_t oid_index_bytes() const;
+  uint64_t oid_index_bytes() const { return FileBytes(oid_index_file_); }
   /// Storage footprint of one secondary column index (0 when absent).
   uint64_t column_index_bytes(const std::string& column) const;
 
@@ -231,11 +230,9 @@ class Table {
       Oid oid) const;
 
   // ---- Version plumbing used by transaction closures ----
-  /// Overwrites the begin stamp of the version currently stamped
-  /// `marker`.
-  Status RestampBegin(Oid oid, Ts marker, Ts new_begin);
-  /// Overwrites the end stamp of the version currently stamped `marker`.
-  Status RestampEnd(Oid oid, Ts marker, Ts new_end);
+  /// Overwrites the begin (or end) stamp of the version whose begin (or
+  /// end) stamp is currently `marker`.
+  Status Restamp(Oid oid, bool begin, Ts marker, Ts new_ts);
   /// Physically removes the version whose begin stamp is `marker`
   /// (insert undo).
   Status RemoveVersionWithBegin(Oid oid, Ts marker);
@@ -254,10 +251,12 @@ class Table {
   void WidenOidLabels(PageId page, Oid oid);
 
   Status IndexInsert(Oid oid, const Tuple& tuple);
-  Status IndexDelete(Oid oid, const Tuple& tuple);
-  /// Index maintenance that keeps entries shared by other versions.
-  Status IndexInsertVersioned(Oid oid, const Tuple& tuple, RowLocation loc);
-  Status IndexDeleteVersioned(Oid oid, const Tuple& tuple, RowLocation loc);
+  /// Column-index insert (or delete) of the version at `loc`, keeping
+  /// entries shared by other versions.
+  Status IndexVersioned(bool insert, Oid oid, const Tuple& tuple,
+                        RowLocation loc);
+  /// Bytes in `file`'s backing store (0 for unknown files).
+  uint64_t FileBytes(FileId file) const;
 
   StorageManager* storage_;
   BufferPool* pool_;

@@ -442,18 +442,23 @@ Status HeapFile::OverwriteRecordBytes(RowLocation loc, size_t offset,
 bool HeapFile::Iterator::Next(RowLocation* loc, std::string* record) {
   while (true) {
     if (page_ >= end_) return false;  // Range morsel exhausted.
-    if (slot_ == 0 && filter_ && filter_(page_)) {
-      ++page_;  // Pruned before the fetch: the page is never pinned.
-      continue;
+    // slot_ == 0 marks this iterator's first visit to the page: copy it
+    // once under its shared latch and unpin it, so the page's slots are
+    // served without a pin or latch per row and none is held between
+    // calls.
+    if (slot_ == 0) {
+      if (filter_ && filter_(page_)) {
+        ++page_;  // Pruned before the fetch: the page is never pinned.
+        continue;
+      }
+      auto guard_result =
+          heap_->pool_->FetchPage(heap_->file_, page_, LatchMode::kShared);
+      if (!guard_result.ok()) return false;  // Past last page.
+      EngineMetrics::Get().heap_pages_scanned->Add(1);
+      page_copy_.resize(kPageSize);
+      std::memcpy(page_copy_.data(), guard_result->data(), kPageSize);
     }
-    auto guard_result =
-        heap_->pool_->FetchPage(heap_->file_, page_, LatchMode::kShared);
-    if (!guard_result.ok()) return false;  // Past last page.
-    PageGuard guard = std::move(guard_result).ValueOrDie();
-    const char* page = guard.data();
-    // slot_ == 0 marks the first fetch of this page by this iterator;
-    // resumed mid-page fetches do not recount it.
-    if (slot_ == 0) EngineMetrics::Get().heap_pages_scanned->Add(1);
+    const char* page = page_copy_.data();
     if (page[0] != static_cast<char>(kHeapPageType)) {
       ++page_;  // Overflow or freed page: skip.
       slot_ = 0;
@@ -472,7 +477,6 @@ bool HeapFile::Iterator::Next(RowLocation* loc, std::string* record) {
       }
       const PageId first = GetU32(page + offset + 1);
       const uint32_t total = GetU32(page + offset + 5);
-      guard.Release();
       auto chain = heap_->ReadOverflowChain(first, total);
       if (!chain.ok()) {
         INSIGHT_LOG(Error) << "heap scan: " << chain.status().ToString();

@@ -87,6 +87,7 @@ class HeapFile {
     PageId end_ = kInvalidPageId;  // Exclusive; kInvalidPageId = open.
     uint16_t slot_ = 0;
     PageFilter filter_;
+    std::vector<char> page_copy_;  // The page the slots are served from.
   };
 
   Iterator Scan() const { return Iterator(this); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
@@ -164,6 +165,57 @@ TEST_F(BTreeTest, ReopenPreservesContents) {
   EXPECT_TRUE(*t.Contains("k0123"));
 }
 
+// A node whose count or one slot offset points outside the page makes
+// every operation that reads it return Corruption; none reads or writes
+// past the page (asan checks that), and none changes the tree.
+TEST_F(BTreeTest, CorruptNodeReturnsCorruption) {
+  FileId file = *storage_.CreateFile("corrupt");
+  BTree tree = *BTree::Create(&pool_, file);
+  const std::string probe = "key:" + ZeroPad(10, 4);
+  auto is_corruption = [](const Status& s) {
+    return s.code() == StatusCode::kCorruption;
+  };
+  // Writes 0xFFFF over the u16 at `offset` of `page`, checks every
+  // operation on `probe`, then restores the bytes.
+  auto corrupt = [&](PageId page, size_t offset, const std::string& what) {
+    char saved[2];
+    {
+      PageGuard guard = *pool_.FetchPage(file, page);
+      std::memcpy(saved, guard.data() + offset, 2);
+      std::memset(guard.data() + offset, 0xFF, 2);
+    }
+    EXPECT_TRUE(is_corruption(tree.Lookup(probe).status())) << what;
+    const std::vector<std::string> keys = {probe};
+    EXPECT_TRUE(is_corruption(tree.LookupMany(keys).status())) << what;
+    EXPECT_TRUE(
+        is_corruption(tree.RangeScan(probe, true, probe, true).status()))
+        << what;
+    EXPECT_TRUE(is_corruption(tree.Insert(probe, 99))) << what;
+    EXPECT_TRUE(is_corruption(tree.Delete(probe, 10))) << what;
+    {
+      PageGuard guard = *pool_.FetchPage(file, page);
+      std::memcpy(guard.data() + offset, saved, 2);
+    }
+    EXPECT_EQ(*tree.Lookup(probe), std::vector<uint64_t>{10}) << what;
+  };
+  // Node header: u8 type, u16 count, u32 next leaf, u32 child 0 (internal
+  // only), then the u16 slot offsets.
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(tree.Insert("key:" + ZeroPad(i, 4), i).ok());
+  }
+  ASSERT_EQ(tree.height(), 1u);  // The root leaf is page 1.
+  corrupt(1, 1, "leaf count");
+  corrupt(1, 7 + 2 * 10, "leaf slot offset");
+  for (int i = 50; i < 3000; ++i) {
+    ASSERT_TRUE(tree.Insert("key:" + ZeroPad(i, 4), i).ok());
+  }
+  // The first split made pages 2 (right leaf) and 3 (the new root).
+  ASSERT_EQ(tree.height(), 2u);
+  corrupt(3, 1, "internal count");
+  corrupt(3, 11, "internal slot offset");
+  EXPECT_EQ(tree.num_entries(), 3000u);
+}
+
 TEST(BTreeEntryCompareTest, OrdersByKeyThenValue) {
   EXPECT_LT(CompareEntries("a", 9, "b", 1), 0);
   EXPECT_GT(CompareEntries("b", 1, "a", 9), 0);
@@ -308,9 +360,10 @@ std::string FuzzKey(int64_t i) { return "k" + ZeroPad(i, 4); }
 class BTreeFuzzTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   BTreeFuzzTest()
-      : storage_(StorageManager::Backend::kMemory), pool_(&storage_, 512) {
-    tree_ = std::make_unique<BTree>(
-        *BTree::Create(&pool_, *storage_.CreateFile("fuzz")));
+      : storage_(StorageManager::Backend::kMemory),
+        pool_(&storage_, 512),
+        file_(*storage_.CreateFile("fuzz")) {
+    tree_ = std::make_unique<BTree>(*BTree::Create(&pool_, file_));
   }
 
   void Insert(const std::string& key, uint64_t value) {
@@ -322,8 +375,39 @@ class BTreeFuzzTest : public ::testing::TestWithParam<uint64_t> {
     model_.erase(it);
   }
 
+  // The whole tree against the model: ScanAll is strictly ascending by
+  // (key, value) and equals it, and LookupMany of every model key returns
+  // exactly that key's payloads.
+  void ExpectStructureMatches(const BTree& tree) {
+    ASSERT_EQ(tree.num_entries(), model_.size());
+    auto it = tree.ScanAll();
+    ASSERT_TRUE(it.ok()) << it.status().ToString();
+    std::vector<std::pair<std::string, uint64_t>> got;
+    for (; it->Valid(); it->Next()) {
+      if (!got.empty()) {
+        ASSERT_LT(CompareEntries(got.back().first, got.back().second,
+                                 it->key(), it->value()),
+                  0)
+            << "ScanAll out of order at entry " << got.size();
+      }
+      got.emplace_back(it->key(), it->value());
+    }
+    std::vector<std::pair<std::string, uint64_t>> expected(model_.begin(),
+                                                           model_.end());
+    std::sort(expected.begin(), expected.end());
+    ASSERT_TRUE(got == expected) << got.size() << " entries scanned, "
+                                 << expected.size() << " in the model";
+    std::vector<std::string> keys;
+    for (auto k = model_.begin(); k != model_.end();
+         k = model_.upper_bound(k->first)) {
+      keys.push_back(k->first);
+    }
+    ExpectLookupsMatch(tree, model_, keys);
+  }
+
   StorageManager storage_;
   BufferPool pool_;
+  FileId file_;
   std::unique_ptr<BTree> tree_;
   Model model_;
 };
@@ -444,6 +528,63 @@ TEST_P(BTreeFuzzTest, LookupManyAcrossLeavesEmptiedByLazyDeletes) {
                      FuzzKey(band_hi + 10), false);
   ExpectRangeMatches(*tree_, model_, FuzzKey(band_lo), false, FuzzKey(8100),
                      true);
+}
+
+// Keys from 1 byte to the 4,096-byte limit (three to a page at the top)
+// grow a tree of height >= 4 through internal splits, while interleaved
+// deletes thin runs of duplicates, remove whole runs and empty bands of
+// leaves. Every batch ends with a whole-tree check against the model, and
+// the edited pages are finally read back through a fresh buffer pool.
+TEST_P(BTreeFuzzTest, VariableLengthKeysKeepStructure) {
+  Rng rng(GetParam());
+  // Key i keeps one length, so its repeats are duplicates; lengths below
+  // the stem's collide on shared prefixes and make more.
+  std::vector<std::string> key_of;
+  for (int64_t i = 0; i < 300; ++i) {
+    const double kind = rng.NextDouble();
+    const int64_t len = kind < 0.2   ? rng.Uniform(1, 16)
+                        : kind < 0.5 ? 4096
+                                     : rng.Uniform(1, 4096);
+    std::string key =
+        FuzzKey(i) + std::string(4096, static_cast<char>('a' + i % 26));
+    key.resize(static_cast<size_t>(len));
+    key_of.push_back(std::move(key));
+  }
+  uint64_t next_value = 0;
+  uint32_t max_height = 0;
+  for (int batch = 0; batch < 14; ++batch) {
+    const double insert_share = batch < 8 ? 0.85 : 0.6;
+    for (int op = 0; op < 200; ++op) {
+      const std::string& key = rng.Pick(key_of);
+      const double kind = rng.NextDouble();
+      if (kind < insert_share || model_.empty()) {
+        Insert(key, next_value++);
+      } else if (kind < insert_share + 0.02) {
+        // A whole run of duplicates.
+        auto [lo, hi] = model_.equal_range(key);
+        while (lo != hi) Erase(lo++);
+      } else if (kind < insert_share + 0.04) {
+        // A band of neighbouring entries: empties whole leaves.
+        auto it = model_.lower_bound(key);
+        for (int n = 0; n < 12 && it != model_.end(); ++n) Erase(it++);
+      } else {
+        auto it = model_.begin();
+        std::advance(
+            it, rng.Uniform(0, static_cast<int64_t>(model_.size()) - 1));
+        Erase(it);
+      }
+    }
+    max_height = std::max(max_height, tree_->height());
+    ExpectStructureMatches(*tree_);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(max_height, 4u);
+
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  BufferPool fresh(&storage_, 64);
+  auto reopened = BTree::Open(&fresh, file_);
+  ASSERT_TRUE(reopened.ok());
+  ExpectStructureMatches(*reopened);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeFuzzTest,

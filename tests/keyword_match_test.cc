@@ -106,7 +106,7 @@ TEST(ContainsWordDifferentialTest, MatchesTokenizerOnRandomTexts) {
 
 TEST(ContainsWordDifferentialTest, EdgeCasesMatchTokenizer) {
   const std::string long_word(5000, 'q');
-  const std::vector<std::pair<std::string, std::string>> cases = {
+  std::vector<std::pair<std::string, std::string>> cases = {
       {"Outbreak of avian flu", "outbreak"},       // At the start.
       {"avian flu OUTBREAK", "outbreak"},          // At the end.
       {"(outbreak)", "outbreak"},                  // Between punctuation.
@@ -127,6 +127,27 @@ TEST(ContainsWordDifferentialTest, EdgeCasesMatchTokenizer) {
       {long_word + "q", long_word},                // One byte short.
       {"a " + long_word, long_word + "q"},         // One byte long.
   };
+  // The matcher filters 16 candidate starts at a time on each candidate's
+  // first and last byte: matches at every offset across block edges, at
+  // the text's last byte, and as long as the text, plus the bytes the
+  // `| 0x20` filter confuses with digits (0x10-0x19) and bytes >= 0x80
+  // right beside a match.
+  const std::string pad(20, ' ');
+  for (size_t off = 0; off <= 40; ++off) {
+    cases.push_back({std::string(off, '-') + "OspRey!" + pad, "osprey"});
+    cases.push_back({std::string(off, 'x') + "osprey" + pad, "osprey"});
+    cases.push_back({std::string(off, '.') + "1ab2", "1AB2"});
+  }
+  for (size_t n : {1, 15, 16, 17, 31, 32, 33}) {
+    cases.push_back({std::string(n, 'Q'), std::string(n, 'q')});
+    cases.push_back({std::string(n, 'q'), std::string(n, 'q') + "q"});
+  }
+  cases.push_back({pad + "\x11" "ab\x12" + pad, "1ab2"});
+  cases.push_back({pad + "\x11" "ab\x12 1AB2" + pad, "1ab2"});
+  cases.push_back({pad + "\x19" "9\x10" + pad + "\x19" "9\x10", "990"});
+  cases.push_back({pad + "\xc3osprey\xa9" + pad, "osprey"});
+  cases.push_back({pad + "\xffosprey", "osprey"});
+  cases.push_back({pad + "\x13sprey\x99" + pad, "3sprey"});
   for (const auto& [text, keyword] : cases) {
     EXPECT_EQ(ContainsWord(text, keyword),
               ReferenceContainsWord(text, keyword))
