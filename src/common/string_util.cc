@@ -81,22 +81,6 @@ std::string ZeroPad(int64_t value, int width) {
   return out;
 }
 
-std::vector<std::string> TokenizeWords(std::string_view text) {
-  std::vector<std::string> words;
-  std::string cur;
-  for (char ch : text) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    if (std::isalnum(c)) {
-      cur += static_cast<char>(std::tolower(c));
-    } else if (!cur.empty()) {
-      words.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) words.push_back(std::move(cur));
-  return words;
-}
-
 namespace {
 
 // C-locale character classes, as TokenizeWords sees them: ASCII letters
@@ -117,6 +101,27 @@ struct WordTables {
 constexpr WordTables kWord;
 
 }  // namespace
+
+void ForEachWord(std::string_view text,
+                 const std::function<void(std::string_view)>& fn) {
+  std::string word;
+  for (char ch : text) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    if (kWord.word[c]) {
+      word += kWord.fold[c];
+    } else if (!word.empty()) {
+      fn(word);
+      word.clear();
+    }
+  }
+  if (!word.empty()) fn(word);
+}
+
+std::vector<std::string> TokenizeWords(std::string_view text) {
+  std::vector<std::string> words;
+  ForEachWord(text, [&](std::string_view word) { words.emplace_back(word); });
+  return words;
+}
 
 bool ContainsWord(std::string_view text, std::string_view word) {
   // A token is a maximal run of word bytes, so a needle that is empty or

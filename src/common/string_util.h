@@ -2,6 +2,7 @@
 #define INSIGHTNOTES_COMMON_STRING_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,12 @@ std::string ZeroPad(int64_t value, int width);
 /// tokenizer for classification, clustering, and keyword search so that
 /// all annotation-processing components agree on word boundaries.
 std::vector<std::string> TokenizeWords(std::string_view text);
+
+/// Calls `fn` with each word of `text`, in order, split and lower-cased
+/// exactly as TokenizeWords splits it; allocates nothing per word (`fn`'s
+/// view is into a buffer reused between calls).
+void ForEachWord(std::string_view text,
+                 const std::function<void(std::string_view)>& fn);
 
 /// True if `text` contains `word` as a whole token (case-insensitive):
 /// exactly when TokenizeWords(text) holds ToLower(word), so an empty word

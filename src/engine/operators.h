@@ -336,6 +336,58 @@ class KeywordIndexScanOp : public ScanOp {
   size_t pos_ = 0;
 };
 
+/// Summary-first access, storage side: scans `<rel>_SummaryStorage` at
+/// the statement's snapshot and emits one row per storage row: the
+/// tuple's OID (a storage row's OID is its tuple's), an empty data tuple
+/// and the row's set, checked by SummarySet::FromStored (a corrupt row
+/// fails the scan with Corruption). A tuple without annotations has no
+/// storage row, so a plan drives from this scan only under summary
+/// conjuncts that hold for no empty set; FetchBaseOp supplies the data.
+class SummaryStorageScanOp : public PhysicalOperator {
+ public:
+  explicit SummaryStorageScanOp(SummaryManager* mgr) : mgr_(mgr) {}
+
+  Status OpenImpl() override;
+  /// No data columns: the rows carry only their OIDs and sets.
+  const Schema& schema() const override { return schema_; }
+  std::string Describe() const override;
+
+ protected:
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
+
+ private:
+  SummaryManager* mgr_;
+  Schema schema_;
+  std::optional<Table::Iterator> it_;
+};
+
+/// Summary-first access, base side: resolves each input batch's OIDs to
+/// the base tuples visible at the statement's snapshot with one
+/// Table::GetMany walk, in OID order. Each row keeps the set it arrived
+/// with, so nothing is attached twice; a row whose tuple is not visible
+/// is dropped.
+class FetchBaseOp : public ScanOp {
+ public:
+  FetchBaseOp(OpPtr child, Table* table)
+      : child_(std::move(child)), table_(table) {}
+
+  Status OpenImpl() override;
+  void Close() override { child_->Close(); }
+  std::string Describe() const override;
+  std::vector<PhysicalOperator*> children() const override {
+    return {child_.get()};
+  }
+
+ protected:
+  const Schema& BaseSchema() const override { return table_->schema(); }
+  Result<bool> NextBatchImpl(RowBatch* batch) override;
+
+ private:
+  OpPtr child_;
+  Table* table_;
+  RowBatch input_;
+};
+
 /// In-memory row source (tests, intermediate materialization).
 class VectorSourceOp : public PhysicalOperator {
  public:

@@ -391,6 +391,66 @@ std::string KeywordIndexScanOp::Describe() const {
   return "KeywordIndexScan(" + Join(keywords_, ", ") + ")";
 }
 
+// ---------- Summary-first access ----------
+
+Status SummaryStorageScanOp::OpenImpl() {
+  ResetExec();
+  it_.emplace(mgr_->storage_table()->Scan(snapshot()));
+  return Status::OK();
+}
+
+Result<bool> SummaryStorageScanOp::NextBatchImpl(RowBatch* batch) {
+  Tuple stored;
+  while (!batch->full()) {
+    Row row;
+    if (!it_->Next(&row.oid, &stored)) break;
+    INSIGHT_ASSIGN_OR_RETURN(
+        row.summaries, SummarySet::FromStored(std::move(stored.at(0)).AsString()));
+    batch->Push(std::move(row));
+  }
+  return !batch->empty();
+}
+
+std::string SummaryStorageScanOp::Describe() const {
+  return "SummaryStorageScan(" + mgr_->storage_table()->name() + ")";
+}
+
+Status FetchBaseOp::OpenImpl() {
+  ResetExec();
+  input_.Clear();
+  return child_->Open();
+}
+
+Result<bool> FetchBaseOp::NextBatchImpl(RowBatch* batch) {
+  if (input_.capacity() != batch->capacity()) {
+    input_.set_capacity(batch->capacity());
+  }
+  while (batch->empty()) {
+    INSIGHT_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&input_));
+    if (!has) break;
+    // Storage rows come in heap order, which is mostly OID order.
+    std::vector<Row>& rows = input_.rows();
+    auto by_oid = [](const Row& a, const Row& b) { return a.oid < b.oid; };
+    if (!std::is_sorted(rows.begin(), rows.end(), by_oid)) {
+      std::sort(rows.begin(), rows.end(), by_oid);
+    }
+    std::vector<Oid> oids;
+    oids.reserve(rows.size());
+    for (const Row& row : rows) oids.push_back(row.oid);
+    INSIGHT_ASSIGN_OR_RETURN(auto tuples, table_->GetMany(oids, snapshot()));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (!tuples[i].has_value()) continue;  // Not visible to us.
+      rows[i].data = std::move(*tuples[i]);
+      batch->Push(std::move(rows[i]));
+    }
+  }
+  return !batch->empty();
+}
+
+std::string FetchBaseOp::Describe() const {
+  return "FetchBase(" + table_->name() + ", propagate)";
+}
+
 std::string VectorSourceOp::Describe() const {
   return "VectorSource(" + std::to_string(rows_.size()) + " rows)";
 }

@@ -82,6 +82,43 @@ std::optional<ColumnPredicate> MatchColumnPredicate(const Expression* expr) {
   return ColumnPredicate{col->name(), op, lit->value()};
 }
 
+// A bare containsSingle/containsUnion call (the shape the keyword index
+// and the word counts answer); nullptr for any other expression.
+const SummaryFuncExpr* KeywordFunc(const Expression* expr) {
+  const auto* func = dynamic_cast<const SummaryFuncExpr*>(expr);
+  if (func == nullptr || (func->kind() != SummaryFuncKind::kContainsSingle &&
+                          func->kind() != SummaryFuncKind::kContainsUnion)) {
+    return nullptr;
+  }
+  return func;
+}
+
+// Whether a summary conjunct may drive a summary-first plan over `mgr`'s
+// relation. A tuple without annotations has no storage row, so the
+// storage scan never sees it: the conjunct must be cleanly FALSE or NULL
+// on an empty set, which the plan decides by evaluating it on one. It
+// must read no data column (it resolves against the storage scan's empty
+// schema), and it must evaluate without error on a set of fresh objects,
+// one per linked instance, so that running it before the data conjuncts
+// raises no error the base-first plan would not (a label probe on a
+// non-classifier instance is a type error).
+bool DrivesSummaryFirst(const SummaryManager& mgr, const Expression& conjunct) {
+  ExprPtr probe = conjunct.Clone();
+  if (!probe->Resolve(Schema()).ok()) return false;
+  const Result<Value> empty = probe->Eval(Row{});
+  if (!empty.ok()) return false;
+  if (!empty->is_null() &&
+      !(empty->type() == ValueType::kBool && !empty->AsBool())) {
+    return false;
+  }
+  std::vector<SummaryObject> fresh;
+  for (const SummaryInstance& instance : mgr.instances()) {
+    fresh.push_back(instance.NewObject(kInvalidOid, 0));
+  }
+  return probe->Eval(Row{kInvalidOid, Tuple(), SummarySet(std::move(fresh))})
+      .ok();
+}
+
 }  // namespace
 
 std::vector<ExprPtr> SplitConjuncts(const Expression* expr) {
@@ -436,6 +473,15 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
               break;
             }
           }
+        } else if (const SummaryFuncExpr* func = KeywordFunc(conjunct.get())) {
+          for (const std::string& table : tables) {
+            INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info,
+                                     ctx_->Get(table));
+            if (info->HasInstance(func->instance())) {
+              s = info->KeywordSelectivity(policy, *func, s);
+              break;
+            }
+          }
         } else if (auto pred = MatchColumnPredicate(conjunct.get())) {
           const auto ref = FindBaseColumn(*node.children[0], pred->column);
           if (ref.has_value() && (ref->info->stats.has_value() ||
@@ -710,11 +756,13 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       kSummaryIndex,
       kBaselineIndex,
       kKeywordIndex,
+      kSummaryFirst,
     };
     Kind kind;
     double cost;
     size_t conjunct;  // Consumed conjunct position (in its list).
     std::optional<PhysOrder> order;
+    double rows = 0;  // Summary-first: the base rows it fetches.
   };
   // Zone-map pruning cheapens the sequential path: scale its cost by the
   // fraction of pages the current bounds would actually let us read.
@@ -726,6 +774,13 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     seq_keep_fraction -= info->table->zone_maps()->EstimateSkipFraction(
         zone_pred, static_cast<size_t>(info->table->heap_pages()));
   }
+
+  // The morsel-parallel gate: when open, the sequential path runs as
+  // partitions under a Gather.
+  ExecutionContext* exec = ctx_->exec_context();
+  const size_t workers = exec != nullptr ? exec->parallelism() : 1;
+  const bool parallel = allow_parallel_ && workers > 1 &&
+                        table_rows >= options_.parallel_row_threshold;
 
   std::vector<Candidate> candidates;
   candidates.push_back(Candidate{
@@ -788,20 +843,69 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
     // Keyword-index candidates for bare containsSingle/containsUnion
     // conjuncts over an inverted-indexed Snippet instance.
     for (size_t i = 0; i < summary_conjuncts.size(); ++i) {
-      const auto* func =
-          dynamic_cast<const SummaryFuncExpr*>(summary_conjuncts[i].get());
+      const SummaryFuncExpr* func = KeywordFunc(summary_conjuncts[i].get());
       if (func == nullptr ||
-          (func->kind() != SummaryFuncKind::kContainsSingle &&
-           func->kind() != SummaryFuncKind::kContainsUnion)) {
+          info->KeywordIndexFor(func->instance()) == nullptr) {
         continue;
       }
-      if (info->KeywordIndexFor(func->instance()) == nullptr) continue;
-      const double hits = table_rows * 0.02;  // Keyword-match heuristic.
+      const double hits =
+          table_rows * info->KeywordSelectivity(policy, *func, 0.02);
+      // The posting-list OIDs ascend, so one GetMany walk fetches the
+      // hits and reads each base heap page at most once.
       candidates.push_back(Candidate{
           Candidate::Kind::kKeywordIndex,
           kIndexDescent * static_cast<double>(func->keywords().size()) +
-              hits * kDataIndexHitIo + attach_cost(hits),
+              std::min(hits, table_pages) + hits * kTupleCpu +
+              attach_cost(hits),
           i, std::nullopt});
+    }
+  }
+
+  // Summary-first: the paper's 1-1 join R ⋈ R_SummaryStorage driven from
+  // the storage side, for the summary conjuncts no index answers. The
+  // storage heap is scanned, the driving conjuncts test each stored set in
+  // place, and only the tuples that pass are fetched from the base table,
+  // their sets already in hand. Serial only: it is left out when the
+  // parallel gate is open.
+  std::vector<bool> driving(summary_conjuncts.size(), false);
+  if (propagate && !parallel) {
+    double selectivity = 1.0;
+    bool any = false;
+    for (size_t i = 0; i < summary_conjuncts.size(); ++i) {
+      const Expression* conjunct = summary_conjuncts[i].get();
+      double s = FallbackSelectivity(conjunct);
+      if (auto pred = MatchIndexablePredicate(conjunct);
+          pred.has_value() && IsLeafLabel(*info, pred->instance, pred->label)) {
+        if ((options_.use_summary_indexes &&
+             info->SummaryIndexFor(pred->instance) != nullptr) ||
+            (options_.use_baseline_indexes &&
+             info->BaselineIndexFor(pred->instance) != nullptr)) {
+          continue;  // An index candidate answers it.
+        }
+        s = info->LabelSelectivity(policy, pred->instance, pred->label,
+                                   pred->op, pred->constant, s);
+      } else if (const SummaryFuncExpr* func = KeywordFunc(conjunct)) {
+        if (options_.use_summary_indexes &&
+            info->KeywordIndexFor(func->instance()) != nullptr) {
+          continue;
+        }
+        s = info->KeywordSelectivity(policy, *func, s);
+      }
+      if (!DrivesSummaryFirst(*info->mgr, *conjunct)) continue;
+      driving[i] = any = true;
+      selectivity *= s;
+    }
+    if (any) {
+      const Table* storage = info->mgr->storage_table();
+      const double storage_rows = static_cast<double>(storage->num_rows());
+      // The base fetch is the same GetMany walk as an attach, on the
+      // other table.
+      const double hits = std::min(storage_rows, table_rows * selectivity);
+      candidates.push_back(Candidate{
+          Candidate::Kind::kSummaryFirst,
+          static_cast<double>(storage->heap_pages()) +
+              storage_rows * kTupleCpu + hits * kPropagationIo,
+          0, std::nullopt, hits});
     }
   }
 
@@ -816,12 +920,12 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   // runs bare and, when the relation propagates, the sets attach late
   // (above the data residual).
   bool self_attach = false;
+  // The operator whose output feeds cardinality feedback (null: the
+  // access path's root).
+  PhysicalOperator* feedback = nullptr;
   switch (best->kind) {
     case Candidate::Kind::kSeq: {
-      ExecutionContext* exec = ctx_->exec_context();
-      const size_t workers = exec != nullptr ? exec->parallelism() : 1;
-      if (allow_parallel_ && workers > 1 &&
-          table_rows >= options_.parallel_row_threshold) {
+      if (parallel) {
         // Morsel-parallel scan: N partitions share one morsel dispenser,
         // residual selections and the attach are cloned into every
         // partition so the filtering and propagation run on the workers,
@@ -922,6 +1026,30 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
       // the relation propagates).
       break;
     }
+    case Candidate::Kind::kSummaryFirst: {
+      // The driving conjuncts run on the stored sets between the two
+      // operators; the others stay residual above the fetch, with the
+      // data conjuncts.
+      std::vector<ExprPtr> drive;
+      std::vector<ExprPtr> rest;
+      for (size_t i = 0; i < summary_conjuncts.size(); ++i) {
+        (driving[i] ? drive : rest).push_back(std::move(summary_conjuncts[i]));
+      }
+      summary_conjuncts = std::move(rest);
+      auto fetch = std::make_unique<FetchBaseOp>(
+          std::make_unique<SummarySelectOp>(
+              std::make_unique<SummaryStorageScanOp>(info->mgr),
+              CombineConjuncts(std::move(drive))),
+          info->table);
+      // Its estimate is the rows the driving conjuncts pass: the base
+      // rows fetched, not the storage rows read.
+      fetch->set_estimated_rows(std::max(1.0, best->rows));
+      fetch->set_estimate_source(EstimateSourceFor(*cur));
+      feedback = fetch.get();
+      self_attach = true;
+      op = std::move(fetch);
+      break;
+    }
   }
 
   // Every candidate is a ScanOp; it emits the FROM entry's `rel.col`.
@@ -932,7 +1060,8 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
   WrapResiduals(data_conjuncts, summary_conjuncts, &out);
   // The access-path root is where table statistics turned into an
   // estimate; misestimates observed at runtime feed back to this table.
-  out.op->set_feedback_table(cur->table);
+  (feedback != nullptr ? feedback : out.op.get())
+      ->set_feedback_table(cur->table);
   return out;
 }
 

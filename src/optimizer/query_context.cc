@@ -115,6 +115,22 @@ double RelationInfo::LabelSelectivity(const SketchPolicy& policy,
   return fallback;
 }
 
+double RelationInfo::KeywordSelectivity(const SketchPolicy& policy,
+                                        const SummaryFuncExpr& func,
+                                        double fallback) const {
+  if (!stats.has_value()) return fallback;
+  std::optional<double> sel = stats->EstimateKeywordSelectivity(
+      func.instance(), func.kind() == SummaryFuncKind::kContainsSingle,
+      func.keywords());
+  if (!sel.has_value()) return fallback;
+  const double fresh_rows = EstimatedRows(policy);
+  if (SketchTierActive(policy) && stats->num_rows > 0 && fresh_rows > 0) {
+    return std::min(1.0, *sel * static_cast<double>(stats->num_rows) /
+                             fresh_rows);
+  }
+  return *sel;
+}
+
 double RelationInfo::ColumnSelectivity(const SketchPolicy& policy,
                                        const std::string& column,
                                        CompareOp op, const Value& constant,

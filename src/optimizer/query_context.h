@@ -98,6 +98,13 @@ struct RelationInfo {
                           const std::string& label, CompareOp op,
                           int64_t constant, double fallback) const;
 
+  /// Selectivity of a containsSingle/containsUnion call from the ANALYZE
+  /// word counts, re-divided by the fresh row count under the sketch tier
+  /// as for labels; `fallback` when its instance was never analyzed.
+  double KeywordSelectivity(const SketchPolicy& policy,
+                            const SummaryFuncExpr& func,
+                            double fallback) const;
+
   /// Selectivity of "column <op> constant"; the sketch tier answers
   /// equality from the Count-Min sketch.
   double ColumnSelectivity(const SketchPolicy& policy,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/string_util.h"
 #include "storage/page.h"
@@ -47,6 +49,41 @@ int64_t SaturatingCastToInt64(double v) {
     return std::numeric_limits<int64_t>::min();
   }
   return static_cast<int64_t>(v);
+}
+
+/// Per-word object counts of one snippet instance while ANALYZE scans.
+/// `last` is the last object counted, so a word repeated within one
+/// object counts once.
+struct WordCount {
+  uint64_t objects = 0;
+  uint64_t last = 0;
+};
+struct WordHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view word) const {
+    return std::hash<std::string_view>{}(word);
+  }
+};
+using WordCounts =
+    std::unordered_map<std::string, WordCount, WordHash, std::equal_to<>>;
+
+/// Counts object number `object` (> 0) once for each distinct word of its
+/// snippets (ForEachWord, the tokenizer ContainsWord agrees with); only a
+/// word not seen before allocates.
+void CountObjectWords(const SummaryObject& obj, uint64_t object,
+                      WordCounts* counts) {
+  for (const Representative& rep : obj.reps) {
+    ForEachWord(rep.text, [&](std::string_view word) {
+      auto it = counts->find(word);
+      if (it == counts->end()) {
+        it = counts->emplace(std::string(word), WordCount{}).first;
+      }
+      if (it->second.last != object) {
+        it->second.last = object;
+        ++it->second.objects;
+      }
+    });
+  }
 }
 
 }  // namespace
@@ -198,6 +235,37 @@ double TableStats::EstimateLabelSelectivity(const std::string& instance,
       break;
   }
   return std::min(1.0, matching / static_cast<double>(num_rows));
+}
+
+std::optional<double> TableStats::EstimateKeywordSelectivity(
+    const std::string& instance, bool single,
+    const std::vector<std::string>& keywords) const {
+  auto inst_it = instances.find(ToLower(instance));
+  if (inst_it == instances.end() || !inst_it->second.has_words) {
+    return std::nullopt;
+  }
+  if (num_rows == 0 || keywords.empty()) return 0.0;
+  // Each keyword's share of the relation's tuples, rarest first.
+  std::vector<double> shares;
+  for (const std::string& keyword : keywords) {
+    auto it = inst_it->second.word_objects.find(ToLower(keyword));
+    const double df = it == inst_it->second.word_objects.end()
+                          ? 0.0
+                          : static_cast<double>(it->second);
+    shares.push_back(std::min(1.0, df / static_cast<double>(num_rows)));
+  }
+  std::sort(shares.begin(), shares.end());
+  if (single) return shares.front();
+  // Every keyword must occur, and annotation words co-occur by topic, so
+  // independence underestimates: exponential backoff weighs the rarest
+  // word fully and each next one by a halved exponent.
+  double sel = 1.0;
+  double exponent = 1.0;
+  for (double share : shares) {
+    sel *= std::pow(share, exponent);
+    exponent /= 2;
+  }
+  return sel;
 }
 
 double TableStats::EstimateColumnSelectivity(const std::string& column,
@@ -352,6 +420,7 @@ Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
   std::map<std::string, std::map<std::string, LabelAccum>> accum;
   std::map<std::string, double> size_sum;
   std::map<std::string, uint64_t> object_count;
+  std::map<std::string, WordCounts> word_counts;
   uint64_t blob_bytes = 0;
   INSIGHT_RETURN_NOT_OK(mgr->ForEachSummaryRow(
       [&](Oid oid, const SummarySet& set) -> Status {
@@ -372,6 +441,8 @@ Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
             for (const Representative& rep : obj.reps) {
               accum[key][ToLower(rep.text)].counts.push_back(rep.count);
             }
+          } else if (obj.type == SummaryType::kSnippet) {
+            CountObjectWords(obj, stats.annotated_rows, &word_counts[key]);
           }
         }
         return Status::OK();
@@ -384,6 +455,13 @@ Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
     InstanceStats inst;
     inst.num_objects = count;
     inst.avg_object_size = size_sum[inst_key] / count;
+    auto words_it = word_counts.find(inst_key);
+    if (words_it != word_counts.end()) {
+      for (const auto& [word, count] : words_it->second) {
+        inst.word_objects.emplace(word, count.objects);
+      }
+      inst.has_words = true;
+    }
     auto acc_it = accum.find(inst_key);
     if (acc_it != accum.end()) {
       for (const auto& [label_key, acc] : acc_it->second) {
@@ -480,6 +558,12 @@ void LiveLabelStatistics::FoldInto(TableStats* stats) const {
         label.num_distinct = value_freq.size();
         inst.labels[label_key] = std::move(label);
       }
+    }
+    // Word counts come from ANALYZE only: keep the ones it left.
+    auto old = stats->instances.find(inst_key);
+    if (old != stats->instances.end()) {
+      inst.word_objects = std::move(old->second.word_objects);
+      inst.has_words = old->second.has_words;
     }
     stats->instances[inst_key] = std::move(inst);
   }

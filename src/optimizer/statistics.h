@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,12 @@ struct InstanceStats {
   double avg_object_size = 0;  // Serialized bytes (AvgObjectSize).
   uint64_t num_objects = 0;
   std::map<std::string, LabelStats> labels;  // Lower-cased label keys.
+  /// Snippet instances: lower-cased word -> number of objects whose
+  /// snippets hold it (TokenizeWords, the tokenizer ContainsWord agrees
+  /// with). Built by ANALYZE only; `has_words` tells an instance whose
+  /// snippets hold no word from one never analyzed.
+  std::map<std::string, uint64_t, std::less<>> word_objects;
+  bool has_words = false;
 };
 
 /// Per-data-column statistics (numeric columns get a histogram too).
@@ -128,6 +135,14 @@ struct TableStats {
   /// 1/num_distinct for string equality; 1/3 fallback.
   double EstimateColumnSelectivity(const std::string& column, CompareOp op,
                                    const Value& constant) const;
+
+  /// Selectivity of containsSingle (`single`) or containsUnion over a
+  /// snippet instance from the ANALYZE word counts: containsUnion needs
+  /// every keyword somewhere in the object, containsSingle every keyword
+  /// in one snippet. nullopt when the instance has no word counts.
+  std::optional<double> EstimateKeywordSelectivity(
+      const std::string& instance, bool single,
+      const std::vector<std::string>& keywords) const;
 
   /// NumDistinct of a classifier label's count field (join estimation).
   uint64_t LabelDistinct(const std::string& instance,

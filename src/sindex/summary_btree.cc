@@ -137,10 +137,9 @@ Result<uint64_t> SummaryBTree::MakePayload(Oid oid) const {
   return static_cast<uint64_t>(oid);
 }
 
-bool SummaryBTree::EntryVisible(const std::string& label, int64_t count,
+bool SummaryBTree::EntryVisible(std::string_view label, int64_t count,
                                 uint64_t payload, const Snapshot& snap) const {
-  std::lock_guard<std::mutex> lk(ver_mu_);
-  auto it = versions_.find(EntryId{label, count, payload});
+  auto it = versions_.find(EntryLess::View{label, count, payload});
   if (it == versions_.end()) return true;  // Long-committed entry.
   return VersionVisible(it->second.begin, it->second.end, snap);
 }
@@ -153,16 +152,14 @@ Status SummaryBTree::InsertKey(std::string_view label, int64_t count,
   Transaction* txn = CurrentTxn();
   const EntryId id{std::string(label), count, payload};
   if (txn == nullptr) {
-    {
-      std::lock_guard<std::mutex> lk(ver_mu_);
-      versions_.erase(id);
-    }
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
+    versions_.erase(id);
     return tree_->Insert(ItemizeKey(label, count, width_), payload);
   }
 
   const Ts marker = txn->stamp();
   {
-    std::lock_guard<std::mutex> lk(ver_mu_);
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
     auto it = versions_.find(id);
     if (it != versions_.end()) {
       EntryStamp& st = it->second;
@@ -186,34 +183,29 @@ Status SummaryBTree::InsertKey(std::string_view label, int64_t count,
   INSIGHT_RETURN_NOT_OK(
       tree_->Insert(ItemizeKey(label, count, width_), payload));
   txn->OnCommit([this, id, marker](Ts commit_ts) {
-    std::lock_guard<std::mutex> lk(ver_mu_);
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
     auto it = versions_.find(id);
     if (it != versions_.end() && it->second.begin == marker) {
       it->second.begin = commit_ts;
     }
   });
   txn->OnAbort([this, id, marker]() {
-    bool drop = false;
-    {
-      std::lock_guard<std::mutex> lk(ver_mu_);
-      auto it = versions_.find(id);
-      if (it != versions_.end() && it->second.begin == marker) {
-        versions_.erase(it);
-        drop = true;
-      }
-    }
-    if (drop) {
-      const Status st =
-          tree_->Delete(ItemizeKey(id.label, id.count, width_), id.payload);
-      if (!st.ok() && !st.IsNotFound()) {
-        INSIGHT_LOG(Error) << "summary index insert undo: " << st.ToString();
-      }
+    // The record and the entry go together: a probe between the two
+    // would take the bare entry for a long-committed one.
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
+    auto it = versions_.find(id);
+    if (it == versions_.end() || it->second.begin != marker) return;
+    versions_.erase(it);
+    const Status st =
+        tree_->Delete(ItemizeKey(id.label, id.count, width_), id.payload);
+    if (!st.ok() && !st.IsNotFound()) {
+      INSIGHT_LOG(Error) << "summary index insert undo: " << st.ToString();
     }
   });
   txn->OnGc([this, id](Ts horizon) {
     // Once every snapshot starts at/after the commit, the entry needs no
     // sidecar record anymore (implicit = committed forever).
-    std::lock_guard<std::mutex> lk(ver_mu_);
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
     auto it = versions_.find(id);
     if (it != versions_.end() && !IsTxnStamp(it->second.begin) &&
         it->second.begin <= horizon && it->second.end == kTsInfinity) {
@@ -232,48 +224,43 @@ Status SummaryBTree::DeleteKey(std::string_view label, int64_t count,
   Transaction* txn = CurrentTxn();
   const EntryId id{std::string(label), count, payload};
   if (txn == nullptr) {
-    {
-      std::lock_guard<std::mutex> lk(ver_mu_);
-      versions_.erase(id);
-    }
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
+    versions_.erase(id);
     return tree_->Delete(ItemizeKey(label, count, width_), payload);
   }
 
   const Ts marker = txn->stamp();
-  bool physical = false;
   {
-    std::lock_guard<std::mutex> lk(ver_mu_);
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
     auto it = versions_.find(id);
     if (it != versions_.end()) {
       EntryStamp& st = it->second;
       if (st.begin == marker && st.end == kTsInfinity) {
-        // Deleting our own uncommitted insert: remove it outright (the
-        // insert's closures see the record gone and no-op).
+        // Deleting our own uncommitted insert: remove it outright, record
+        // and entry together (the insert's closures see the record gone
+        // and no-op).
         versions_.erase(it);
-        physical = true;
-      } else if (IsTxnStamp(st.begin) || IsTxnStamp(st.end) ||
-                 st.end != kTsInfinity) {
+        return tree_->Delete(ItemizeKey(label, count, width_), payload);
+      }
+      if (IsTxnStamp(st.begin) || IsTxnStamp(st.end) ||
+          st.end != kTsInfinity) {
         return Status::Aborted("summary index entry " + id.label + ":" +
                                std::to_string(count) + " is contended");
-      } else {
-        st.end = marker;  // Committed entry: mark the delete intent.
       }
+      st.end = marker;  // Committed entry: mark the delete intent.
     } else {
       versions_.emplace(id, EntryStamp{0, marker});
     }
   }
-  if (physical) {
-    return tree_->Delete(ItemizeKey(label, count, width_), payload);
-  }
   txn->OnCommit([this, id, marker](Ts commit_ts) {
-    std::lock_guard<std::mutex> lk(ver_mu_);
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
     auto it = versions_.find(id);
     if (it != versions_.end() && it->second.end == marker) {
       it->second.end = commit_ts;
     }
   });
   txn->OnAbort([this, id, marker]() {
-    std::lock_guard<std::mutex> lk(ver_mu_);
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
     auto it = versions_.find(id);
     if (it != versions_.end() && it->second.end == marker) {
       if (it->second.begin == 0) {
@@ -284,17 +271,14 @@ Status SummaryBTree::DeleteKey(std::string_view label, int64_t count,
     }
   });
   txn->OnGc([this, id](Ts horizon) {
-    bool drop = false;
-    {
-      std::lock_guard<std::mutex> lk(ver_mu_);
-      auto it = versions_.find(id);
-      if (it != versions_.end() && !IsTxnStamp(it->second.end) &&
-          it->second.end != kTsInfinity && it->second.end <= horizon) {
-        versions_.erase(it);
-        drop = true;
-      }
+    // Record and entry go together, as in the insert's abort closure.
+    std::unique_lock<std::shared_mutex> lk(ver_mu_);
+    auto it = versions_.find(id);
+    if (it == versions_.end() || IsTxnStamp(it->second.end) ||
+        it->second.end == kTsInfinity || it->second.end > horizon) {
+      return Status::OK();
     }
-    if (!drop) return Status::OK();
+    versions_.erase(it);
     return tree_->Delete(ItemizeKey(id.label, id.count, width_), id.payload);
   });
   return Status::OK();
@@ -358,7 +342,7 @@ Status SummaryBTree::OnObjectChanged(Oid oid, const SummaryObject* before,
 Status SummaryBTree::WidenAndRebuild(int64_t new_max_count) {
   ++stats_.rebuilds;
   EngineMetrics::Get().sbtree_rebuilds->Add(1);
-  width_ = DigitsOf(new_max_count);
+  const int width = DigitsOf(new_max_count);
   ++rebuild_generation_;
   const char* mode_tag =
       options_.pointer_mode == PointerMode::kBackward ? "bwd" : "conv";
@@ -367,41 +351,46 @@ Status SummaryBTree::WidenAndRebuild(int64_t new_max_count) {
       storage_->CreateFile(mgr_->base()->name() + ".sbt." +
                            ToLower(instance_name_) + "." + mode_tag + ".v" +
                            std::to_string(rebuild_generation_) + ".idx"));
-  INSIGHT_ASSIGN_OR_RETURN(BTree tree, BTree::Create(pool_, file));
-  file_ = file;
-  tree_ = std::make_unique<BTree>(std::move(tree));
-  // Re-itemize every object of this instance at the new width. The scan
-  // sees the latest committed storage rows only, so uncommitted entries
-  // (tracked in the sidecar) are re-applied afterwards.
+  INSIGHT_ASSIGN_OR_RETURN(BTree created, BTree::Create(pool_, file));
+  auto tree = std::make_unique<BTree>(std::move(created));
+  // Re-itemize every object of this instance at the new width into the
+  // new tree, which no probe sees yet. The scan sees the latest committed
+  // storage rows only, so the sidecar's entries that are not in them are
+  // re-applied afterwards: uncommitted inserts, and committed deletes that
+  // older snapshots still see until GC removes them.
   INSIGHT_RETURN_NOT_OK(mgr_->ForEachSummaryRow(
-      [this](Oid oid, const SummarySet& set) -> Status {
+      [&](Oid oid, const SummarySet& set) -> Status {
         for (const SummaryObject& obj : set.objects()) {
           if (obj.instance_id != instance_id_) continue;
           INSIGHT_ASSIGN_OR_RETURN(uint64_t payload, MakePayload(oid));
           for (const Representative& rep : obj.reps) {
-            INSIGHT_RETURN_NOT_OK(tree_->Insert(
-                ItemizeKey(rep.text, rep.count, width_), payload));
+            INSIGHT_RETURN_NOT_OK(tree->Insert(
+                ItemizeKey(rep.text, rep.count, width), payload));
           }
         }
         return Status::OK();
       }));
-  std::vector<EntryId> uncommitted;
-  {
-    std::lock_guard<std::mutex> lk(ver_mu_);
-    for (const auto& [id, st] : versions_) {
-      if (IsTxnStamp(st.begin)) uncommitted.push_back(id);
-    }
-  }
-  for (const EntryId& id : uncommitted) {
+  // Probes switch to the new tree and width at once.
+  std::unique_lock<std::shared_mutex> lk(ver_mu_);
+  for (const auto& [id, st] : versions_) {
+    const bool deleted = st.end != kTsInfinity && !IsTxnStamp(st.end);
+    if (!IsTxnStamp(st.begin) && !deleted) continue;
     INSIGHT_RETURN_NOT_OK(
-        tree_->Insert(ItemizeKey(id.label, id.count, width_), id.payload));
+        tree->Insert(ItemizeKey(id.label, id.count, width), id.payload));
   }
+  width_ = width;
+  file_ = file;
+  tree_ = std::move(tree);
   return Status::OK();
 }
 
 Result<std::vector<SummaryIndexHit>> SummaryBTree::Search(
     const ClassifierProbe& probe, const Snapshot& snap) const {
   EngineMetrics::Get().sbtree_probes->Add(1);
+  // One shared lock over the scan and every visibility check (see
+  // ver_mu_); with no record in flight every entry is long-committed.
+  std::shared_lock<std::shared_mutex> lk(ver_mu_);
+  const bool versioned = !versions_.empty();
   const int64_t max_count = [&] {
     int64_t m = 9;
     for (int i = 1; i < width_; ++i) m = m * 10 + 9;
@@ -418,7 +407,9 @@ Result<std::vector<SummaryIndexHit>> SummaryBTree::Search(
   std::vector<SummaryIndexHit> hits;
   for (; it.Valid(); it.Next()) {
     const int64_t count = CountOfKey(it.key());
-    if (!EntryVisible(probe.label, count, it.value(), snap)) continue;
+    if (versioned && !EntryVisible(probe.label, count, it.value(), snap)) {
+      continue;
+    }
     hits.push_back(SummaryIndexHit{count, it.value(), kInvalidOid});
   }
   INSIGHT_RETURN_NOT_OK(it.status());

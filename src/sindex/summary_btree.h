@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -151,7 +152,7 @@ class SummaryBTree {
 
   /// Number of entries in the MVCC version sidecar (tests/diagnostics).
   size_t versioned_entries() const {
-    std::lock_guard<std::mutex> lk(ver_mu_);
+    std::shared_lock<std::shared_mutex> lk(ver_mu_);
     return versions_.size();
   }
 
@@ -168,9 +169,19 @@ class SummaryBTree {
     std::string label;
     int64_t count = 0;
     uint64_t payload = 0;
-    bool operator<(const EntryId& o) const {
-      return std::tie(label, count, payload) <
-             std::tie(o.label, o.count, o.payload);
+  };
+  /// The sidecar's order, also over (label view, count, payload) tuples,
+  /// so a probe looks entries up without building an EntryId.
+  struct EntryLess {
+    using is_transparent = void;
+    using View = std::tuple<std::string_view, int64_t, uint64_t>;
+    static View Of(const EntryId& id) {
+      return {id.label, id.count, id.payload};
+    }
+    static const View& Of(const View& view) { return view; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return Of(a) < Of(b);
     }
   };
   /// Version interval of one entry. Tree entries with no sidecar record
@@ -180,8 +191,9 @@ class SummaryBTree {
     Ts end = kTsInfinity;
   };
 
-  bool EntryVisible(const std::string& label, int64_t count,
-                    uint64_t payload, const Snapshot& snap) const;
+  /// Whether the tree entry is visible to `snap`; ver_mu_ must be held.
+  bool EntryVisible(std::string_view label, int64_t count, uint64_t payload,
+                    const Snapshot& snap) const;
 
   /// Payload for a tuple under the configured pointer mode.
   Result<uint64_t> MakePayload(Oid oid) const;
@@ -208,10 +220,13 @@ class SummaryBTree {
 
   // MVCC version sidecar: stamps for entries in flight (uncommitted, or
   // committed but still visible to old snapshots). Mutated only by the
-  // (serialized) write path and transaction closures; probes read it
-  // under ver_mu_ to filter tree hits.
-  mutable std::mutex ver_mu_;
-  std::map<EntryId, EntryStamp> versions_;
+  // (serialized) write path and transaction closures. A probe holds
+  // ver_mu_ shared across its tree scan and visibility checks, and every
+  // step that removes a record together with its tree entry (or swaps the
+  // tree) holds it exclusively, so no probe sees an entry without the
+  // record that hides it. Lock order: ver_mu_, then the tree's latch.
+  mutable std::shared_mutex ver_mu_;
+  std::map<EntryId, EntryStamp, EntryLess> versions_;
 };
 
 }  // namespace insight

@@ -222,6 +222,11 @@ OptimizerOptions NoSummaryIndexes() {
   opts.use_summary_indexes = false;
   return opts;
 }
+// The summary-first access path: the fetch right above the storage side's
+// in-place summary selection.
+constexpr const char* kSummaryFirst =
+    "FetchBase(Birds, propagate)\n    SummarySelect[S]";
+
 OptimizerOptions Parallel() {
   OptimizerOptions opts;
   opts.parallel_row_threshold = 0;
@@ -284,7 +289,10 @@ const Shape kShapes[] = {
        return SSelect(Select(Scan(s), Weight(CompareOp::kLt, 60)),
                       Disease(CompareOp::kGe, 2));
      },
-     "SeqScan(Birds)\n", "Select[\xcf\x83]", NoSummaryIndexes()},
+     // Without the index, the label conjunct (false on an empty set)
+     // drives from the storage heap; the data conjunct stays above the
+     // fetch.
+     kSummaryFirst, nullptr, NoSummaryIndexes()},
     {"SummaryNotOr",
      [] {
        return LSummarySelect(
@@ -300,8 +308,9 @@ const Shape kShapes[] = {
      },
      "SummarySelect[S]"},
     // A summary predicate under a data-select node (NOT over a label) and
-    // $.getSize(), which names no instance: both read the set, so both
-    // force the attach below themselves.
+    // $.getSize(), which names no instance: both read the set and are
+    // false on an empty one, so both drive from the storage heap, below
+    // the data conjunct.
     {"NotLabelInDataSelect",
      [] {
        return LSelect(LSelect(LScan("Birds"), Weight(CompareOp::kLt, 90)),
@@ -311,7 +320,7 @@ const Shape kShapes[] = {
        return SSelect(Select(Scan(s), Weight(CompareOp::kLt, 90)),
                       Not(Disease(CompareOp::kLt, 3)));
      },
-     "SummarySelect[S]", "Select[\xcf\x83]", NoSummaryIndexes()},
+     kSummaryFirst, nullptr, NoSummaryIndexes()},
     {"SetSizeInDataSelect",
      [] {
        return LSelect(LSelect(LScan("Birds"), Weight(CompareOp::kLt, 80)),
@@ -321,7 +330,7 @@ const Shape kShapes[] = {
        return Select(Select(Scan(s), Weight(CompareOp::kLt, 80)),
                      Cmp(SetSize(), CompareOp::kGt, Lit(Value::Int(1))));
      },
-     "SummarySelect[S]", "Select[\xcf\x83]"},
+     kSummaryFirst},
     {"SummaryFilter",
      [] {
        ObjectPredicate pred;
@@ -584,14 +593,16 @@ class LateAttachDifferentialTest : public ::testing::TestWithParam<Shape> {
       EXPECT_NE(attach, std::string::npos) << tree;
       EXPECT_LT(attach, tree.find(shape.attach_above)) << tree;
     }
-    // Only the attach and the conventional-pointer index, which attaches
-    // inside itself, print `propagate`.
+    // Only the attach, the conventional-pointer index, which attaches
+    // inside itself, and the summary-first fetch, whose rows keep the
+    // sets the storage scan read, print `propagate`.
     for (size_t pos = tree.find("propagate"); pos != std::string::npos;
          pos = tree.find("propagate", pos + 1)) {
       const size_t begin = tree.rfind('\n', pos) + 1;  // npos + 1 == 0.
       const std::string line = tree.substr(begin, tree.find('\n', pos) - begin);
       EXPECT_TRUE(line.find("AttachSummaries(") != std::string::npos ||
-                  line.find("conventional-ptrs") != std::string::npos)
+                  line.find("conventional-ptrs") != std::string::npos ||
+                  line.find("FetchBase(") != std::string::npos)
           << line;
     }
     if (shape.workers > 1) {

@@ -311,6 +311,12 @@ class LabelZoneTest : public ::testing::Test {
 };
 
 TEST_F(LabelZoneTest, LeafLabelPredicateSkipsUnannotatedPages) {
+  // A serial plan reads this label predicate (false on an empty set) from
+  // the summary storage heap instead, with no base heap page to skip; the
+  // label zone maps serve the morsel-parallel scan, which has no
+  // summary-first form.
+  db_.SetParallelism(2);
+  db_.optimizer_options().parallel_row_threshold = 0;
   const uint64_t before = EngineMetrics::Get().scan_pages_skipped->value();
   auto result = db_.Execute(
       "SELECT id FROM Birds WHERE "
