@@ -377,6 +377,9 @@ class FetchBaseOp : public ScanOp {
   std::vector<PhysicalOperator*> children() const override {
     return {child_.get()};
   }
+  /// The relation's columns the statement reads, as
+  /// SeqScanOp::SetReadColumns (empty decodes every column).
+  void SetReadColumns(std::vector<bool> read) { read_ = std::move(read); }
 
  protected:
   const Schema& BaseSchema() const override { return table_->schema(); }
@@ -385,6 +388,7 @@ class FetchBaseOp : public ScanOp {
  private:
   OpPtr child_;
   Table* table_;
+  std::vector<bool> read_;
   RowBatch input_;
 };
 

@@ -437,7 +437,8 @@ Result<bool> FetchBaseOp::NextBatchImpl(RowBatch* batch) {
     std::vector<Oid> oids;
     oids.reserve(rows.size());
     for (const Row& row : rows) oids.push_back(row.oid);
-    INSIGHT_ASSIGN_OR_RETURN(auto tuples, table_->GetMany(oids, snapshot()));
+    INSIGHT_ASSIGN_OR_RETURN(auto tuples,
+                             table_->GetMany(oids, snapshot(), read_));
     for (size_t i = 0; i < rows.size(); ++i) {
       if (!tuples[i].has_value()) continue;  // Not visible to us.
       rows[i].data = std::move(*tuples[i]);

@@ -83,7 +83,7 @@ Result<Table::DecodedRecord> Table::DecodeRecord(
 }
 
 Result<std::optional<Table::DecodedRecord>> Table::ReadVersion(
-    Oid oid, RowLocation loc) const {
+    Oid oid, RowLocation loc, const std::vector<bool>& read) const {
   auto rec = heap_->Get(loc);
   if (!rec.ok()) {
     // A concurrent GC/undo may have reclaimed this version between the
@@ -92,7 +92,7 @@ Result<std::optional<Table::DecodedRecord>> Table::ReadVersion(
     return rec.status();
   }
   INSIGHT_ASSIGN_OR_RETURN(DecodedRecord decoded,
-                           DecodeRecord(rec.ValueOrDie()));
+                           DecodeRecord(rec.ValueOrDie(), read));
   if (decoded.oid != oid) {
     // Same race as NotFound, one step later: an aborted txn's undo freed
     // the slot and a concurrent insert reused it before our stale index
@@ -239,7 +239,8 @@ Result<Tuple> Table::Get(Oid oid, const Snapshot& snap) const {
 }
 
 Result<std::vector<std::optional<Tuple>>> Table::GetMany(
-    std::span<const Oid> oids, const Snapshot& snap) const {
+    std::span<const Oid> oids, const Snapshot& snap,
+    const std::vector<bool>& read) const {
   std::vector<std::string> keys;
   keys.reserve(oids.size());
   for (Oid oid : oids) keys.push_back(OidKey(oid));
@@ -249,7 +250,7 @@ Result<std::vector<std::optional<Tuple>>> Table::GetMany(
     for (uint64_t packed : hits[i]) {
       INSIGHT_ASSIGN_OR_RETURN(
           std::optional<DecodedRecord> decoded,
-          ReadVersion(oids[i], RowLocation::Unpack(packed)));
+          ReadVersion(oids[i], RowLocation::Unpack(packed), read));
       if (decoded.has_value() &&
           VersionVisible(decoded->begin, decoded->end, snap)) {
         out[i] = std::move(decoded->tuple);

@@ -75,9 +75,11 @@ class Table {
   /// first visible one wins; index entries whose slot was reclaimed or
   /// reused by another row are skipped. One BTree::LookupMany walk, so
   /// the OID index is descended once per leaf run, not once per row.
+  /// `read` decodes only the columns it marks, as Iterator::SetReadColumns
+  /// (empty: every column).
   Result<std::vector<std::optional<Tuple>>> GetMany(
-      std::span<const Oid> oids,
-      const Snapshot& snap = Snapshot::Latest()) const;
+      std::span<const Oid> oids, const Snapshot& snap = Snapshot::Latest(),
+      const std::vector<bool>& read = {}) const;
 
   /// The paper's diskTupleLoc(): heap location of the tuple version
   /// visible to `snap`, given its OID.
@@ -220,10 +222,11 @@ class Table {
   /// Shared insert path: stamps per CurrentTxn() and registers closures.
   Status InsertRecord(Oid oid, const Tuple& tuple);
 
-  /// Reads and decodes the version of `oid` at `loc`; nullopt when the
-  /// slot was reclaimed or now holds another row (a stale index entry).
-  Result<std::optional<DecodedRecord>> ReadVersion(Oid oid,
-                                                   RowLocation loc) const;
+  /// Reads and decodes the version of `oid` at `loc` (`read` as in
+  /// DecodeRecord); nullopt when the slot was reclaimed or now holds
+  /// another row (a stale index entry).
+  Result<std::optional<DecodedRecord>> ReadVersion(
+      Oid oid, RowLocation loc, const std::vector<bool>& read = {}) const;
 
   /// Loads and decodes every version of `oid` (with tuples).
   Result<std::vector<std::pair<DecodedRecord, RowLocation>>> LoadVersions(

@@ -1041,6 +1041,7 @@ Result<Optimizer::Lowered> Optimizer::LowerAccessPath(
               std::make_unique<SummaryStorageScanOp>(info->mgr),
               CombineConjuncts(std::move(drive))),
           info->table);
+      fetch->SetReadColumns(ReadColumns(*cur, info->table->schema()));
       // Its estimate is the rows the driving conjuncts pass: the base
       // rows fetched, not the storage rows read.
       fetch->set_estimated_rows(std::max(1.0, best->rows));
