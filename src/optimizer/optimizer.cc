@@ -551,15 +551,14 @@ Result<PlanEstimate> Optimizer::Estimate(const LogicalNode& node) {
           for (const std::string& table : tables) {
             INSIGHT_ASSIGN_OR_RETURN(const RelationInfo* info,
                                      ctx_->Get(table));
-            if (!info->stats.has_value()) continue;
+            if (!info->stats.has_value() || info->live_stats == nullptr) {
+              continue;
+            }
             for (const std::string& instance : instances) {
-              for (const auto& [label, stats] :
-                   info->stats->instances.count(ToLower(instance)) > 0
-                       ? info->stats->instances.at(ToLower(instance)).labels
-                       : std::map<std::string, LabelStats>{}) {
-                denominator = std::max(
-                    denominator, static_cast<double>(stats.num_distinct));
-              }
+              denominator = std::max(
+                  denominator, static_cast<double>(
+                                   info->live_stats->MaxLabelDistinct(
+                                       instance)));
             }
           }
         }
@@ -1353,7 +1352,7 @@ Result<Optimizer::Lowered> Optimizer::LowerRecImpl(const LogicalNode& node) {
               info->SummaryIndexFor(func->instance());
           const bool complete =
               info->stats.has_value() &&
-              info->stats->annotated_rows == info->stats->num_rows &&
+              info->AnnotatedRows() == info->stats->num_rows &&
               info->stats->num_rows > 0;
           if (index != nullptr && complete) {
             ClassifierProbe probe;

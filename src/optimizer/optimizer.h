@@ -40,17 +40,15 @@ struct OptimizerOptions {
   PageId morsel_pages = 16;
   /// Cardinality-feedback trigger: when an executed access path's q-error
   /// (max(est, actual) / min(est, actual)) reaches this value, the table
-  /// is flagged for a statistics refresh, which the next RefreshStats()
-  /// upgrades to a full ANALYZE. 0 disables the feedback loop (default:
+  /// is flagged, and the next statement that reads it re-ANALYZEs it
+  /// first. 0 disables the feedback loop (default:
   /// plan choices stay deterministic for tests/benches unless opted in).
   double feedback_qerror_threshold = 0;
   /// Consult the online sketch statistics (src/stats) as a second
   /// estimator tier: sketch answers override the ANALYZE histograms once
-  /// they go stale, and cover relations never analyzed at all.
+  /// they go stale (kSketchStalenessThreshold), and cover relations
+  /// never analyzed at all.
   bool use_sketch_statistics = true;
-  /// Write churn since the last ANALYZE (as a fraction of the analyzed
-  /// row count) past which the histograms count as stale.
-  double sketch_staleness_threshold = 0.10;
 };
 
 /// The two sides of an equi-join conjunct "left_column = right_column".
@@ -170,8 +168,7 @@ class Optimizer {
 
   /// The sketch-tier consultation policy derived from the options.
   SketchPolicy sketch_policy() const {
-    return SketchPolicy{options_.use_sketch_statistics,
-                        options_.sketch_staleness_threshold};
+    return SketchPolicy{options_.use_sketch_statistics};
   }
   /// The statistics tier behind a subtree's estimate: sketch if any
   /// referenced table answers from sketches, else feedback-rebuilt, else

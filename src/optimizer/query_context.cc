@@ -30,10 +30,13 @@ bool RelationInfo::HasInstance(const std::string& instance) const {
 }
 
 bool RelationInfo::SketchTierActive(const SketchPolicy& policy) const {
-  if (!policy.enabled || sketches == nullptr || !StatsEnabled()) return false;
+  if (!policy.use_sketch_statistics || sketches == nullptr ||
+      !StatsEnabled()) {
+    return false;
+  }
   if (!sketches->HasData()) return false;
   if (!stats.has_value()) return true;  // Sketches beat no statistics.
-  return sketches->StaleSince(policy.staleness_threshold);
+  return sketches->StaleSince(kSketchStalenessThreshold);
 }
 
 EstimateSource RelationInfo::Source(const SketchPolicy& policy) const {
@@ -65,13 +68,17 @@ double RelationInfo::EstimatedPages(const SketchPolicy& policy,
   return std::max(1.0, pages);
 }
 
+uint64_t RelationInfo::AnnotatedRows() const {
+  return live_stats == nullptr ? 0 : live_stats->AnnotatedRows();
+}
+
 double RelationInfo::AnnotatedFraction(const SketchPolicy& policy,
                                        double fallback) const {
   if (SketchTierActive(policy) && mgr != nullptr) {
     const double rows = EstimatedRows(policy);
     if (rows <= 0) return 0.0;
     // Annotated rows ~ the largest per-instance live object count (one
-    // object per annotated tuple per instance), same as FoldInto().
+    // object per annotated tuple per instance), as in the live statistics.
     int64_t annotated = 0;
     for (const SummaryInstance& inst : mgr->instances()) {
       annotated = std::max(annotated, sketches->InstanceObjects(inst.name()));
@@ -79,7 +86,7 @@ double RelationInfo::AnnotatedFraction(const SketchPolicy& policy,
     return std::min(1.0, static_cast<double>(annotated) / rows);
   }
   if (stats.has_value() && stats->num_rows > 0) {
-    return std::min(1.0, static_cast<double>(stats->annotated_rows) /
+    return std::min(1.0, static_cast<double>(AnnotatedRows()) /
                              static_cast<double>(stats->num_rows));
   }
   return fallback;
@@ -92,11 +99,13 @@ double RelationInfo::LabelSelectivity(const SketchPolicy& policy,
                                       double fallback) const {
   const bool sketch = SketchTierActive(policy);
   if (stats.has_value()) {
-    double sel =
-        stats->EstimateLabelSelectivity(instance, label, op, constant);
+    double sel = live_stats == nullptr
+                     ? 0
+                     : live_stats->EstimateLabelSelectivity(
+                           instance, label, op, constant, stats->num_rows);
     if (sketch && stats->num_rows > 0) {
-      // The histogram numerator (matching rows) is live-maintained; only
-      // the row denominator went stale. Re-divide by the fresh count.
+      // The numerator (matching rows) is live-maintained; only the row
+      // denominator went stale. Re-divide by the fresh count.
       const double fresh_rows = EstimatedRows(policy);
       if (fresh_rows > 0) {
         sel = std::min(1.0, sel * static_cast<double>(stats->num_rows) /
@@ -166,7 +175,11 @@ uint64_t RelationInfo::LabelDistinctEst(const SketchPolicy& policy,
     const double d = sketches->LabelDistinct(instance, label);
     if (d >= 1) return static_cast<uint64_t>(d);
   }
-  if (stats.has_value()) return stats->LabelDistinct(instance, label);
+  if (stats.has_value() && live_stats != nullptr) {
+    const std::optional<LabelStats> label_stats =
+        live_stats->Label(instance, label);
+    if (label_stats.has_value()) return label_stats->num_distinct;
+  }
   return 1;
 }
 
@@ -229,54 +242,52 @@ Status QueryContext::UnregisterInstanceIndexes(const std::string& table,
 
 Status QueryContext::Analyze(const std::string& table) {
   INSIGHT_ASSIGN_OR_RETURN(RelationInfo * info, GetMutable(table));
-  // First Analyze of an annotated relation: attach the live statistics
-  // up front and let AnalyzeTable seed them from the summary scan it
-  // already performs — one pass over summary storage instead of two.
-  LiveLabelStatistics* seed = nullptr;
-  if (info->mgr != nullptr && info->live_stats == nullptr) {
-    info->live_stats = std::make_shared<LiveLabelStatistics>(info->mgr);
-    seed = info->live_stats.get();
+  // Rebuild the live statistics from the summary scan ANALYZE performs
+  // anyway; the old ones unsubscribe when replaced.
+  std::unique_ptr<LiveLabelStatistics> live;
+  if (info->mgr != nullptr) {
+    live = std::make_unique<LiveLabelStatistics>(info->mgr);
   }
   INSIGHT_ASSIGN_OR_RETURN(TableStats stats,
-                           AnalyzeTable(info->table, info->mgr, seed));
+                           AnalyzeTable(info->table, info->mgr, live.get()));
   info->stats = std::move(stats);
+  info->live_stats = std::move(live);
   if (info->sketches != nullptr) {
     info->sketches->NoteAnalyzed(info->stats->num_rows);
   }
   return Status::OK();
 }
 
-Status QueryContext::RefreshStats(const std::string& table,
-                                  const SketchPolicy& policy) {
+bool QueryContext::NeedsAnalyze(const std::string& table) const {
+  Result<const RelationInfo*> info = Get(table);
+  if (!info.ok()) return false;
+  std::lock_guard<std::mutex> lock(feedback_mu_);
+  return (*info)->needs_analyze && (*info)->stats.has_value();
+}
+
+Status QueryContext::AnalyzeFlagged(const std::string& table,
+                                    const SketchPolicy& policy) {
   INSIGHT_ASSIGN_OR_RETURN(RelationInfo * info, GetMutable(table));
-  bool rebuild = false;
   {
     std::lock_guard<std::mutex> lock(feedback_mu_);
-    if (info->needs_analyze && info->stats.has_value()) {
-      info->needs_analyze = false;
-      rebuild = true;
-    }
-  }
-  if (rebuild) {
-    // Feedback said the cached statistics misestimate badly. If the
-    // sketches report little churn since the last ANALYZE, the rescan
-    // would rebuild near-identical histograms — the misestimate is a
-    // model error, not staleness, so fold and move on. Otherwise rebuild
-    // from the data.
-    const bool low_churn =
-        policy.enabled && StatsEnabled() && info->sketches != nullptr &&
-        info->sketches->HasData() &&
-        !info->sketches->StaleSince(policy.staleness_threshold);
-    if (!low_churn) {
-      INSIGHT_RETURN_NOT_OK(Analyze(table));
-      if (info->stats.has_value()) info->stats->rebuilt_by_feedback = true;
+    if (!info->needs_analyze || !info->stats.has_value()) {
       return Status::OK();
     }
+    info->needs_analyze = false;
+  }
+  // If the sketches report little churn since the last ANALYZE, the
+  // rescan would rebuild near-identical histograms: the misestimate is a
+  // model error, not staleness.
+  const bool low_churn =
+      policy.use_sketch_statistics && StatsEnabled() &&
+      info->sketches != nullptr && info->sketches->HasData() &&
+      !info->sketches->StaleSince(kSketchStalenessThreshold);
+  if (low_churn) {
     EngineMetrics::Get().stats_rescans_skipped->Add(1);
+    return Status::OK();
   }
-  if (info->stats.has_value() && info->live_stats != nullptr) {
-    info->live_stats->FoldInto(&*info->stats);
-  }
+  INSIGHT_RETURN_NOT_OK(Analyze(table));
+  info->stats->rebuilt_by_feedback = true;
   return Status::OK();
 }
 

@@ -18,15 +18,17 @@
 
 namespace insight {
 
+/// Write churn since the last ANALYZE, as a fraction of the analyzed row
+/// count, past which the histograms count as stale and the sketch tier
+/// answers.
+inline constexpr double kSketchStalenessThreshold = 0.10;
+
 /// How the planner consults the online sketch tier. Built from the
 /// OptimizerOptions knobs at planning time so every estimate within one
 /// optimization run sees the same policy.
 struct SketchPolicy {
   /// Consider sketch-derived estimates at all.
-  bool enabled = true;
-  /// Churn fraction (ops since ANALYZE / analyzed rows) past which the
-  /// histograms are considered stale and the sketch tier takes over.
-  double staleness_threshold = 0.10;
+  bool use_sketch_statistics = true;
 };
 
 /// Everything the optimizer knows about one relation: its table, summary
@@ -37,16 +39,21 @@ struct RelationInfo {
   std::map<std::string, const SummaryBTree*> summary_indexes;  // By instance.
   std::map<std::string, const BaselineClassifierIndex*> baseline_indexes;
   std::map<std::string, const SnippetKeywordIndex*> keyword_indexes;
+  /// Replaced only by an exclusive DDL-gate holder (ANALYZE, or the
+  /// feedback re-ANALYZE before a statement), so readers planning under
+  /// the shared gate see it fixed.
   std::optional<TableStats> stats;
   /// Online sketches maintained on the DML path (null when the stats
   /// subsystem never registered this table). Owned by the SketchRegistry.
   TableSketches* sketches = nullptr;
-  /// Maintained-on-update label statistics (Section 5.2); created on the
-  /// first Analyze() of an annotated relation.
-  std::shared_ptr<LiveLabelStatistics> live_stats;
+  /// The summary-side statistics, maintained on every summary update
+  /// (Section 5.2); each Analyze() of an annotated relation rebuilds
+  /// them, replacing this pointer as it replaces `stats`.
+  std::unique_ptr<LiveLabelStatistics> live_stats;
   /// Set by the cardinality-feedback loop when an executed plan's q-error
   /// against this relation crossed the configured threshold; the next
-  /// RefreshStats() upgrades to a full Analyze() and clears it.
+  /// statement reading the relation runs AnalyzeFlagged(), which clears
+  /// it.
   bool needs_analyze = false;
   /// Worst q-error ever reported against this relation (diagnostics).
   double worst_qerror = 1;
@@ -70,7 +77,7 @@ struct RelationInfo {
 
   /// True when estimates should come from the sketches: the tier is
   /// enabled, sketches exist and carry data, and the histograms are
-  /// either absent or stale under `policy.staleness_threshold`.
+  /// either absent or stale under kSketchStalenessThreshold.
   bool SketchTierActive(const SketchPolicy& policy) const;
 
   /// The tier the next estimate will come from (EXPLAIN ANALYZE's `src=`).
@@ -86,13 +93,16 @@ struct RelationInfo {
   double EstimatedPages(const SketchPolicy& policy,
                         double fallback_pages) const;
 
+  /// Annotated tuples per the live statistics (0 without them).
+  uint64_t AnnotatedRows() const;
+
   /// Fraction of rows carrying summaries (propagation costing).
   double AnnotatedFraction(const SketchPolicy& policy,
                            double fallback) const;
 
-  /// Selectivity of "instance.label <op> constant". The sketch tier keeps
-  /// the histogram's matching-row numerator (live-maintained) but divides
-  /// by the fresh sketch row count — the stale-denominator fix.
+  /// Selectivity of "instance.label <op> constant" from the live
+  /// statistics. The sketch tier keeps their matching-row numerator but
+  /// divides by the fresh sketch row count — the stale-denominator fix.
   double LabelSelectivity(const SketchPolicy& policy,
                           const std::string& instance,
                           const std::string& label, CompareOp op,
@@ -149,22 +159,23 @@ class QueryContext {
   Status UnregisterInstanceIndexes(const std::string& table,
                                    const std::string& instance);
 
-  /// Collects statistics for one relation (ANALYZE). The first Analyze of
-  /// an annotated relation also attaches LiveLabelStatistics, seeded from
-  /// the same summary scan ANALYZE already performs (one pass, not two),
-  /// after which the summary-side statistics stay fresh on every
-  /// annotation update. Also resets the relation's sketch staleness
-  /// clock.
+  /// Collects statistics for one relation (ANALYZE). For an annotated
+  /// relation the same summary scan rebuilds its LiveLabelStatistics,
+  /// subscribed to every instance linked now, after which the
+  /// summary-side statistics stay fresh on every annotation update. Also
+  /// resets the relation's sketch staleness clock. The caller excludes
+  /// every reader and writer of the relation.
   Status Analyze(const std::string& table);
 
-  /// Folds the live summary statistics into the cached TableStats (no
-  /// scan). No-op for relations without stats or live maintenance. When
-  /// cardinality feedback has flagged the relation (needs_analyze), this
-  /// runs a full Analyze() instead — unless the sketches report the
-  /// histograms are still fresh under `policy`, in which case the sketch
-  /// tier already covers the misestimate and the rescan is skipped.
-  Status RefreshStats(const std::string& table,
-                      const SketchPolicy& policy = SketchPolicy{});
+  /// True when cardinality feedback flagged `table`, which has been
+  /// analyzed before, for re-analysis.
+  bool NeedsAnalyze(const std::string& table) const;
+
+  /// The feedback re-ANALYZE: when NeedsAnalyze(), clears the flag and
+  /// runs Analyze(), unless the sketches report little churn since the
+  /// last ANALYZE (the misestimate is then a model error a rescan cannot
+  /// fix). Same caller contract as Analyze().
+  Status AnalyzeFlagged(const std::string& table, const SketchPolicy& policy);
 
   /// Cardinality-feedback entry point: records that an executed access
   /// path over `table` observed `qerror` (max(est,actual)/min(est,actual))
@@ -196,8 +207,8 @@ class QueryContext {
   ExecutionContext exec_ctx_;
   std::map<std::string, RelationInfo> relations_;  // Lower-cased keys.
   /// Guards the cardinality-feedback fields (needs_analyze, worst_qerror):
-  /// feedback arrives from concurrent read statements that otherwise only
-  /// hold the Database statement gate in shared mode.
+  /// feedback arrives from concurrent read statements, which hold the
+  /// Database DDL gate only in shared mode.
   mutable std::mutex feedback_mu_;
 };
 

@@ -196,60 +196,42 @@ double RealHistogram::EstimateEquals(double v, uint64_t num_distinct) const {
                                        kNumBuckets);
 }
 
-double TableStats::EstimateLabelSelectivity(const std::string& instance,
-                                            const std::string& label,
-                                            CompareOp op,
-                                            int64_t constant) const {
-  if (num_rows == 0) return 0;
-  auto inst_it = instances.find(ToLower(instance));
-  if (inst_it == instances.end()) return 0;
-  auto label_it = inst_it->second.labels.find(ToLower(label));
-  if (label_it == inst_it->second.labels.end()) return 0;
-  const LabelStats& stats = label_it->second;
-  const EquiWidthHistogram& h = stats.histogram;
-  double matching = 0;
+double LabelStats::EstimateMatching(CompareOp op, int64_t constant) const {
+  const EquiWidthHistogram& h = histogram;
   switch (op) {
     case CompareOp::kEq:
-      matching = h.EstimateEquals(constant, stats.num_distinct);
-      break;
+      return h.EstimateEquals(constant, num_distinct);
     case CompareOp::kNe:
-      matching = static_cast<double>(h.total()) -
-                 h.EstimateEquals(constant, stats.num_distinct);
-      break;
+      return static_cast<double>(h.total()) -
+             h.EstimateEquals(constant, num_distinct);
     case CompareOp::kLt:
       // Nothing is < INT64_MIN, and `constant - 1` would overflow.
-      matching = constant == std::numeric_limits<int64_t>::min()
-                     ? 0
-                     : h.EstimateRange(stats.min, constant - 1);
-      break;
+      return constant == std::numeric_limits<int64_t>::min()
+                 ? 0
+                 : h.EstimateRange(min, constant - 1);
     case CompareOp::kLe:
-      matching = h.EstimateRange(stats.min, constant);
-      break;
+      return h.EstimateRange(min, constant);
     case CompareOp::kGt:
-      matching = constant == std::numeric_limits<int64_t>::max()
-                     ? 0
-                     : h.EstimateRange(constant + 1, stats.max);
-      break;
+      return constant == std::numeric_limits<int64_t>::max()
+                 ? 0
+                 : h.EstimateRange(constant + 1, max);
     case CompareOp::kGe:
-      matching = h.EstimateRange(constant, stats.max);
-      break;
+      return h.EstimateRange(constant, max);
   }
-  return std::min(1.0, matching / static_cast<double>(num_rows));
+  return 0;
 }
 
 std::optional<double> TableStats::EstimateKeywordSelectivity(
     const std::string& instance, bool single,
     const std::vector<std::string>& keywords) const {
-  auto inst_it = instances.find(ToLower(instance));
-  if (inst_it == instances.end() || !inst_it->second.has_words) {
-    return std::nullopt;
-  }
+  auto inst_it = instance_words.find(ToLower(instance));
+  if (inst_it == instance_words.end()) return std::nullopt;
   if (num_rows == 0 || keywords.empty()) return 0.0;
   // Each keyword's share of the relation's tuples, rarest first.
   std::vector<double> shares;
   for (const std::string& keyword : keywords) {
-    auto it = inst_it->second.word_objects.find(ToLower(keyword));
-    const double df = it == inst_it->second.word_objects.end()
+    auto it = inst_it->second.find(ToLower(keyword));
+    const double df = it == inst_it->second.end()
                           ? 0.0
                           : static_cast<double>(it->second);
     shares.push_back(std::min(1.0, df / static_cast<double>(num_rows)));
@@ -311,33 +293,50 @@ double TableStats::EstimateColumnSelectivity(const std::string& column,
     return std::min(1.0, matching / static_cast<double>(num_rows));
   }
   if (stats.numeric && numeric_constant) {
-    const int64_t c = SaturatingCastToInt64(constant.AsDouble());
+    // An INT column holds whole numbers, so a fractional constant bounds
+    // `<`/`<=` at its floor and `>`/`>=` at its ceiling, equals no row
+    // and differs from every non-NULL one.
+    int64_t floor_c = 0;
+    int64_t ceil_c = 0;
+    bool whole = true;
+    if (constant.type() == ValueType::kInt64) {
+      floor_c = ceil_c = constant.AsInt();
+    } else {
+      // NaN orders above every real (Value::Compare).
+      const double d = std::isnan(constant.AsDouble())
+                           ? std::numeric_limits<double>::infinity()
+                           : constant.AsDouble();
+      whole = std::floor(d) == d;
+      floor_c = SaturatingCastToInt64(std::floor(d));
+      ceil_c = SaturatingCastToInt64(std::ceil(d));
+    }
     const EquiWidthHistogram& h = stats.histogram;
+    const double equal =
+        whole ? h.EstimateEquals(floor_c, stats.num_distinct) : 0;
     double matching = 0;
     switch (op) {
       case CompareOp::kEq:
-        matching = h.EstimateEquals(c, stats.num_distinct);
+        matching = equal;
         break;
       case CompareOp::kNe:
-        matching = static_cast<double>(h.total()) -
-                   h.EstimateEquals(c, stats.num_distinct);
+        matching = static_cast<double>(h.total()) - equal;
         break;
       case CompareOp::kLt:
       case CompareOp::kLe:
-        // `c - 1` overflows at INT64_MIN (and nothing is < it anyway).
-        if (op == CompareOp::kLt &&
-            c == std::numeric_limits<int64_t>::min()) {
-          break;
+        if (op == CompareOp::kLt && whole) {
+          // `c - 1` overflows at INT64_MIN (and nothing is < it anyway).
+          if (floor_c == std::numeric_limits<int64_t>::min()) break;
+          --floor_c;
         }
-        matching = h.EstimateRange(h.min(), op == CompareOp::kLt ? c - 1 : c);
+        matching = h.EstimateRange(h.min(), floor_c);
         break;
       case CompareOp::kGt:
       case CompareOp::kGe:
-        if (op == CompareOp::kGt &&
-            c == std::numeric_limits<int64_t>::max()) {
-          break;
+        if (op == CompareOp::kGt && whole) {
+          if (ceil_c == std::numeric_limits<int64_t>::max()) break;
+          ++ceil_c;
         }
-        matching = h.EstimateRange(op == CompareOp::kGt ? c + 1 : c, h.max());
+        matching = h.EstimateRange(ceil_c, h.max());
         break;
     }
     return std::min(1.0, matching / static_cast<double>(num_rows));
@@ -351,15 +350,6 @@ double TableStats::EstimateColumnSelectivity(const std::string& column,
   return 1.0 / 3;
 }
 
-uint64_t TableStats::LabelDistinct(const std::string& instance,
-                                   const std::string& label) const {
-  auto inst_it = instances.find(ToLower(instance));
-  if (inst_it == instances.end()) return 1;
-  auto label_it = inst_it->second.labels.find(ToLower(label));
-  if (label_it == inst_it->second.labels.end()) return 1;
-  return std::max<uint64_t>(1, label_it->second.num_distinct);
-}
-
 uint64_t TableStats::ColumnDistinct(const std::string& column) const {
   auto it = columns.find(ToLower(column));
   if (it == columns.end()) return 1;
@@ -367,7 +357,7 @@ uint64_t TableStats::ColumnDistinct(const std::string& column) const {
 }
 
 Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
-                                LiveLabelStatistics* seed) {
+                                LiveLabelStatistics* live) {
   TableStats stats;
   stats.num_rows = table->num_rows();
   stats.heap_pages = table->heap_bytes() / kPageSize;
@@ -414,67 +404,35 @@ Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
   if (mgr == nullptr) return stats;
 
   // Summary statistics: one pass over the de-normalized storage.
-  struct LabelAccum {
-    std::vector<int64_t> counts;
-  };
-  std::map<std::string, std::map<std::string, LabelAccum>> accum;
-  std::map<std::string, double> size_sum;
-  std::map<std::string, uint64_t> object_count;
   std::map<std::string, WordCounts> word_counts;
+  uint64_t annotated_rows = 0;
   uint64_t blob_bytes = 0;
   INSIGHT_RETURN_NOT_OK(mgr->ForEachSummaryRow(
       [&](Oid oid, const SummarySet& set) -> Status {
-        ++stats.annotated_rows;
+        ++annotated_rows;
         std::string blob;
         set.Serialize(&blob);
         blob_bytes += blob.size();
         for (const SummaryObject& obj : set.objects()) {
-          if (seed != nullptr) {
-            INSIGHT_RETURN_NOT_OK(seed->OnObjectChanged(oid, nullptr, &obj));
+          if (live != nullptr) {
+            INSIGHT_RETURN_NOT_OK(live->OnObjectChanged(oid, nullptr, &obj));
           }
-          const std::string key = ToLower(obj.instance_name);
-          std::string buf;
-          obj.Serialize(&buf);
-          size_sum[key] += static_cast<double>(buf.size());
-          ++object_count[key];
-          if (obj.type == SummaryType::kClassifier) {
-            for (const Representative& rep : obj.reps) {
-              accum[key][ToLower(rep.text)].counts.push_back(rep.count);
-            }
-          } else if (obj.type == SummaryType::kSnippet) {
-            CountObjectWords(obj, stats.annotated_rows, &word_counts[key]);
+          if (obj.type == SummaryType::kSnippet) {
+            CountObjectWords(obj, annotated_rows,
+                             &word_counts[ToLower(obj.instance_name)]);
           }
         }
         return Status::OK();
       }));
-  if (stats.annotated_rows > 0) {
+  if (annotated_rows > 0) {
     stats.avg_summary_blob_size =
-        static_cast<double>(blob_bytes) / stats.annotated_rows;
+        static_cast<double>(blob_bytes) / annotated_rows;
   }
-  for (const auto& [inst_key, count] : object_count) {
-    InstanceStats inst;
-    inst.num_objects = count;
-    inst.avg_object_size = size_sum[inst_key] / count;
-    auto words_it = word_counts.find(inst_key);
-    if (words_it != word_counts.end()) {
-      for (const auto& [word, count] : words_it->second) {
-        inst.word_objects.emplace(word, count.objects);
-      }
-      inst.has_words = true;
+  for (const auto& [inst_key, counts] : word_counts) {
+    WordObjects& words = stats.instance_words[inst_key];
+    for (const auto& [word, count] : counts) {
+      words.emplace(word, count.objects);
     }
-    auto acc_it = accum.find(inst_key);
-    if (acc_it != accum.end()) {
-      for (const auto& [label_key, acc] : acc_it->second) {
-        LabelStats label;
-        label.histogram = EquiWidthHistogram::Build(acc.counts);
-        label.min = label.histogram.min();
-        label.max = label.histogram.max();
-        label.num_distinct =
-            std::set<int64_t>(acc.counts.begin(), acc.counts.end()).size();
-        inst.labels[label_key] = std::move(label);
-      }
-    }
-    stats.instances[inst_key] = std::move(inst);
   }
   return stats;
 }
@@ -494,18 +452,6 @@ LiveLabelStatistics::~LiveLabelStatistics() {
   for (SummaryManager::ListenerId id : listener_ids_) {
     mgr_->RemoveListener(id);
   }
-}
-
-Status LiveLabelStatistics::SeedFrom(SummaryManager* mgr) {
-  freq_.clear();
-  object_counts_.clear();
-  object_bytes_.clear();
-  return mgr->ForEachSummaryRow([this](Oid oid, const SummarySet& set) {
-    for (const SummaryObject& obj : set.objects()) {
-      INSIGHT_RETURN_NOT_OK(OnObjectChanged(oid, nullptr, &obj));
-    }
-    return Status::OK();
-  });
 }
 
 void LiveLabelStatistics::Apply(const SummaryObject& obj, int64_t delta) {
@@ -533,41 +479,75 @@ void LiveLabelStatistics::Apply(const SummaryObject& obj, int64_t delta) {
 
 Status LiveLabelStatistics::OnObjectChanged(Oid, const SummaryObject* before,
                                             const SummaryObject* after) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
   if (before != nullptr) Apply(*before, -1);
   if (after != nullptr) Apply(*after, +1);
   return Status::OK();
 }
 
-void LiveLabelStatistics::FoldInto(TableStats* stats) const {
-  uint64_t max_objects = 0;
-  for (const auto& [inst_key, counts] : object_counts_) {
-    InstanceStats inst;
-    inst.num_objects = counts;
-    max_objects = std::max(max_objects, counts);
-    auto bytes_it = object_bytes_.find(inst_key);
-    if (bytes_it != object_bytes_.end() && counts > 0) {
-      inst.avg_object_size = bytes_it->second / counts;
-    }
-    auto freq_it = freq_.find(inst_key);
-    if (freq_it != freq_.end()) {
-      for (const auto& [label_key, value_freq] : freq_it->second) {
-        LabelStats label;
-        label.histogram = EquiWidthHistogram::BuildFromCounts(value_freq);
-        label.min = label.histogram.min();
-        label.max = label.histogram.max();
-        label.num_distinct = value_freq.size();
-        inst.labels[label_key] = std::move(label);
-      }
-    }
-    // Word counts come from ANALYZE only: keep the ones it left.
-    auto old = stats->instances.find(inst_key);
-    if (old != stats->instances.end()) {
-      inst.word_objects = std::move(old->second.word_objects);
-      inst.has_words = old->second.has_words;
-    }
-    stats->instances[inst_key] = std::move(inst);
+std::optional<LabelStats> LiveLabelStatistics::Label(
+    const std::string& instance, const std::string& label) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto inst_it = freq_.find(ToLower(instance));
+  if (inst_it == freq_.end()) return std::nullopt;
+  auto label_it = inst_it->second.find(ToLower(label));
+  if (label_it == inst_it->second.end() || label_it->second.empty()) {
+    return std::nullopt;
   }
-  stats->annotated_rows = max_objects;
+  LabelStats stats;
+  stats.histogram = EquiWidthHistogram::BuildFromCounts(label_it->second);
+  stats.min = stats.histogram.min();
+  stats.max = stats.histogram.max();
+  stats.num_distinct = label_it->second.size();
+  return stats;
+}
+
+double LiveLabelStatistics::EstimateLabelSelectivity(
+    const std::string& instance, const std::string& label, CompareOp op,
+    int64_t constant, uint64_t num_rows) const {
+  if (num_rows == 0) return 0;
+  const std::optional<LabelStats> stats = Label(instance, label);
+  if (!stats.has_value()) return 0;
+  return std::min(1.0, stats->EstimateMatching(op, constant) /
+                           static_cast<double>(num_rows));
+}
+
+uint64_t LiveLabelStatistics::MaxLabelDistinct(
+    const std::string& instance) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  uint64_t most = 0;
+  auto inst_it = freq_.find(ToLower(instance));
+  if (inst_it == freq_.end()) return 0;
+  for (const auto& [label, counts] : inst_it->second) {
+    most = std::max<uint64_t>(most, counts.size());
+  }
+  return most;
+}
+
+uint64_t LiveLabelStatistics::AnnotatedRows() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  uint64_t most = 0;
+  for (const auto& [inst_key, count] : object_counts_) {
+    most = std::max(most, count);
+  }
+  return most;
+}
+
+uint64_t LiveLabelStatistics::NumObjects(const std::string& instance) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto it = object_counts_.find(ToLower(instance));
+  return it == object_counts_.end() ? 0 : it->second;
+}
+
+double LiveLabelStatistics::AvgObjectSize(const std::string& instance) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  auto count_it = object_counts_.find(ToLower(instance));
+  auto bytes_it = object_bytes_.find(ToLower(instance));
+  if (count_it == object_counts_.end() || count_it->second == 0 ||
+      bytes_it == object_bytes_.end()) {
+    return 0;
+  }
+  return bytes_it->second / static_cast<double>(count_it->second);
 }
 
 }  // namespace insight

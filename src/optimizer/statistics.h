@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -87,19 +88,10 @@ struct LabelStats {
   int64_t max = 0;
   uint64_t num_distinct = 0;
   EquiWidthHistogram histogram;
-};
 
-/// Per-summary-instance statistics.
-struct InstanceStats {
-  double avg_object_size = 0;  // Serialized bytes (AvgObjectSize).
-  uint64_t num_objects = 0;
-  std::map<std::string, LabelStats> labels;  // Lower-cased label keys.
-  /// Snippet instances: lower-cased word -> number of objects whose
-  /// snippets hold it (TokenizeWords, the tokenizer ContainsWord agrees
-  /// with). Built by ANALYZE only; `has_words` tells an instance whose
-  /// snippets hold no word from one never analyzed.
-  std::map<std::string, uint64_t, std::less<>> word_objects;
-  bool has_words = false;
+  /// Estimated number of tuples whose count satisfies "count <op>
+  /// constant" (tuples without the label's object never qualify).
+  double EstimateMatching(CompareOp op, int64_t constant) const;
 };
 
 /// Per-data-column statistics (numeric columns get a histogram too).
@@ -111,25 +103,25 @@ struct ColumnStats {
   bool real = false;             // The histogram is real_histogram.
 };
 
-/// Statistics of one relation (data + summaries), collected by Analyze().
+/// Lower-cased word -> number of objects whose snippets hold it
+/// (TokenizeWords, the tokenizer ContainsWord agrees with).
+using WordObjects = std::map<std::string, uint64_t, std::less<>>;
+
+/// What ANALYZE alone produces for one relation: row and page counts,
+/// data-column statistics and snippet word counts. The label statistics
+/// live in LiveLabelStatistics, which the same pass rebuilds.
 struct TableStats {
   uint64_t num_rows = 0;
   uint64_t heap_pages = 0;
-  uint64_t annotated_rows = 0;
   double avg_summary_blob_size = 0;
   /// True when this snapshot was rebuilt because the cardinality-feedback
   /// loop flagged a misestimate (rather than an explicit ANALYZE); the
   /// optimizer surfaces it as the `feedback` estimate source.
   bool rebuilt_by_feedback = false;
-  std::map<std::string, InstanceStats> instances;  // Lower-cased keys.
-  std::map<std::string, ColumnStats> columns;      // Lower-cased keys.
-
-  /// Selectivity (0..1, relative to num_rows) of
-  /// "instance.label <op> constant". Tuples without the instance's object
-  /// never qualify, matching S semantics.
-  double EstimateLabelSelectivity(const std::string& instance,
-                                  const std::string& label, CompareOp op,
-                                  int64_t constant) const;
+  /// Per snippet instance that held objects (lower-cased keys); an
+  /// instance whose snippets hold no word maps to an empty set.
+  std::map<std::string, WordObjects> instance_words;
+  std::map<std::string, ColumnStats> columns;  // Lower-cased keys.
 
   /// Selectivity of "column <op> constant" for numeric columns;
   /// 1/num_distinct for string equality; 1/3 fallback.
@@ -144,37 +136,29 @@ struct TableStats {
       const std::string& instance, bool single,
       const std::vector<std::string>& keywords) const;
 
-  /// NumDistinct of a classifier label's count field (join estimation).
-  uint64_t LabelDistinct(const std::string& instance,
-                         const std::string& label) const;
-
   uint64_t ColumnDistinct(const std::string& column) const;
 };
 
 class LiveLabelStatistics;
 
 /// ANALYZE: one scan of the relation plus one scan of its summary
-/// storage. Data-column statistics refresh only on ANALYZE; the
-/// summary-side statistics are additionally kept fresh by
-/// LiveLabelStatistics below (the paper's "maintained whenever a summary
-/// object is updated", Section 5.2). When `seed` is non-null, the summary
-/// pass additionally initializes it — the first Analyze of an annotated
-/// relation seeds the live statistics from the same single scan instead
-/// of walking the summary storage a second time.
+/// storage. When `live` is non-null, the summary pass feeds it every
+/// stored object, so a fresh LiveLabelStatistics starts from the same
+/// single scan instead of walking the summary storage a second time.
 Result<TableStats> AnalyzeTable(Table* table, SummaryManager* mgr,
-                                LiveLabelStatistics* seed = nullptr);
+                                LiveLabelStatistics* live = nullptr);
 
-/// Incrementally-maintained per-label count distributions. Subscribes to
-/// every instance linked on the manager and tracks, for each classifier
-/// label, the multiset of per-tuple counts; FoldInto() rewrites a
-/// TableStats' instance section from the live state, so the optimizer
-/// sees current selectivities without re-scanning (Fig. 6's statistics,
-/// maintained on update as the paper describes).
+/// The summary-side statistics of one relation, the only place they are
+/// kept: per-label count distributions, per-instance object counts and
+/// sizes, and the annotated-row count. Subscribed to the manager's
+/// instances, so they are "maintained whenever a summary object is
+/// updated" (Section 5.2) and estimates read them where they are. The
+/// listener updates under an exclusive lock; estimates read under a
+/// shared one.
 class LiveLabelStatistics {
  public:
-  /// Subscribes to the instances currently linked on `mgr`. Must be
-  /// attached while the current summary storage is empty OR immediately
-  /// after a full AnalyzeTable seed via SeedFrom().
+  /// Subscribes to the instances currently linked on `mgr`. The state
+  /// starts empty: AnalyzeTable feeds it the stored summaries.
   explicit LiveLabelStatistics(SummaryManager* mgr);
 
   /// Deregisters the maintenance subscriptions.
@@ -183,20 +167,36 @@ class LiveLabelStatistics {
   LiveLabelStatistics(const LiveLabelStatistics&) = delete;
   LiveLabelStatistics& operator=(const LiveLabelStatistics&) = delete;
 
-  /// Initializes the live distributions from existing summary rows.
-  Status SeedFrom(SummaryManager* mgr);
-
-  /// Replaces `stats`' per-instance label statistics (and annotated-row
-  /// count) with the live state.
-  void FoldInto(TableStats* stats) const;
-
   /// The maintenance entry point (wired as a SummaryManager listener).
   Status OnObjectChanged(Oid oid, const SummaryObject* before,
                          const SummaryObject* after);
 
+  /// Selectivity (0..1, relative to `num_rows`) of "instance.label <op>
+  /// constant"; 0 for an unknown instance or label.
+  double EstimateLabelSelectivity(const std::string& instance,
+                                  const std::string& label, CompareOp op,
+                                  int64_t constant, uint64_t num_rows) const;
+
+  /// The largest NumDistinct over `instance`'s labels (0 when none).
+  uint64_t MaxLabelDistinct(const std::string& instance) const;
+
+  /// Annotated tuples: the largest per-instance object count (one object
+  /// per annotated tuple per instance).
+  uint64_t AnnotatedRows() const;
+
+  /// The label's Fig. 6 statistics; nullopt when no tuple carries it.
+  std::optional<LabelStats> Label(const std::string& instance,
+                                  const std::string& label) const;
+
+  uint64_t NumObjects(const std::string& instance) const;
+  /// Mean serialized object size (AvgObjectSize); 0 without objects.
+  double AvgObjectSize(const std::string& instance) const;
+
  private:
+  // The caller holds mu_ exclusive.
   void Apply(const SummaryObject& obj, int64_t delta);
 
+  mutable std::shared_mutex mu_;
   // instance (lower) -> label (lower) -> count value -> #tuples.
   std::map<std::string, std::map<std::string, std::map<int64_t, uint64_t>>>
       freq_;

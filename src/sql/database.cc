@@ -946,7 +946,11 @@ Result<QueryResult> Database::Execute(const std::string& sql,
     case Statement::Kind::kSelect:
     case Statement::Kind::kExplain:
     case Statement::Kind::kZoomIn:
-      return ExecuteRead(stmt, sql, txn_handle);
+      return ExecuteRead(stmt, sql,
+                         stmt.kind == Statement::Kind::kExplain
+                             ? SelectMode::kExplain
+                             : SelectMode::kRun,
+                         txn_handle);
     default:
       return ExecuteWrite(stmt, txn_handle);
   }
@@ -1004,8 +1008,19 @@ Result<QueryResult> Database::ExecuteRollback(uint64_t* txn_handle) {
 
 Result<QueryResult> Database::ExecuteRead(const Statement& stmt,
                                           const std::string& sql,
+                                          SelectMode mode,
                                           uint64_t* txn_handle) {
   std::shared_lock<std::shared_mutex> ddl_gate(ddl_mu_);
+  if (stmt.kind != Statement::Kind::kZoomIn) {
+    const auto& from = stmt.select->from;
+    if (std::any_of(from.begin(), from.end(), [&](const auto& entry) {
+          return context_.NeedsAnalyze(entry.table);
+        })) {
+      ddl_gate.unlock();
+      INSIGHT_RETURN_NOT_OK(AnalyzeFlagged(*stmt.select));
+      ddl_gate.lock();
+    }
+  }
   Snapshot snap;
   SnapshotLease lease;
   if (*txn_handle != 0) {
@@ -1028,15 +1043,21 @@ Result<QueryResult> Database::ExecuteRead(const Statement& stmt,
                stmt.zoom_rep_index, snap));
     return result;
   }
-  {
-    // Stats folding reads the live statistics writers feed; take the
-    // write gate for just this step. Planning and execution below run
-    // with no write gate — that is what retired the statement gate.
-    std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
-    INSIGHT_RETURN_NOT_OK(executor_.RefreshSelectStats(*stmt.select));
+  // Planning reads the live statistics under their own shared lock, and
+  // execution reads at `snap`: a read never waits for a writer.
+  return executor_.ExecuteSelect(*stmt.select, mode, sql, snap);
+}
+
+Status Database::AnalyzeFlagged(const SelectStatement& select) {
+  // Cardinality feedback flagged a table this statement reads: re-ANALYZE
+  // it first, under the gates the ANALYZE statement takes.
+  std::unique_lock<std::shared_mutex> ddl_gate(ddl_mu_);
+  std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
+  for (const SelectStatement::FromTable& from : select.from) {
+    INSIGHT_RETURN_NOT_OK(context_.AnalyzeFlagged(
+        from.table, SketchPolicy{optimizer_options_.use_sketch_statistics}));
   }
-  return executor_.ExecuteSelect(
-      *stmt.select, stmt.kind == Statement::Kind::kExplain, sql, snap);
+  return Status::OK();
 }
 
 Result<QueryResult> Database::ExecuteWrite(const Statement& stmt,
@@ -1093,39 +1114,25 @@ Result<QueryResult> Database::ExecuteWrite(const Statement& stmt,
 }
 
 Result<std::string> Database::Explain(const std::string& sql) {
-  INSIGHT_RETURN_NOT_OK(CheckStatementSize(sql));
-  INSIGHT_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  if (stmt.kind != Statement::Kind::kSelect &&
-      stmt.kind != Statement::Kind::kExplain) {
-    return Status::InvalidArgument("can only explain SELECT statements");
-  }
-  std::shared_lock<std::shared_mutex> ddl_gate(ddl_mu_);
-  {
-    std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
-    INSIGHT_RETURN_NOT_OK(executor_.RefreshSelectStats(*stmt.select));
-  }
-  INSIGHT_ASSIGN_OR_RETURN(
-      QueryResult result,
-      executor_.ExecuteSelect(*stmt.select, /*explain_only=*/true, sql,
-                              txn_mgr_.LatestSnapshot()));
-  return result.message;
+  return ExplainRead(sql, SelectMode::kExplain);
 }
 
 Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
+  return ExplainRead(sql, SelectMode::kExplainAnalyze);
+}
+
+Result<std::string> Database::ExplainRead(const std::string& sql,
+                                          SelectMode mode) {
   INSIGHT_RETURN_NOT_OK(CheckStatementSize(sql));
   INSIGHT_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   if (stmt.kind != Statement::Kind::kSelect &&
       stmt.kind != Statement::Kind::kExplain) {
     return Status::InvalidArgument("can only explain SELECT statements");
   }
-  std::shared_lock<std::shared_mutex> ddl_gate(ddl_mu_);
-  {
-    std::lock_guard<std::recursive_mutex> write_gate(txn_mgr_.write_mu());
-    INSIGHT_RETURN_NOT_OK(executor_.RefreshSelectStats(*stmt.select));
-  }
-  Snapshot snap;
-  SnapshotLease lease = txn_mgr_.BeginLease(&snap);
-  return executor_.ExplainAnalyze(*stmt.select, sql, snap);
+  uint64_t no_txn = 0;
+  INSIGHT_ASSIGN_OR_RETURN(QueryResult result,
+                           ExecuteRead(stmt, sql, mode, &no_txn));
+  return std::move(result.message);
 }
 
 std::string Database::DumpMetrics() const {

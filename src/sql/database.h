@@ -323,10 +323,17 @@ class Database : public ReplayTarget {
   /// (kTxnBegin / kTxnCommit / kTxnAbort) into the transaction manager.
   void InstallWalHooks();
 
-  /// Read path of Execute(): SELECT / EXPLAIN / ZOOM IN at one snapshot.
+  /// The one read path (Execute's SELECT / EXPLAIN / ZOOM IN, Explain,
+  /// ExplainAnalyze): the shared DDL gate and one snapshot, never the
+  /// write gate, except to re-ANALYZE a table feedback flagged.
   Result<QueryResult> ExecuteRead(const Statement& stmt,
-                                  const std::string& sql,
+                                  const std::string& sql, SelectMode mode,
                                   uint64_t* txn_handle);
+  /// Explain()/ExplainAnalyze(): parse `sql` and read it in `mode`.
+  Result<std::string> ExplainRead(const std::string& sql, SelectMode mode);
+  /// Runs the feedback re-ANALYZE of `select`'s flagged FROM tables under
+  /// the exclusive DDL gate and the write gate.
+  Status AnalyzeFlagged(const SelectStatement& select);
   /// Write path of Execute(): DML runs inside a transaction (the
   /// session's or an implicit autocommit one) under the write gate; DDL
   /// requires autocommit and takes the DDL gate exclusively.

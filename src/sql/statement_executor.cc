@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <shared_mutex>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -339,34 +337,17 @@ StatementExecutor::BoundSelect::OutputColumns() const {
   return columns;
 }
 
-Status StatementExecutor::RefreshSelectStats(const SelectStatement& select) {
-  // Fold maintained-on-update summary statistics into the planner's view
-  // (Section 5.2); cheap, no scans.
-  std::unique_lock<std::shared_mutex> plan_gate(plan_mu_);
-  const OptimizerOptions& opts = db_->optimizer_options();
-  const SketchPolicy policy{opts.use_sketch_statistics,
-                            opts.sketch_staleness_threshold};
-  for (const SelectStatement::FromTable& from : select.from) {
-    Status refreshed = db_->context()->RefreshStats(from.table, policy);
-    if (!refreshed.ok() && !refreshed.IsNotFound()) return refreshed;
-  }
-  return Status::OK();
-}
-
 Result<QueryResult> StatementExecutor::ExecuteSelect(
-    const SelectStatement& select, bool explain_only, const std::string& sql,
+    const SelectStatement& select, SelectMode mode, const std::string& sql,
     const Snapshot& snap) {
   const auto query_start = std::chrono::steady_clock::now();
-  // Shared plan gate: estimation reads the planner statistics that
-  // RefreshSelectStats replaces under the unique gate.
-  std::shared_lock<std::shared_mutex> plan_gate(plan_mu_);
   INSIGHT_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(select));
   Optimizer optimizer(db_->context(), db_->optimizer_options());
-  if (explain_only) {
+  QueryResult result;
+  if (mode == SelectMode::kExplain) {
     INSIGHT_ASSIGN_OR_RETURN(LogicalPtr rewritten,
                              optimizer.Rewrite(std::move(bound.plan)));
     INSIGHT_ASSIGN_OR_RETURN(OpPtr op, optimizer.Lower(*rewritten));
-    QueryResult result;
     result.message = "Logical plan:\n" + rewritten->Explain() +
                      "Physical plan:\n" + op->ExplainTree();
     auto estimate = optimizer.Estimate(*rewritten);
@@ -382,7 +363,6 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
   INSIGHT_ASSIGN_OR_RETURN(
       OpPtr op,
       optimizer.Optimize(std::move(bound.plan), bound.OutputColumns()));
-  plan_gate.unlock();  // Execution runs gate-free.
   // Pin every read in the plan — scans, index probes, summary fetches —
   // to the caller's snapshot via a per-query context copy. The shared
   // context stays at Latest for embedded/legacy callers.
@@ -395,6 +375,14 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
                    std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::steady_clock::now() - query_start)
                        .count()));
+  if (mode == SelectMode::kExplainAnalyze) {
+    result.message =
+        "Physical plan (analyzed):\n" + op->ExplainAnalyzeTree();
+    char line[64];
+    std::snprintf(line, sizeof(line), "Rows returned: %zu\n", rows.size());
+    result.message += line;
+    return result;
+  }
 
   // Materialize the select list. `*` shows an unaliased FROM entry's
   // columns under their base names, an aliased one's as `alias.col`.
@@ -437,7 +425,6 @@ Result<QueryResult> StatementExecutor::ExecuteSelect(
   for (const ExprPtr& expr : output_exprs) {
     INSIGHT_RETURN_NOT_OK(expr->Resolve(plan_schema));
   }
-  QueryResult result;
   result.schema = Schema(std::move(header));
   for (Row& row : rows) {
     Tuple out;
@@ -567,7 +554,7 @@ void StatementExecutor::ObserveQuery(const std::string& statement,
 
   // Cardinality feedback: every access-path root carries the table whose
   // statistics produced its estimate; a big enough q-error flags that
-  // table so the next statistics refresh re-analyzes it.
+  // table so the next statement reading it re-analyzes it first.
   std::vector<PhysicalOperator*> stack{root};
   while (!stack.empty()) {
     PhysicalOperator* op = stack.back();
@@ -588,33 +575,6 @@ void StatementExecutor::ObserveQuery(const std::string& statement,
     trace.plan = root->ExplainAnalyzeTree();
     slow_log->Record(std::move(trace));
   }
-}
-
-Result<std::string> StatementExecutor::ExplainAnalyze(
-    const SelectStatement& select, const std::string& sql,
-    const Snapshot& snap) {
-  const auto query_start = std::chrono::steady_clock::now();
-  std::shared_lock<std::shared_mutex> plan_gate(plan_mu_);
-  INSIGHT_ASSIGN_OR_RETURN(BoundSelect bound, BindSelect(select));
-  Optimizer optimizer(db_->context(), db_->optimizer_options());
-  INSIGHT_ASSIGN_OR_RETURN(
-      OpPtr op,
-      optimizer.Optimize(std::move(bound.plan), bound.OutputColumns()));
-  plan_gate.unlock();
-  ExecutionContext query_ctx = *db_->context()->exec_context();
-  query_ctx.set_snapshot(snap);
-  op->AttachContext(&query_ctx);
-  INSIGHT_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectRows(op.get()));
-  ObserveQuery(sql, op.get(),
-               static_cast<uint64_t>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       std::chrono::steady_clock::now() - query_start)
-                       .count()));
-  std::string out = "Physical plan (analyzed):\n" + op->ExplainAnalyzeTree();
-  char line[64];
-  std::snprintf(line, sizeof(line), "Rows returned: %zu\n", rows.size());
-  out += line;
-  return out;
 }
 
 }  // namespace insight

@@ -2,7 +2,6 @@
 #define INSIGHTNOTES_SQL_STATEMENT_EXECUTOR_H_
 
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -27,6 +26,11 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 25) const;
 };
 
+/// What a SELECT read produces: its rows (kRun), its plan without running
+/// it (EXPLAIN), or its plan annotated with the runtime counters of
+/// running it (EXPLAIN ANALYZE), the last two in QueryResult::message.
+enum class SelectMode { kRun, kExplain, kExplainAnalyze };
+
 /// The parse-plan-execute half of the old Database monolith: binds SELECTs
 /// into logical plans, optimizes, runs physical plans, materializes the
 /// select list, and dispatches mutation statements to the Database
@@ -44,28 +48,16 @@ class StatementExecutor {
   StatementExecutor(const StatementExecutor&) = delete;
   StatementExecutor& operator=(const StatementExecutor&) = delete;
 
-  /// Binds, optimizes, and (unless explain_only) executes a SELECT with
-  /// every read in the plan pinned to `snap`.
+  /// Binds, optimizes, and (unless `mode` is kExplain) executes a SELECT
+  /// with every read in the plan pinned to `snap`.
   Result<QueryResult> ExecuteSelect(const SelectStatement& select,
-                                    bool explain_only, const std::string& sql,
+                                    SelectMode mode, const std::string& sql,
                                     const Snapshot& snap);
 
   /// The non-SELECT arm: routes DML/DDL to the Database facade (which
   /// owns journaling). The caller has already arranged gating and, for
   /// DML, the transaction scope.
   Result<QueryResult> ExecuteMutation(const Statement& stmt);
-
-  /// EXPLAIN ANALYZE body: executes batch-at-a-time at `snap` and renders
-  /// the plan with runtime counters.
-  Result<std::string> ExplainAnalyze(const SelectStatement& select,
-                                     const std::string& sql,
-                                     const Snapshot& snap);
-
-  /// Folds live summary statistics into the planner's cached TableStats
-  /// for every FROM table. Mutates shared planner state — the caller must
-  /// hold the write gate (so folds don't race writers' live-stat updates);
-  /// the internal plan gate additionally excludes concurrent planners.
-  Status RefreshSelectStats(const SelectStatement& select);
 
   /// A SELECT with every name resolved: the logical plan, and one output
   /// expression per select item (null for `*`).
@@ -90,12 +82,6 @@ class StatementExecutor {
                     uint64_t total_ns);
 
   Database* db_;
-
-  /// Planner-statistics gate: TableStats/LiveLabelStatistics have no
-  /// internal locks, so stat folds (unique) must not overlap with
-  /// cardinality estimation (shared). Held only through bind+optimize,
-  /// never through execution — that is what keeps readers concurrent.
-  mutable std::shared_mutex plan_mu_;
 };
 
 }  // namespace insight

@@ -657,8 +657,8 @@ TEST(ReplicationE2ETest, PromotedReplicaPlansWithWarmSketches) {
 
   // Never analyzed, yet the sketch tier answers — warm from the stream.
   const RelationInfo* info = *replica->context()->Get("Birds");
-  EXPECT_TRUE(info->SketchTierActive(SketchPolicy{true, 0.10}));
-  EXPECT_EQ(info->Source(SketchPolicy{true, 0.10}), EstimateSource::kSketch);
+  EXPECT_TRUE(info->SketchTierActive(SketchPolicy{true}));
+  EXPECT_EQ(info->Source(SketchPolicy{true}), EstimateSource::kSketch);
 
   // And maintenance continues on the new primary.
   const int64_t before = got->rows();

@@ -3,7 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "engine_test_util.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/query_context.h"
@@ -26,49 +32,53 @@ class StatisticsTest : public ::testing::Test {
 };
 
 TEST_F(StatisticsTest, RowAndAnnotationCounts) {
-  TableStats stats = AnalyzeTable(db.birds, db.mgr.get()).ValueOrDie();
+  LiveLabelStatistics live(db.mgr.get());
+  TableStats stats =
+      AnalyzeTable(db.birds, db.mgr.get(), &live).ValueOrDie();
   EXPECT_EQ(stats.num_rows, 20u);
-  EXPECT_EQ(stats.annotated_rows, 8u);
+  EXPECT_EQ(live.AnnotatedRows(), 8u);
   EXPECT_GT(stats.avg_summary_blob_size, 0.0);
   EXPECT_GT(stats.heap_pages, 0u);
 }
 
 TEST_F(StatisticsTest, LabelStatsReflectDistribution) {
-  TableStats stats = AnalyzeTable(db.birds, db.mgr.get()).ValueOrDie();
-  const auto& inst = stats.instances.at("classbird1");
-  EXPECT_EQ(inst.num_objects, 8u);
-  EXPECT_GT(inst.avg_object_size, 0.0);
-  const LabelStats& disease = inst.labels.at("disease");
+  LiveLabelStatistics live(db.mgr.get());
+  ASSERT_TRUE(AnalyzeTable(db.birds, db.mgr.get(), &live).ok());
+  EXPECT_EQ(live.NumObjects("ClassBird1"), 8u);
+  EXPECT_GT(live.AvgObjectSize("ClassBird1"), 0.0);
+  const LabelStats disease = *live.Label("ClassBird1", "Disease");
   EXPECT_EQ(disease.min, 1);
   EXPECT_EQ(disease.max, 8);
   EXPECT_EQ(disease.num_distinct, 8u);
   // Behavior label: all-zero across the 8 annotated birds.
-  const LabelStats& behavior = inst.labels.at("behavior");
+  const LabelStats behavior = *live.Label("ClassBird1", "Behavior");
   EXPECT_EQ(behavior.min, 0);
   EXPECT_EQ(behavior.max, 0);
   EXPECT_EQ(behavior.num_distinct, 1u);
 }
 
 TEST_F(StatisticsTest, LabelSelectivityEstimates) {
-  TableStats stats = AnalyzeTable(db.birds, db.mgr.get()).ValueOrDie();
+  LiveLabelStatistics live(db.mgr.get());
+  const uint64_t rows =
+      AnalyzeTable(db.birds, db.mgr.get(), &live).ValueOrDie().num_rows;
   // Exactly one bird has count 5: selectivity 1/20.
-  const double eq = stats.EstimateLabelSelectivity("ClassBird1", "Disease",
-                                                   CompareOp::kEq, 5);
+  const double eq = live.EstimateLabelSelectivity("ClassBird1", "Disease",
+                                                  CompareOp::kEq, 5, rows);
   EXPECT_NEAR(eq, 1.0 / 20, 0.06);
   // count > 4: birds 5..8 qualify -> 4/20.
-  const double gt = stats.EstimateLabelSelectivity("ClassBird1", "Disease",
-                                                   CompareOp::kGt, 4);
+  const double gt = live.EstimateLabelSelectivity("ClassBird1", "Disease",
+                                                  CompareOp::kGt, 4, rows);
   EXPECT_NEAR(gt, 4.0 / 20, 0.08);
   // Impossible value.
-  EXPECT_NEAR(stats.EstimateLabelSelectivity("ClassBird1", "Disease",
-                                             CompareOp::kGt, 100),
+  EXPECT_NEAR(live.EstimateLabelSelectivity("ClassBird1", "Disease",
+                                            CompareOp::kGt, 100, rows),
               0.0, 1e-9);
   // Unknown instance/label.
-  EXPECT_EQ(stats.EstimateLabelSelectivity("Nope", "Disease",
-                                           CompareOp::kEq, 1),
+  EXPECT_EQ(live.EstimateLabelSelectivity("Nope", "Disease", CompareOp::kEq,
+                                          1, rows),
             0.0);
-  EXPECT_EQ(stats.EstimateLabelSelectivity("ClassBird1", "Nope",
-                                           CompareOp::kEq, 1),
+  EXPECT_EQ(live.EstimateLabelSelectivity("ClassBird1", "Nope",
+                                          CompareOp::kEq, 1, rows),
             0.0);
 }
 
@@ -99,8 +109,8 @@ TEST_F(StatisticsTest, PlainTableWithoutManager) {
   }
   TableStats stats = AnalyzeTable(plain, nullptr).ValueOrDie();
   EXPECT_EQ(stats.num_rows, 10u);
-  EXPECT_EQ(stats.annotated_rows, 0u);
-  EXPECT_TRUE(stats.instances.empty());
+  EXPECT_EQ(stats.avg_summary_blob_size, 0.0);
+  EXPECT_TRUE(stats.instance_words.empty());
   EXPECT_EQ(stats.ColumnDistinct("x"), 3u);
 }
 
@@ -156,51 +166,158 @@ TEST(LiveStatisticsTest, UpdatesVisibleWithoutReanalyze) {
   QueryContext ctx(&db.catalog, &db.storage, &db.pool);
   (void)ctx.RegisterRelation(db.birds, db.mgr.get());
   ASSERT_TRUE(ctx.Analyze("Birds").ok());
+  const RelationInfo* info = *ctx.Get("Birds");
+  const SketchPolicy histograms{false};
 
   // Initially nothing is annotated: selectivity of Disease = 3 is 0.
-  (void)ctx.RefreshStats("Birds");
-  const TableStats* stats = &*(*ctx.Get("Birds"))->stats;
-  EXPECT_EQ(stats->EstimateLabelSelectivity("ClassBird1", "Disease",
-                                            CompareOp::kEq, 3),
+  EXPECT_EQ(info->LabelSelectivity(histograms, "ClassBird1", "Disease",
+                                   CompareOp::kEq, 3, -1),
             0.0);
 
   // Annotate AFTER the analyze; live maintenance tracks it.
   for (int i = 1; i <= 6; ++i) {
     db.Annotate(static_cast<Oid>(i), "disease", 3);
   }
-  (void)ctx.RefreshStats("Birds");
-  stats = &*(*ctx.Get("Birds"))->stats;
-  EXPECT_NEAR(stats->EstimateLabelSelectivity("ClassBird1", "Disease",
-                                              CompareOp::kEq, 3),
+  EXPECT_NEAR(info->LabelSelectivity(histograms, "ClassBird1", "Disease",
+                                     CompareOp::kEq, 3, -1),
               6.0 / 30, 0.05);
-  EXPECT_EQ(stats->annotated_rows, 6u);
+  EXPECT_EQ(info->AnnotatedRows(), 6u);
 
   // Removing effects is tracked too (tuple deletion).
   ASSERT_TRUE(db.mgr->OnTupleDeleted(1).ok());
-  (void)ctx.RefreshStats("Birds");
-  stats = &*(*ctx.Get("Birds"))->stats;
-  EXPECT_EQ(stats->annotated_rows, 5u);
-  EXPECT_NEAR(stats->EstimateLabelSelectivity("ClassBird1", "Disease",
-                                              CompareOp::kEq, 3),
+  EXPECT_EQ(info->AnnotatedRows(), 5u);
+  EXPECT_NEAR(info->LabelSelectivity(histograms, "ClassBird1", "Disease",
+                                     CompareOp::kEq, 3, -1),
               5.0 / 30, 0.05);
 }
 
-TEST(LiveStatisticsTest, SeedMatchesFullAnalyze) {
-  TestDb db(20);
-  for (int i = 1; i <= 8; ++i) db.Annotate(static_cast<Oid>(i), "disease", i);
-  // Full analyze.
-  TableStats full = AnalyzeTable(db.birds, db.mgr.get()).ValueOrDie();
-  // Live seed + fold into a fresh stats object.
-  LiveLabelStatistics live(db.mgr.get());
-  ASSERT_TRUE(live.SeedFrom(db.mgr.get()).ok());
-  TableStats folded = AnalyzeTable(db.birds, nullptr).ValueOrDie();
-  live.FoldInto(&folded);
-  const auto& a = full.instances.at("classbird1").labels.at("disease");
-  const auto& b = folded.instances.at("classbird1").labels.at("disease");
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.num_distinct, b.num_distinct);
-  EXPECT_EQ(full.annotated_rows, folded.annotated_rows);
+// The live statistics are the only home of the label statistics, so they
+// must equal what a from-scratch build over the stored summaries gives:
+// after seeded ANNOTATE, remove-annotation and tuple-delete sequences,
+// across an instance linked after the first ANALYZE (tracked from the
+// next ANALYZE on) and a second ANALYZE, every label estimate the planner
+// reads equals the brute-force one.
+TEST(LiveStatisticsTest, MatchesBruteForceUnderUpdates) {
+  const std::vector<std::string> kLabels = {"Disease", "Behavior", "Other"};
+  const std::vector<std::string> kKinds = {"disease", "behavior", "other"};
+  constexpr int kBirds = 40;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TestDb db(kBirds);
+    QueryContext ctx(&db.catalog, &db.storage, &db.pool);
+    ASSERT_TRUE(ctx.RegisterRelation(db.birds, db.mgr.get()).ok());
+    Rng rng(seed);
+    std::vector<AnnId> live_anns;
+    std::set<Oid> deleted;
+
+    auto mutate = [&](int ops) {
+      for (int i = 0; i < ops; ++i) {
+        const double roll = rng.NextDouble();
+        const Oid oid = static_cast<Oid>(rng.Uniform(1, kBirds));
+        if (roll < 0.6 || live_anns.empty()) {
+          if (deleted.count(oid) > 0) continue;
+          auto ann = db.mgr->AddAnnotation(
+              rng.Pick(kKinds) + "word note " + std::to_string(i),
+              {{oid, CellMask(0)}});
+          ASSERT_TRUE(ann.ok()) << ann.status().ToString();
+          live_anns.push_back(*ann);
+        } else if (roll < 0.85) {
+          const size_t pick = static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(live_anns.size()) - 1));
+          ASSERT_TRUE(db.mgr->RemoveAnnotation(live_anns[pick]).ok());
+          live_anns.erase(live_anns.begin() + static_cast<long>(pick));
+        } else {
+          ASSERT_TRUE(db.mgr->OnTupleDeleted(oid).ok());
+          deleted.insert(oid);
+        }
+      }
+    };
+
+    // Compares every estimate over `tracked` instances with a histogram
+    // built from scratch over the stored summaries.
+    auto expect_brute_force = [&](const std::vector<std::string>& tracked) {
+      std::map<std::string, std::map<std::string, std::vector<int64_t>>>
+          values;
+      std::map<std::string, uint64_t> objects;
+      ASSERT_TRUE(db.mgr
+                      ->ForEachSummaryRow([&](Oid, const SummarySet& set) {
+                        for (const SummaryObject& obj : set.objects()) {
+                          const std::string inst = ToLower(obj.instance_name);
+                          ++objects[inst];
+                          if (obj.type != SummaryType::kClassifier) continue;
+                          for (const Representative& rep : obj.reps) {
+                            values[inst][ToLower(rep.text)].push_back(
+                                rep.count);
+                          }
+                        }
+                        return Status::OK();
+                      })
+                      .ok());
+      const RelationInfo* info = *ctx.Get("Birds");
+      const SketchPolicy histograms{false};
+      const double rows = static_cast<double>(info->stats->num_rows);
+      // One object per annotated tuple per instance.
+      uint64_t annotated = 0;
+      for (const std::string& instance : tracked) {
+        annotated = std::max(annotated, objects[ToLower(instance)]);
+        for (const std::string& label : kLabels) {
+          const std::vector<int64_t>& counts =
+              values[ToLower(instance)][ToLower(label)];
+          LabelStats ref;
+          ref.histogram = EquiWidthHistogram::Build(counts);
+          ref.min = ref.histogram.min();
+          ref.max = ref.histogram.max();
+          ref.num_distinct =
+              std::set<int64_t>(counts.begin(), counts.end()).size();
+          EXPECT_EQ(info->LabelDistinctEst(histograms, instance, label),
+                    std::max<uint64_t>(1, ref.num_distinct))
+              << instance << "." << label;
+          for (CompareOp op :
+               {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+            for (int64_t c : {-1, 0, 1, 2, 3, 5, 9}) {
+              EXPECT_NEAR(info->LabelSelectivity(histograms, instance, label,
+                                                 op, c, -1),
+                          std::min(1.0, ref.EstimateMatching(op, c) / rows),
+                          1e-9)
+                  << instance << "." << label << " op "
+                  << static_cast<int>(op) << " " << c;
+            }
+          }
+        }
+      }
+      EXPECT_NEAR(info->AnnotatedFraction(histograms, -1),
+                  std::min(1.0, static_cast<double>(annotated) / rows),
+                  1e-12);
+    };
+
+    const std::vector<std::string> first = {"ClassBird1", "TextSummary1",
+                                            "SimCluster"};
+    mutate(60);
+    ASSERT_TRUE(ctx.Analyze("Birds").ok());
+    expect_brute_force(first);
+    mutate(80);
+    expect_brute_force(first);
+
+    // Linked after the first ANALYZE: its objects count from the next
+    // one, which rebuilds the live statistics over every instance.
+    auto model = std::make_shared<NaiveBayesClassifier>(kLabels);
+    model->Train("diseaseword", "Disease").ok();
+    model->Train("behaviorword", "Behavior").ok();
+    model->Train("otherword", "Other").ok();
+    ASSERT_TRUE(db.mgr
+                    ->LinkInstance(SummaryInstance::Classifier(
+                        "ClassBird2", kLabels, model))
+                    .ok());
+    mutate(60);
+    expect_brute_force(first);
+    ASSERT_TRUE(ctx.Analyze("Birds").ok());
+    std::vector<std::string> all = first;
+    all.push_back("ClassBird2");
+    expect_brute_force(all);
+    mutate(80);
+    expect_brute_force(all);
+  }
 }
 
 // ---- Histogram overflow / degenerate-width regressions ----
@@ -263,21 +380,24 @@ TEST(HistogramEdgeCaseTest, ValueAtExactlyMaxLandsInLastBucket) {
 TEST_F(StatisticsTest, SelectivityConstantAtInt64Limits) {
   const int64_t kMin = std::numeric_limits<int64_t>::min();
   const int64_t kMax = std::numeric_limits<int64_t>::max();
-  TableStats stats = AnalyzeTable(db.birds, db.mgr.get()).ValueOrDie();
+  LiveLabelStatistics live(db.mgr.get());
+  TableStats stats =
+      AnalyzeTable(db.birds, db.mgr.get(), &live).ValueOrDie();
+  const uint64_t rows = stats.num_rows;
   // `< INT64_MIN` matches nothing (the old code computed kMin - 1: UB).
-  EXPECT_EQ(stats.EstimateLabelSelectivity("ClassBird1", "Disease",
-                                           CompareOp::kLt, kMin),
+  EXPECT_EQ(live.EstimateLabelSelectivity("ClassBird1", "Disease",
+                                          CompareOp::kLt, kMin, rows),
             0.0);
   // `> INT64_MAX` matches nothing (the old code computed kMax + 1: UB).
-  EXPECT_EQ(stats.EstimateLabelSelectivity("ClassBird1", "Disease",
-                                           CompareOp::kGt, kMax),
+  EXPECT_EQ(live.EstimateLabelSelectivity("ClassBird1", "Disease",
+                                          CompareOp::kGt, kMax, rows),
             0.0);
   // The inclusive forms at the limits cover everything annotated.
-  EXPECT_GT(stats.EstimateLabelSelectivity("ClassBird1", "Disease",
-                                           CompareOp::kLe, kMax),
+  EXPECT_GT(live.EstimateLabelSelectivity("ClassBird1", "Disease",
+                                          CompareOp::kLe, kMax, rows),
             0.0);
-  EXPECT_GT(stats.EstimateLabelSelectivity("ClassBird1", "Disease",
-                                           CompareOp::kGe, kMin),
+  EXPECT_GT(live.EstimateLabelSelectivity("ClassBird1", "Disease",
+                                          CompareOp::kGe, kMin, rows),
             0.0);
   // Column path: the same limit constants plus out-of-range / NaN doubles
   // (the old code cast them straight to int64: UB).
@@ -378,6 +498,69 @@ TEST(DoubleHistogramTest, EstimatesTrackBruteForceCounts) {
           EXPECT_LE(q, 3.0) << text << ": est " << est->rows << ", actual "
                             << rows->size();
         }
+      }
+    }
+  }
+}
+
+// An INT column holds whole numbers: a fractional constant bounds `<` and
+// `<=` at its floor and `>` and `>=` at its ceiling, `=` matches no row
+// and `<>` every non-NULL one. `v` holds each of -8..7 (v + 9) times, so
+// its 16 buckets hold one value each and every estimate is exact: each
+// must equal the brute-force count, negative constants included.
+TEST(IntHistogramTest, FractionalConstantsMatchBruteForceCounts) {
+  StorageManager storage(StorageManager::Backend::kMemory);
+  BufferPool pool(&storage, 256);
+  Catalog catalog(&storage, &pool);
+  Table* table =
+      *catalog.CreateTable("N", Schema({{"v", ValueType::kInt64}}));
+  std::vector<int64_t> values;
+  for (int64_t v = -8; v <= 7; ++v) {
+    for (int64_t k = 0; k < v + 9; ++k) values.push_back(v);
+  }
+  for (int64_t v : values) {
+    ASSERT_TRUE(table->Insert(Tuple({Value::Int(v)})).ok());
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(table->Insert(Tuple({Value::Null()})).ok());
+  }
+  TableStats stats = AnalyzeTable(table, nullptr).ValueOrDie();
+  const double rows = static_cast<double>(stats.num_rows);
+  auto holds = [](int64_t v, CompareOp op, double c) {
+    const double x = static_cast<double>(v);
+    switch (op) {
+      case CompareOp::kEq:
+        return x == c;
+      case CompareOp::kNe:
+        return x != c;
+      case CompareOp::kLt:
+        return x < c;
+      case CompareOp::kLe:
+        return x <= c;
+      case CompareOp::kGt:
+        return x > c;
+      case CompareOp::kGe:
+        return x >= c;
+    }
+    return false;
+  };
+  for (double c : {-9.5, -8.5, -3.5, -2.5, -3.0, -0.5, 0.5, 2.0, 2.5, 6.5,
+                   7.5}) {
+    for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                         CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+      const double want = static_cast<double>(
+          std::count_if(values.begin(), values.end(),
+                        [&](int64_t v) { return holds(v, op, c); }));
+      EXPECT_NEAR(
+          stats.EstimateColumnSelectivity("v", op, Value::Double(c)) * rows,
+          want, 1e-6)
+          << "v op " << static_cast<int>(op) << " " << c;
+      if (c == std::floor(c)) {
+        EXPECT_NEAR(stats.EstimateColumnSelectivity(
+                        "v", op, Value::Int(static_cast<int64_t>(c))) *
+                        rows,
+                    want, 1e-6)
+            << "v op " << static_cast<int>(op) << " " << c << " (INT)";
       }
     }
   }

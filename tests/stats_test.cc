@@ -431,8 +431,8 @@ TEST_F(StatsDmlTest, SketchTierOverridesStaleHistograms) {
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(InsertBird(i, "f0").ok());
   ASSERT_TRUE(db_.Analyze("Birds").ok());
   const RelationInfo* info = *db_.context()->Get("Birds");
-  const SketchPolicy on{true, 0.10};
-  const SketchPolicy off{false, 0.10};
+  const SketchPolicy on{true};
+  const SketchPolicy off{false};
 
   // Fresh histograms: both policies answer from them.
   EXPECT_EQ(info->Source(on), EstimateSource::kHistogram);
@@ -464,7 +464,7 @@ TEST_F(StatsDmlTest, NeverAnalyzedTableStillGetsSketchAnswers) {
     ASSERT_TRUE(InsertBird(i, i < 180 ? "f0" : "f1").ok());
   }
   const RelationInfo* info = *db_.context()->Get("Birds");
-  const SketchPolicy on{true, 0.10};
+  const SketchPolicy on{true};
   ASSERT_FALSE(info->stats.has_value());
   EXPECT_TRUE(info->SketchTierActive(on));
   EXPECT_EQ(info->Source(on), EstimateSource::kSketch);
@@ -602,7 +602,7 @@ TEST(StatsDurabilityTest, CheckpointImagePlusTailRebuildsTheSketches) {
   // Recovered databases plan with warm stats: the sketch tier is live
   // without any ANALYZE.
   const RelationInfo* info = *recovered->context()->Get("Birds");
-  EXPECT_TRUE(info->SketchTierActive(SketchPolicy{true, 0.10}));
+  EXPECT_TRUE(info->SketchTierActive(SketchPolicy{true}));
 }
 
 }  // namespace
